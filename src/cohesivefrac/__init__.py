@@ -21,8 +21,6 @@ from cohesivefrac.laws import (
     CohesiveLaw,
     LawKind,
     RescaledLaws,
-    bulk_eval,
-    phi_eval,
     plain_laws,
     relax_bulk_oracle,
     rescale_laws,
@@ -84,7 +82,6 @@ __all__ = [
     "SolverConfig",
     "alternate_minimize",
     "brute_force_minimize",
-    "bulk_eval",
     "classify_regime",
     "energy_balance_report",
     "evolve",
@@ -93,7 +90,6 @@ __all__ = [
     "griffith_minimize",
     "incremental_minimize",
     "load_config",
-    "phi_eval",
     "plain_laws",
     "prefix_crack_sweep",
     "relax_bulk_oracle",

@@ -9,6 +9,7 @@ config is byte-identical and the files double as regression fixtures.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -166,6 +167,9 @@ def _run_planar(args) -> int:
 
 
 def _run_relax_check(args) -> int:
+    for flag, value in (("--a", args.a), ("--grid", args.grid)):
+        if not (value > 0.0 and math.isfinite(value)):
+            raise ConfigError(f"{flag} must be positive and finite, got {value}")
     a = args.a
     f = BulkDensity(a)
     xi = np.linspace(-5.0 * a, 5.0 * a, 201)

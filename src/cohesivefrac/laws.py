@@ -38,8 +38,6 @@ __all__ = [
     "CohesiveLaw",
     "BulkDensity",
     "RescaledLaws",
-    "phi_eval",
-    "bulk_eval",
     "rescale_laws",
     "relax_bulk_oracle",
 ]
@@ -92,11 +90,53 @@ class CohesiveLaw:
             return 1.0 / self.a
         return None
 
-    def kink_openings(self) -> tuple[float, ...]:
-        # candidate breakpoints for 1d line searches over an opening
+    def deriv(self, s):
+        """phi'(s), one-sided from above at the Dugdale kink (0 once saturated)."""
+        arr = _as_checked_opening(s)
         if self.kind is LawKind.DUGDALE:
-            return (1.0 / self.a,)
-        return ()
+            out = np.where(arr < 1.0 / self.a, self.a, 0.0)
+        else:
+            out = self.a * np.exp(-self.a * arr)
+        return out if out.ndim else float(out)
+
+    def stationary_points(self, kappa: float, d, weight, rate: float = 1.0) -> np.ndarray:
+        """Stationary points of ``kappa*(x - d)**2 + weight*phi(rate*x)``.
+
+        ``kappa > 0``, ``rate > 0`` and ``weight >= 0``; ``d`` and ``weight``
+        broadcast, and the result has shape ``(k, *broadcast shape)``:
+        ``k`` points per instance, NaN where a point is not real.  Only the
+        unsaturated piece of phi counts; on a saturated piece the point is
+        ``d``.
+
+        Dugdale (``k = 1``): the vertex ``d - weight*a*rate/(2*kappa)``.
+        Exponential (``k = 2``): with ``b = a*rate``, ``x = d + W(z)/b``
+        for ``z = -weight*b**2*exp(-b*d)/(2*kappa)`` on the two real
+        Lambert-W branches, which exist for ``z >= -1/e``; ``W_0`` is a
+        local minimum (the second derivative is ``2*kappa*(1 + W)``) and
+        ``W_-1`` a local maximum.
+
+        A sum ``sum_k w_k*phi(rate*x + s_k)`` of terms on their unsaturated
+        piece is ``W*phi(rate*x)`` plus a constant, with
+        ``W = sum_k w_k*phi'(s_k)/a`` (see :meth:`deriv`), so one call
+        covers any number of shifted copies of the law.
+        """
+        d = np.asarray(d, dtype=float)
+        weight = np.asarray(weight, dtype=float)
+        if self.kind is LawKind.DUGDALE:
+            return (d - weight * (self.a * rate / (2.0 * kappa)))[None]
+        # scipy.special costs memory and start-up time, so only
+        # exponential laws load it
+        from scipy.special import lambertw
+
+        b = self.a * rate
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            # in logs, so that a zero weight gives z = 0 however large -b*d
+            z = -np.exp(np.log(weight * (b * b / (2.0 * kappa))) - b * d)
+            real = z >= -math.exp(-1.0)
+            zr = np.where(real, z, 0.0)
+            x = d + np.stack([lambertw(zr, 0).real, lambertw(zr, -1).real]) / b
+        # W_-1(0) = -inf: with no surface weight only the vertex is left
+        return np.where(real & np.isfinite(x), x, np.nan)
 
 
 @dataclass(frozen=True)
@@ -149,16 +189,6 @@ class RescaledLaws:
     bulk_weight: float
     surface_weight: float
     cantor_weight: float
-
-
-def phi_eval(law: CohesiveLaw, s):
-    """Evaluate a cohesive law at opening(s) ``s`` (vectorized)."""
-    return law(s)
-
-
-def bulk_eval(f: BulkDensity, xi):
-    """Evaluate the relaxed bulk density at strain(s) ``xi`` (vectorized)."""
-    return f(xi)
 
 
 def rescale_laws(law: CohesiveLaw, a: float, h: float, alpha: float) -> RescaledLaws:
@@ -229,8 +259,8 @@ def relax_bulk_oracle(
     Memory stays flat however fine the grid: it is scanned in
     chunks of ``_ORACLE_CHUNK`` points, carrying both running minima across.
     """
-    if grid_step <= 0.0:
-        raise ValueError("grid_step must be positive")
+    if not (grid_step > 0.0 and math.isfinite(grid_step)):
+        raise ValueError(f"grid_step must be positive and finite, got {grid_step}")
     pts = np.asarray(xi, dtype=float)
     if not np.all(np.isfinite(pts)):
         raise ValueError("xi must be finite")

@@ -33,8 +33,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu
 
-from cohesivefrac.laws import CohesiveLaw, LawKind, RescaledLaws, rescale_laws
-from cohesivefrac.search import line_search
+from cohesivefrac.laws import RescaledLaws, rescale_laws
 
 __all__ = [
     "Grid2D",
@@ -449,20 +448,44 @@ def _am_total(grid: Grid2D, psi: np.ndarray, laws: RescaledLaws, lower, upper) -
     return bulk + surf
 
 
-def _sweep_jumps(grid, psi, laws, lower, upper, jumps, t):
+def _lip_jump(phi, kappa, d, w, j, psi):
+    """Exact minimizer of ``kappa*(x - d)**2 + w*sum_k phi(max((|x| + j_k)/2, psi_k))``.
+
+    One term per crack edge at the node: ``j_k >= 0`` is the jump at the
+    edge's other node and ``psi_k`` its memory.  The surface part grows
+    with ``|x|``, so the minimizer has the sign of ``d`` and ``|x| <= |d|``.
+    In ``y = |x|`` the candidates are the ends, the openings where an edge
+    reaches its memory (convex kinks), and the stationary points for every
+    set of edges that may be smooth at once (each set is one law term in
+    ``y/2``, see :meth:`CohesiveLaw.stationary_points`).  Saturation is a
+    concave kink and never a minimizer.  Ties go to the smaller jump.
+    """
+    end = abs(d)
+    half = 0.5 * j
+    slopes = (w / phi.a) * phi.deriv(half)
+    # every nonempty set of edges; with one edge the sets coincide
+    weights = np.array([slopes[0], slopes[-1], slopes.sum()])
+    cand = [(0.0, end), 2.0 * (psi - half)]
+    cand.extend(phi.stationary_points(kappa, end, weights, 0.5))
+    # fmin maps a point that is not real (NaN) to the right end
+    y = np.sort(np.maximum(np.fmin(np.concatenate(cand), end), 0.0))
+    opening = np.maximum(0.5 * (y[:, None] + j), psi)
+    energy = kappa * (y - end) ** 2 + w * phi(opening).sum(axis=1)
+    x = float(y[np.argmin(energy)])
+    return x if d >= 0.0 else -x
+
+
+def _sweep_jumps(grid, psi, laws, lower, upper, jumps):
     """One Gauss-Seidel pass of exact per-node jump updates.
 
     At node ``i`` the pair (bottom lip, top lip) is minimized jointly:
     for fixed jump the quadratic part has a closed-form optimum, leaving
-    a one-dimensional piecewise-smooth problem in the jump that the
-    shared line search solves.  The current jump is always a candidate,
-    so each update is nonincreasing.
+    a one-dimensional piecewise-smooth problem in the jump that
+    :func:`_lip_jump` solves exactly, so each update is nonincreasing.
     """
     n = grid.n
-    delta = grid.spacing
-    sw = laws.surface_weight
+    w = laws.surface_weight * grid.spacing
     phi = laws.phi
-    sat = phi.saturation_opening
     brow, trow = lower[-1], upper[0]
     below, above = lower[-2], upper[1]
 
@@ -482,41 +505,15 @@ def _sweep_jumps(grid, psi, laws, lower, upper, jumps, t):
         kappa = 0.5 * wsum  # w_b*w_t/(w_b+w_t) with equal sums
         d = vt - vb
 
-        j_left = abs(jumps[i - 1]) if i > 0 else 0.0
-        j_right = abs(jumps[i + 1]) if i < n else 0.0
-        psi_left = psi[i - 1] if i > 0 else 0.0
-        psi_right = psi[i] if i < n else 0.0
-
-        def local(x, d=d, j_left=j_left, j_right=j_right,
-                  psi_left=psi_left, psi_right=psi_right, has_l=i > 0, has_r=i < n):
-            s = np.zeros_like(x)
-            if has_l:
-                s = s + phi(np.maximum(0.5 * (np.abs(x) + j_left), psi_left))
-            if has_r:
-                s = s + phi(np.maximum(0.5 * (np.abs(x) + j_right), psi_right))
-            return kappa * (x - d) ** 2 + sw * delta * s
-
-        extras = [0.0, float(jumps[i]), d]
-        for other, mem in ((j_left, psi_left), (j_right, psi_right)):
-            if sat is not None:
-                extras.extend([2.0 * sat - other, other - 2.0 * sat])
-            if mem > 0.0:
-                extras.extend([2.0 * mem - other, other - 2.0 * mem])
-        radius = max(2.0 * abs(t), abs(d), abs(jumps[i])) + 1.0
-        x_star, _ = line_search(local, -radius, radius, extras, n_grid=65)
+        # crack edges i-1 and i, whose other nodes are i-1 and i+1
+        others = [k for k in (i - 1, i + 1) if 0 <= k <= n]
+        edges = psi[max(i - 1, 0):min(i + 1, n)]
+        x_star = _lip_jump(phi, kappa, d, w, np.abs(jumps[others]), edges)
 
         jumps[i] = x_star
         b = vb + 0.5 * (d - x_star)  # = (w_b*vb + w_t*(vt - x)) / (w_b + w_t)
         brow[i] = b
         trow[i] = b + x_star
-
-
-def _phi_slopes(phi: CohesiveLaw, s: np.ndarray) -> np.ndarray:
-    # one-sided from above at the Dugdale kink, so a saturated edge
-    # contributes no restoring force
-    if phi.kind is LawKind.DUGDALE:
-        return np.where(s < phi.saturation_opening, phi.a, 0.0)
-    return phi.a * np.exp(-phi.a * s)
 
 
 def _pattern_step(grid, psi, laws, t, jumps):
@@ -535,7 +532,7 @@ def _pattern_step(grid, psi, laws, t, jumps):
     if tied.all():
         return None
     opening = 0.5 * (np.abs(jumps[:-1]) + np.abs(jumps[1:]))
-    slopes = np.where(opening > psi, _phi_slopes(laws.phi, opening), 0.0)
+    slopes = np.where(opening > psi, laws.phi.deriv(opening), 0.0)
     g = np.zeros(grid.n + 1)
     g[:-1] += 0.5 * slopes
     g[1:] += 0.5 * slopes
@@ -591,7 +588,7 @@ def alternate_minimize(
         lower, upper = _split(sys_.mesh, _solve_system(sys_, t, jumps))
         lower, upper = lower.copy(), upper.copy()
         energies.append(_am_total(grid, psi, laws, lower, upper))
-        _sweep_jumps(grid, psi, laws, lower, upper, jumps, t)
+        _sweep_jumps(grid, psi, laws, lower, upper, jumps)
         e = _am_total(grid, psi, laws, lower, upper)
         energies.append(e)
         trial = _pattern_step(grid, psi, laws, t, jumps)

@@ -139,11 +139,6 @@ def _pc_interp(times: np.ndarray, values: np.ndarray, query: np.ndarray) -> np.n
     return values[idx]
 
 
-def _sup_gap(t1, v1, t2, v2) -> float:
-    union = np.union1d(t1, t2)
-    return float(np.max(np.abs(_pc_interp(t1, v1, union) - _pc_interp(t2, v2, union))))
-
-
 def _total_variation(trace: EvolutionTrace) -> float:
     domain = trace.domain
     interior = set(range(1, domain.n_elements))

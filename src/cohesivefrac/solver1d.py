@@ -10,8 +10,9 @@ Two routes are provided and kept deliberately independent:
   ``phi(0) = 0`` makes the surface cost subadditive, so a minimizer never
   opens more than one fresh site, reopens memory sites for free up to
   their recorded opening, and concentrates any excess beyond the total
-  free capacity at a single site.  Each surviving branch is a 1d line
-  search.
+  free capacity at a single site.  Each surviving branch is a 1d problem
+  solved exactly: its minimum lies at an end of its interval or at a
+  closed-form stationary point of a smooth piece.
 
 * :func:`brute_force_minimize` quantizes jump vectors over the active
   sites and enumerates them exhaustively.  It knows nothing about the
@@ -37,7 +38,6 @@ from cohesivefrac.bar1d import (
     total_energy,
 )
 from cohesivefrac.laws import RescaledLaws
-from cohesivefrac.search import line_search
 
 __all__ = [
     "SolverConfig",
@@ -68,17 +68,12 @@ class BudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    line_search_points: int = 257
     tie_tol: float = 1e-12
     certify: bool = False
     certification_tol: float = 1e-9
     oracle_grid_step: float = 1e-3
     oracle_max_sites: int = 3
     oracle_budget: int = 40_000_000
-
-    def __post_init__(self):
-        if self.line_search_points < 16:
-            raise ValueError("line search needs at least 16 grid points")
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -142,6 +137,34 @@ def incremental_minimize(
     return u
 
 
+def _excess_minima(laws, L, c, shifts):
+    """Exact minima of the excess branches, one per memory ``p`` in ``shifts``.
+
+    Branch ``p`` minimizes ``bw*L*f((c - e)/L) + sw*(phi(p + e) - phi(p))``
+    over the excess ``e`` in ``[0, c]``, where ``c`` is the datum
+    difference left over once every memory site is refilled.  Below
+    ``c - L*threshold`` the bulk is affine and the branch concave, so it
+    has no interior minimum there; above, the bulk is ``(bw/L)*(c - e)**2``
+    and the candidates are the stationary points of
+    :meth:`CohesiveLaw.stationary_points`.  The bulk threshold is a C1
+    join and the Dugdale saturation a concave kink, so neither holds a
+    minimum that is not already a candidate: the ends and the stationary
+    points suffice.  All candidates are evaluated at once; ties go to
+    the smaller excess.  Returns ``(e, energy)``.
+    """
+    phi, sw = laws.phi, laws.surface_weight
+    weights = sw * phi.deriv(shifts) / phi.a
+    stationary = phi.stationary_points(laws.bulk_weight / L, c, weights)
+    # one column of candidates per branch
+    e = np.vstack([np.zeros(shifts.size), np.full(shifts.size, c), stationary])
+    # fmin maps a point that is not real (NaN) to the right end
+    e = np.sort(np.maximum(np.fmin(e, c), 0.0), axis=0)
+    energy = laws.bulk_weight * L * laws.bulk((c - e) / L) + sw * (phi(shifts + e) - phi(shifts))
+    best = np.argmin(energy, axis=0)
+    pick = np.arange(shifts.size)
+    return e[best, pick], energy[best, pick]
+
+
 def _structured_minimize(domain, crack, g, delta, laws, cfg) -> Displacement1D:
     L = domain.length
     bw, sw = laws.bulk_weight, laws.surface_weight
@@ -151,16 +174,13 @@ def _structured_minimize(domain, crack, g, delta, laws, cfg) -> Displacement1D:
     psi_total = sum(p for _, p in mem)
     sunk = sw * float(np.sum(laws.phi([p for _, p in mem]))) if mem else 0.0
 
-    def bulk_of(total_jump):
-        return bw * L * laws.bulk((D - np.asarray(total_jump)) / L)
-
     branches: list[_Branch] = []
 
     # within free capacity: opening is surface-free, bulk decreases in T
     t_a = min(psi_total, D)
     branches.append(
         _Branch(
-            energy=float(bulk_of(t_a)) + sunk,
+            energy=bw * L * laws.bulk((D - t_a) / L) + sunk,
             total_jump=t_a,
             site_order=-1.0,
             oriented=_memory_fill(mem, t_a),
@@ -169,52 +189,24 @@ def _structured_minimize(domain, crack, g, delta, laws, cfg) -> Displacement1D:
 
     excess_cap = D - psi_total
     if excess_cap > 0.0:
-        kinks_f = [excess_cap - L * laws.bulk.threshold]
-        # exceed one memory site beyond its recorded opening
-        for site, psi in mem:
-            phi_ref = float(laws.phi(psi))
-
-            def branch_fn(e, psi=psi, phi_ref=phi_ref):
-                return bulk_of(psi_total + e) + sw * (laws.phi(psi + e) - phi_ref)
-
-            extras = list(kinks_f)
-            sat = laws.phi.saturation_opening
-            if sat is not None:
-                extras.append(sat - psi)
-            e_star, v = line_search(branch_fn, 0.0, excess_cap, extras, cfg.line_search_points)
-            oriented = _memory_fill(mem, psi_total)
-            oriented[site] = oriented.get(site, 0.0) + e_star
-            branches.append(
-                _Branch(
-                    energy=v + sunk,
-                    total_jump=psi_total + e_star,
-                    site_order=float(site),
-                    oriented=oriented,
-                )
-            )
-
+        # exceed one memory site beyond its recorded opening, or open the
+        # leftmost fresh site (a memory of 0)
         fresh = next((s for s in domain.jump_sites() if s not in crack.psi), None)
-        if fresh is not None:
-
-            def fresh_fn(e):
-                return bulk_of(psi_total + e) + sw * laws.phi(e)
-
-            extras = list(kinks_f)
-            sat = laws.phi.saturation_opening
-            if sat is not None:
-                extras.append(sat)
-            e_star, v = line_search(fresh_fn, 0.0, excess_cap, extras, cfg.line_search_points)
-            oriented = _memory_fill(mem, psi_total)
-            if e_star > 0.0:
-                oriented[fresh] = oriented.get(fresh, 0.0) + e_star
-            branches.append(
-                _Branch(
-                    energy=v + sunk,
-                    total_jump=psi_total + e_star,
-                    site_order=float(fresh),
-                    oriented=oriented,
+        owners = mem + ([(fresh, 0.0)] if fresh is not None else [])
+        if owners:
+            shifts = np.array([p for _, p in owners])
+            excess, energy = _excess_minima(laws, L, excess_cap, shifts)
+            for (site, _), e_star, v in zip(owners, excess.tolist(), energy.tolist()):
+                oriented = _memory_fill(mem, psi_total)
+                oriented[site] = oriented.get(site, 0.0) + e_star
+                branches.append(
+                    _Branch(
+                        energy=v + sunk,
+                        total_jump=psi_total + e_star,
+                        site_order=float(site),
+                        oriented=oriented,
+                    )
                 )
-            )
 
     best = min(branches, key=lambda b: b.energy)
     tied = [b for b in branches if b.energy <= best.energy + cfg.tie_tol]

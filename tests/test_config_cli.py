@@ -1,8 +1,14 @@
 """Config parsing strictness and end-to-end CLI exit codes / CSV output."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cohesivefrac
 from cohesivefrac.cli import PLANAR_HEADER, SWEEP_HEADER, TRACE_HEADER, emit_csv, main
 from cohesivefrac.config import ConfigError, load_config
 from cohesivefrac.laws import LawKind
@@ -192,6 +198,15 @@ class TestMain:
         # oracle on a grid coarser than the gate tolerance must report failure
         assert main(["relax-check", "--a", "2.0", "--grid", "0.25"]) == 4
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--a", "-1"), ("--a", "nan"), ("--grid", "0"), ("--grid", "nan"),
+    ])
+    def test_relax_check_rejects_bad_flag(self, flag, value, capsys):
+        flags = {"--a": "2.0", "--grid": "1e-3", flag: value}
+        assert main(["relax-check", *sum(flags.items(), ())]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and flag in err
+
     def test_config_error_exit_code(self, config_path, capsys):
         assert main(["evolve", "--config", config_path("[domain]\nbad = 1\n")]) == 2
         assert "config error" in capsys.readouterr().err
@@ -206,3 +221,13 @@ class TestMain:
         monkeypatch.setattr("cohesivefrac.cli.load_config", boom)
         assert main(["evolve", "--config", "ignored"]) == 3
         assert "solver error" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    # scipy.special costs resident memory and start-up time; only the
+    # exponential law's closed forms load it, on first use
+    src = str(Path(cohesivefrac.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import sys, cohesivefrac.cli; sys.exit('scipy.special' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

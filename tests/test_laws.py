@@ -9,8 +9,6 @@ from cohesivefrac.laws import (
     BulkDensity,
     CohesiveLaw,
     LawKind,
-    bulk_eval,
-    phi_eval,
     plain_laws,
     relax_bulk_oracle,
     rescale_laws,
@@ -28,17 +26,17 @@ def exponential(a=2.0):
 
 
 def test_phi_eval_pinned_values():
-    assert phi_eval(dugdale(2.0), 0.25) == 0.5
-    assert phi_eval(dugdale(2.0), 0.0) == 0.0
-    assert phi_eval(exponential(2.0), 0.0) == 0.0
-    assert phi_eval(exponential(2.0), 1.0) == pytest.approx(1.0 - math.exp(-2.0), abs=1e-15)
+    assert dugdale(2.0)(0.25) == 0.5
+    assert dugdale(2.0)(0.0) == 0.0
+    assert exponential(2.0)(0.0) == 0.0
+    assert exponential(2.0)(1.0) == pytest.approx(1.0 - math.exp(-2.0), abs=1e-15)
 
 
 def test_phi_rejects_negative_opening():
     with pytest.raises(ValueError):
-        phi_eval(dugdale(), -0.1)
+        dugdale()(-0.1)
     with pytest.raises(ValueError):
-        phi_eval(exponential(), np.array([0.2, -1e-9]))
+        exponential()(np.array([0.2, -1e-9]))
 
 
 def test_law_requires_positive_finite_slope():
@@ -64,16 +62,56 @@ def test_phi_concave_increasing_bounded(kind, a):
 
 @pytest.mark.parametrize("a", LAW_SLOPES)
 def test_phi_reaches_one(a):
-    assert phi_eval(CohesiveLaw(LawKind.DUGDALE, a), 1.0 / a) == 1.0
-    assert phi_eval(CohesiveLaw(LawKind.EXPONENTIAL, a), 21.0 / a) >= 1.0 - 1e-9
+    assert CohesiveLaw(LawKind.DUGDALE, a)(1.0 / a) == 1.0
+    assert CohesiveLaw(LawKind.EXPONENTIAL, a)(21.0 / a) >= 1.0 - 1e-9
 
 
 def test_bulk_eval_pinned_values():
     f = BulkDensity(2.0)
-    assert bulk_eval(f, 0.5) == 0.25
-    assert bulk_eval(f, 1.0) == 1.0
-    assert bulk_eval(f, 2.0) == 3.0
-    assert bulk_eval(f, -2.0) == 3.0
+    assert f(0.5) == 0.25
+    assert f(1.0) == 1.0
+    assert f(2.0) == 3.0
+    assert f(-2.0) == 3.0
+
+
+@pytest.mark.parametrize("kind", list(LawKind))
+def test_deriv_matches_difference_quotient(kind):
+    law = CohesiveLaw(kind, 2.0)
+    s = np.array([0.0, 0.1, 0.3, 0.49, 0.51, 2.0])
+    step = 1e-7
+    assert np.allclose(law.deriv(s), (law(s + step) - law(s)) / step, atol=1e-6)
+    # one-sided from above at the Dugdale kink
+    assert law.deriv(0.5) == (0.0 if kind is LawKind.DUGDALE else pytest.approx(2.0 / math.e))
+
+
+@pytest.mark.parametrize("kind", list(LawKind))
+def test_stationary_points_zero_the_derivative(kind):
+    law = CohesiveLaw(kind, 2.0)
+    rng = np.random.default_rng(3)
+    kappa, rate = 0.7, 0.5
+    d = rng.uniform(-2.0, 3.0, 400)
+    weight = rng.uniform(0.0, 3.0, 400)
+    x = law.stationary_points(kappa, d, weight, rate)
+    b = law.a * rate
+    if kind is LawKind.DUGDALE:
+        assert x.shape == (1, 400)
+        grad = 2.0 * kappa * (x - d) + weight * b
+    else:
+        assert x.shape == (2, 400)
+        grad = 2.0 * kappa * (x - d) + weight * b * np.exp(-b * x)
+        # the derivative is convex in x; it has real roots exactly when
+        # its minimum, at exp(-b*x) = 2*kappa/(weight*b**2), is <= 0
+        x_low = np.log(weight * b * b / (2.0 * kappa)) / b
+        has_roots = 2.0 * kappa * (x_low - d) + 2.0 * kappa / b <= 0.0
+        assert np.array_equal(np.isfinite(x[0]), has_roots)
+        assert has_roots.any() and not has_roots.all()
+        # W_0 is the local minimum: second derivative 2*kappa*(1 + W) >= 0
+        curvature = 2.0 * kappa - weight * b * b * np.exp(-b * x[0])
+        assert np.all(curvature[has_roots] >= -1e-9)
+    real = np.isfinite(x)
+    assert np.max(np.abs(grad[real])) <= 1e-12 * (1.0 + np.max(np.abs(x[real])))
+    # no surface weight: only the vertex d is stationary
+    assert law.stationary_points(kappa, 0.4, 0.0)[0] == pytest.approx(0.4, abs=0.0)
 
 
 @pytest.mark.parametrize("a", LAW_SLOPES)
@@ -196,6 +234,11 @@ class TestRelaxOracle:
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
             relax_bulk_oracle(lambda x: x**2, 2.0, 1.0, grid_step=0.0)
+
+    @pytest.mark.parametrize("step", [math.nan, math.inf])
+    def test_rejects_nonfinite_step(self, step):
+        with pytest.raises(ValueError, match="grid_step"):
+            relax_bulk_oracle(lambda x: x**2, 2.0, 1.0, grid_step=step)
 
     @pytest.mark.parametrize("xi", [math.inf, np.array([0.5, math.nan])])
     def test_rejects_nonfinite_strain(self, xi):

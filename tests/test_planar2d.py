@@ -11,6 +11,7 @@ from cohesivefrac.planar2d import (
     Field2D,
     Grid2D,
     PlanarNonconvergence,
+    _lip_jump,
     alternate_minimize,
     cellwise_bulk,
     evolve_tearing,
@@ -139,6 +140,48 @@ class TestSweep:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             prefix_crack_sweep(Grid2D(8), 0.1, plain_laws(DUGDALE), mode="both")
+
+
+@pytest.mark.parametrize("kind", list(LawKind))
+def test_lip_jump_never_beaten_by_grid(kind):
+    # the closed-form per-node jump against an exhaustive grid on [-R, R]
+    rng = np.random.default_rng(40 + list(LawKind).index(kind))
+    seen = dict.fromkeys(("memory", "saturation", "two_stationary", "zero", "pos", "neg"), 0)
+    for trial in range(150):
+        phi = CohesiveLaw(kind, rng.uniform(0.5, 5.0))
+        kappa = float(rng.choice([0.5, 1.0]))
+        d = 0.0 if trial % 10 == 0 else rng.uniform(-3.0, 3.0)
+        w = rng.uniform(0.01, 2.0)
+        m = int(rng.choice([1, 2]))
+        j = rng.uniform(0.0, 2.0 / phi.a, m)
+        psi = np.where(rng.random(m) < 0.3, 0.0, rng.uniform(0.0, 2.0 / phi.a, m))
+
+        def energy(x):
+            x = np.atleast_1d(x)
+            opening = np.maximum(0.5 * (np.abs(x)[:, None] + j), psi)
+            return kappa * (x - d) ** 2 + w * phi(opening).sum(axis=1)
+
+        x = _lip_jump(phi, kappa, d, w, j, psi)
+        radius = abs(d) + 1.0
+        want = float(energy(np.linspace(-radius, radius, 40_001)).min())
+        assert float(energy(x)[0]) <= want + 1e-12 * max(1.0, abs(want))
+        # the minimizer has the sign of d and never overshoots it
+        assert x * d >= 0.0 and abs(x) <= abs(d)
+
+        end = abs(d)
+        inside = lambda y: (0.0 < y) & (y < end)  # noqa: E731
+        seen["memory"] += int(inside(2.0 * psi - j).sum())
+        if phi.saturation_opening is not None:
+            seen["saturation"] += int(inside(2.0 * phi.saturation_opening - j).sum())
+        weights = w * phi.deriv(0.5 * j) / phi.a
+        points = phi.stationary_points(kappa, end, np.append(weights, weights.sum()), 0.5)
+        if points.shape[0] == 2:
+            seen["two_stationary"] += int(inside(points).all(axis=0).sum())
+        seen["zero" if d == 0.0 else "pos" if d > 0.0 else "neg"] += 1
+        if d == 0.0:
+            assert x == 0.0
+    assert seen["memory"] and seen["zero"] and seen["pos"] and seen["neg"]
+    assert seen["saturation" if kind is LawKind.DUGDALE else "two_stationary"]
 
 
 class TestAlternateMinimize:

@@ -10,11 +10,12 @@ from cohesivefrac.bar1d import (
     sup_norm,
     total_energy,
 )
-from cohesivefrac.laws import CohesiveLaw, LawKind, plain_laws
+from cohesivefrac.laws import BulkDensity, CohesiveLaw, LawKind, RescaledLaws, plain_laws
 from cohesivefrac.solver1d import (
     BudgetError,
     NonconvergenceError,
     SolverConfig,
+    _excess_minima,
     brute_force_minimize,
     certify_minimality,
     griffith_minimize,
@@ -143,6 +144,50 @@ class TestStructured:
             certify_minimality(bad, domain, CrackState(), (0.0, 2.0), DUGDALE2)
         assert err.value.structured_energy == pytest.approx(3.0, abs=1e-9)
         assert err.value.oracle_energy == pytest.approx(1.0, abs=1e-9)
+
+
+class TestExcessMinima:
+    """The closed-form branch minima against an exhaustive grid on [0, c]."""
+
+    @pytest.mark.parametrize("kind", list(LawKind))
+    def test_never_beaten_by_grid(self, kind):
+        rng = np.random.default_rng(20 + list(LawKind).index(kind))
+        grid = np.linspace(0.0, 1.0, 50_001)[:, None]
+        seen = dict.fromkeys(("saturation", "threshold", "two_stationary"), 0)
+        for _ in range(80):
+            # independent slopes and weights, so that no piece is flat
+            law = CohesiveLaw(kind, rng.uniform(0.5, 5.0))
+            bw, sw = rng.uniform(0.2, 5.0, 2)
+            laws = RescaledLaws(h=1.0, alpha=0.5, base=law, phi=law,
+                                bulk=BulkDensity(rng.uniform(0.5, 5.0)), bulk_weight=bw,
+                                surface_weight=sw, cantor_weight=0.0)
+            phi = laws.phi
+            L = rng.uniform(0.5, 2.0)
+            c = rng.uniform(0.05, 3.0)
+            # a fresh site and two memory sites
+            shifts = np.concatenate([[0.0], rng.uniform(0.0, 1.5 / phi.a, 2)])
+
+            def energy(e):
+                return bw * L * laws.bulk((c - e) / L) + sw * (phi(shifts + e) - phi(shifts))
+
+            e_star, got = _excess_minima(laws, L, c, shifts)
+            want = energy(c * grid).min(axis=0)
+            assert np.all((0.0 <= e_star) & (e_star <= c))
+            assert np.array_equal(got, energy(e_star[None, :])[0])
+            assert np.all(got <= want + 1e-12 * np.maximum(1.0, np.abs(want)))
+
+            inside = lambda x: (0.0 < x) & (x < c)  # noqa: E731
+            if phi.saturation_opening is not None:
+                seen["saturation"] += int(inside(phi.saturation_opening - shifts).sum())
+            seen["threshold"] += int(inside(c - L * laws.bulk.threshold))
+            points = phi.stationary_points(bw / L, c, sw * phi.deriv(shifts) / phi.a)
+            if points.shape[0] == 2:
+                seen["two_stationary"] += int(inside(points).all(axis=0).sum())
+        assert seen["threshold"] > 0
+        if kind is LawKind.DUGDALE:
+            assert seen["saturation"] > 0
+        else:
+            assert seen["two_stationary"] > 0
 
 
 class TestBruteForce:
