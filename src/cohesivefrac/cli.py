@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
@@ -118,10 +117,9 @@ def _run_sweep(args) -> int:
     law = cfg.law.build()
     alpha = args.alpha if args.alpha is not None else cfg.sweep.alpha
     h_list = _parse_h(args.h) if args.h else cfg.sweep.h
-    threads = max(1, int(os.environ.get("COHESIVEFRAC_THREADS", "1")))
     rate = cfg.program.rate
     base = BarProblem(domain, law, lambda t: 0.0, lambda t: rate * t, cfg.program.horizon)
-    report = size_effect_sweep(base, alpha, h_list, cfg.sweep.delta, threads=threads)
+    report = size_effect_sweep(base, alpha, h_list, cfg.sweep.delta)
     regime = classify_regime(report)
     if args.out:
         rows = []
@@ -150,7 +148,7 @@ def _run_planar(args) -> int:
     k = int(round(p.crack_length * p.n))
     psi[:k] = p.gamma
     grid = Grid2D(p.n, psi)
-    laws = rescale_laws(law, law.a, p.h[0], p.alpha) if p.h else plain_laws(law)
+    laws = rescale_laws(law, law.a, p.h, p.alpha)
     result = prefix_crack_sweep(grid, p.load, laws, mode=p.mode)
     if args.out:
         rows = list(zip(result.lengths, result.bulk, result.surface, result.total))
@@ -173,7 +171,11 @@ def _run_relax_check(args) -> int:
     a = args.a
     f = BulkDensity(a)
     xi = np.linspace(-5.0 * a, 5.0 * a, 201)
-    err = float(np.max(np.abs(relax_bulk_oracle(lambda x: x * x, a, xi, args.grid) - f(xi))))
+    try:
+        approx = relax_bulk_oracle(lambda x: x * x, a, xi, args.grid)
+    except ValueError as err:
+        raise ConfigError(f"--grid {args.grid:g}: {err}") from err
+    err = float(np.max(np.abs(approx - f(xi))))
     print(f"max_error={err:.12g}")
     return 0 if err < 1e-3 else 4
 
@@ -197,8 +199,6 @@ def main(argv=None) -> int:
         p.add_argument("--out", help="CSV output path")
         p.add_argument("--check", action="store_true", help="verify invariants; exit 4 on failure")
         p.add_argument("--delta", type=float, help="override the time step")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized programs (built-in runs are deterministic)")
         if with_sweep_flags:
             p.add_argument("--alpha", type=float, help="override the scaling exponent")
             p.add_argument("--h", help="override the size ladder, e.g. 1,10,100")

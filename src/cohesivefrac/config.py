@@ -46,7 +46,7 @@ _ALLOWED_KEYS = {
     "law": {"kind", "a"},
     "program": {"horizon", "delta", "rate"},
     "sweep": {"alpha", "h", "delta"},
-    "planar": {"n", "load", "mode", "crack_length", "gamma", "alpha", "h", "times"},
+    "planar": {"n", "load", "mode", "crack_length", "gamma", "alpha", "h"},
 }
 
 
@@ -96,8 +96,7 @@ class PlanarSection:
     crack_length: float
     gamma: float
     alpha: float
-    h: tuple
-    times: tuple
+    h: float
 
 
 @dataclass(frozen=True)
@@ -203,8 +202,7 @@ def _planar(sec) -> PlanarSection:
         crack_length=_float("planar", "crack_length", sec.get("crack_length", "0.0")),
         gamma=_float("planar", "gamma", sec.get("gamma", "0.0")),
         alpha=_float("planar", "alpha", sec.get("alpha", "0.25")),
-        h=_floats(sec.get("h", "1")),
-        times=_floats(sec.get("times", "")),
+        h=_float("planar", "h", sec.get("h", "1")),
     )
 
 

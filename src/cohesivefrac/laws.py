@@ -230,6 +230,9 @@ def plain_laws(law: CohesiveLaw) -> RescaledLaws:
 
 # grid points scanned at once by ``relax_bulk_oracle``
 _ORACLE_CHUNK = 1 << 16
+# most grid points ``relax_bulk_oracle`` scans (1.2e6 at the default
+# step and a = 10)
+_ORACLE_MAX_POINTS = 10**8
 
 
 def relax_bulk_oracle(
@@ -258,6 +261,8 @@ def relax_bulk_oracle(
     search per point and chunk, not one scan of the grid per point.
     Memory stays flat however fine the grid: it is scanned in
     chunks of ``_ORACLE_CHUNK`` points, carrying both running minima across.
+    A grid of more than ``_ORACLE_MAX_POINTS`` points raises ``ValueError``
+    before any scan.
     """
     if not (grid_step > 0.0 and math.isfinite(grid_step)):
         raise ValueError(f"grid_step must be positive and finite, got {grid_step}")
@@ -266,7 +271,12 @@ def relax_bulk_oracle(
         raise ValueError("xi must be finite")
     flat = pts.ravel()
     half = float(np.max(np.abs(flat))) + a
-    n = int(math.ceil(2.0 * half / grid_step)) + 1
+    span = 2.0 * half / grid_step
+    if not span < _ORACLE_MAX_POINTS:
+        raise ValueError(
+            f"a grid of {span + 1.0:.3g} points exceeds the cap of {_ORACLE_MAX_POINTS:.0e}"
+        )
+    n = int(math.ceil(span)) + 1
     # min of base - a*x1 over grid points left of each xi, and of
     # base + a*x1 over those right of it
     left = np.full(flat.shape, math.inf)

@@ -14,6 +14,19 @@ outer boundary rows/columns or in a lip row.  With every lip pair tied
 the two half weights of the duplicated row recombine and the uncracked
 grid is recovered exactly; the form is exact on affine fields.
 
+Only the crack line can jump, so every solve reduces to the ``n + 1``
+lip nodes.  A half-plate with its far edge clamped is diagonalized by
+the DCT-I modes ``cos(k pi i / n)`` under the trapezoid weights: mode
+``k`` decays from the lip as ``rho_k(j) = sinh(mu_k j) / sinh(mu_k m)``
+(``m = n/2``, ``cosh mu_k = 1 + lam_k/2``, ``lam_k = 2 - 2 cos(k pi/n)``)
+and has lip stiffness ``lam_k/2 + 1 - rho_k(m-1)``.  Summing the modes
+gives the dense lip operator ``S`` of the half-plate (its Schur
+complement onto the lip row), built once per ``n``.  The tearing data
+are antisymmetric, so for nodal jumps ``J`` the lips sit at ``-J/2`` and
+``+J/2`` and the bulk is ``2 q.S.q`` with ``q = t - J/2``: a tie
+pattern costs one dense solve on the open lip nodes, prescribed jumps
+cost none, and the field is rebuilt mode by mode from ``J``.
+
 Three operations are exposed.  ``solve_elastic`` minimizes the quadratic
 form with a prescribed set of open crack edges (a closed edge ties the
 lip values at both its endpoints).  ``prefix_crack_sweep`` scans the
@@ -30,8 +43,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.linalg import splu
 
 from cohesivefrac.laws import RescaledLaws, rescale_laws
 
@@ -122,10 +133,7 @@ class Field2D:
         return 0.5 * (j[:-1] + j[1:])
 
     def edge_bulk(self) -> float:
-        mesh = _mesh(self.grid.n)
-        u = np.concatenate([self.lower.ravel(), self.upper.ravel()])
-        d = u[mesh.edge_p] - u[mesh.edge_q]
-        return float(np.dot(mesh.edge_w, d * d))
+        return _bulk(self.lower, self.upper)
 
     def to_text(self) -> str:
         stacked = np.vstack([self.upper[::-1], self.lower[::-1]])
@@ -139,227 +147,130 @@ def write_field(f: Field2D, path) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class _Mesh:
-    n: int
-    m: int
-    total: int
-    edge_p: np.ndarray
-    edge_q: np.ndarray
-    edge_w: np.ndarray
-    bottom: np.ndarray
-    top: np.ndarray
-    blip: np.ndarray
-    tlip: np.ndarray
-    lip_index: np.ndarray
+class _LipOperator:
+    """DCT-I modes of the clamped half-plate and its lip operator.
+
+    ``analysis @ x`` gives the mode coefficients of a lip vector ``x``
+    (the trapezoid-weighted DCT-I) and ``modes`` maps them back;
+    ``profiles[j, k]`` is mode ``k``'s amplitude on row ``j`` of the upper
+    block (row 0 the lip, row ``m`` the clamped edge).  With lip values
+    ``t + x`` and the far edge at ``t``, the block's bulk is ``x @ S @ x``
+    for ``S = stiffness``.
+    """
+
+    modes: np.ndarray
+    analysis: np.ndarray
+    profiles: np.ndarray
+    stiffness: np.ndarray
 
 
 @lru_cache(maxsize=8)
-def _mesh(n: int) -> _Mesh:
+def _lip_operator(n: int) -> _LipOperator:
     m = n // 2
-    cols = n + 1
-    n_low = (m + 1) * cols
+    lam = 4.0 * np.sin(0.5 * np.pi * np.arange(n + 1) / n) ** 2  # 2 - 2 cos(k pi/n)
+    # rho[s, k] = sinh(mu_k s) / sinh(mu_k m) at distance s from the clamped
+    # edge, written with decaying exponentials only so that no n overflows
+    half = 0.5 * lam[1:]
+    mu = np.log1p(half + np.sqrt(half * (2.0 + half)))  # arccosh(1 + lam/2)
+    s = np.arange(m + 1)[:, None]
+    rho = np.empty((m + 1, n + 1))
+    rho[:, 0] = s[:, 0] / m
+    rho[:, 1:] = np.exp(mu * (s - m)) * np.expm1(-2.0 * mu * s) / np.expm1(-2.0 * mu * m)
 
-    jj = np.arange(m + 1)[:, None]
-    i_edge = np.arange(n)[None, :]
-    i_node = np.arange(cols)[None, :]
-    col_w = np.where((np.arange(cols) == 0) | (np.arange(cols) == n), 0.5, 1.0)
-
-    # Lower block: rows y = 0 .. 1/2, last row is the bottom lip.
-    p_lh = (jj * cols + i_edge).ravel()
-    w_lh = np.broadcast_to(np.where((jj == 0) | (jj == m), 0.5, 1.0), (m + 1, n)).ravel()
-    jv = np.arange(m)[:, None]
-    p_lv = (jv * cols + i_node).ravel()
-    w_lv = np.broadcast_to(col_w, (m, cols)).ravel()
-
-    # Upper block: rows y = 1/2 .. 1, first row is the top lip.
-    p_uh = (n_low + jj * cols + i_edge).ravel()
-    w_uh = w_lh
-    p_uv = (n_low + jv * cols + i_node).ravel()
-    w_uv = w_lv
-
-    edge_p = np.concatenate([p_lh, p_lv, p_uh, p_uv])
-    edge_q = np.concatenate([p_lh + 1, p_lv + cols, p_uh + 1, p_uv + cols])
-    edge_w = np.concatenate([w_lh, w_lv, w_uh, w_uv])
-
-    blip = m * cols + np.arange(cols)
-    tlip = n_low + np.arange(cols)
-    lip_index = np.full(2 * n_low, -1)
-    lip_index[tlip] = np.arange(cols)
-    return _Mesh(
-        n=n,
-        m=m,
-        total=2 * n_low,
-        edge_p=edge_p,
-        edge_q=edge_q,
-        edge_w=edge_w,
-        bottom=np.arange(cols),
-        top=n_low + (n - m) * cols + np.arange(cols),
-        blip=blip,
-        tlip=tlip,
-        lip_index=lip_index,
+    i = np.arange(n + 1)
+    modes = np.cos(np.pi * (np.outer(i, i) % (2 * n)) / n)
+    w = np.ones(n + 1)
+    w[[0, n]] = 0.5
+    norm = np.full(n + 1, 0.5 * n)
+    norm[[0, n]] = n
+    stiff = 0.5 * lam + 1.0 - rho[m - 1]
+    weighted = modes * w[:, None]
+    op = _LipOperator(
+        modes=modes,
+        analysis=weighted.T / norm[:, None],
+        profiles=rho[::-1].copy(),
+        stiffness=(weighted * (stiff / norm)) @ weighted.T,
     )
+    for arr in (op.modes, op.analysis, op.profiles, op.stiffness):
+        arr.setflags(write=False)  # shared by every caller through the cache
+    return op
 
 
-@dataclass(eq=False)
-class _System:
-    mesh: _Mesh
-    index: np.ndarray    # node -> unknown id, -1 where Dirichlet (via representative)
-    fsign: np.ndarray    # node -> Dirichlet sign (+1 top, -1 bottom, 0 free)
-    rep: np.ndarray
-    matrix: object
-    n_unknowns: int
-    # per-edge reduced data
-    ip: np.ndarray
-    iq: np.ndarray
-    sp: np.ndarray
-    sq: np.ndarray
-    jp: np.ndarray
-    jq: np.ndarray
-    lu: object = None
+def _blocks(n: int, t: float, jumps: np.ndarray):
+    """Lower and upper blocks of the elastic optimum with nodal jumps ``jumps``.
 
-
-@lru_cache(maxsize=96)
-def _system(n: int, tied: tuple) -> _System:
-    """Reduced SPD system for a tie pattern over the lip pairs.
-
-    ``tied[i]`` merges the lip pair at node ``i`` into one unknown; the
-    AM path uses the all-tied pattern and reintroduces the jump as a
-    right-hand-side offset through ``jp``/``jq``.
+    The data are antisymmetric, so the lips sit exactly at ``-jumps/2`` and
+    ``+jumps/2`` (tied nodes keep exactly zero jump) and the lower block
+    mirrors the upper one, which is rebuilt mode by mode.
     """
-    mesh = _mesh(n)
-    rep = np.arange(mesh.total)
-    tied_arr = np.asarray(tied, dtype=bool)
-    rep[mesh.tlip[tied_arr]] = mesh.blip[tied_arr]
-
-    fsign = np.zeros(mesh.total)
-    fsign[mesh.bottom] = -1.0
-    fsign[mesh.top] = 1.0
-
-    free = (rep == np.arange(mesh.total)) & (fsign == 0.0)
-    index = np.full(mesh.total, -1)
-    index[free] = np.arange(int(free.sum()))
-
-    rp = rep[mesh.edge_p]
-    rq = rep[mesh.edge_q]
-    ip, iq = index[rp], index[rq]
-    sp, sq = fsign[rp], fsign[rq]
-    w = mesh.edge_w
-
-    both = (ip >= 0) & (iq >= 0)
-    pu = (ip >= 0) & (iq < 0)
-    qu = (ip < 0) & (iq >= 0)
-    rows = np.concatenate([ip[both], iq[both], ip[both], iq[both], ip[pu], iq[qu]])
-    cols_ = np.concatenate([ip[both], iq[both], iq[both], ip[both], ip[pu], iq[qu]])
-    vals = np.concatenate([w[both], w[both], -w[both], -w[both], w[pu], w[qu]])
-    k = int(free.sum())
-    matrix = coo_matrix((vals, (rows, cols_)), shape=(k, k)).tocsc()
-
-    return _System(
-        mesh=mesh,
-        index=index,
-        fsign=fsign,
-        rep=rep,
-        matrix=matrix,
-        n_unknowns=k,
-        ip=ip,
-        iq=iq,
-        sp=sp,
-        sq=sq,
-        jp=mesh.lip_index[mesh.edge_p],
-        jq=mesh.lip_index[mesh.edge_q],
-        lu=None,
-    )
+    op = _lip_operator(n)
+    half = 0.5 * jumps
+    upper = t + (op.profiles * (op.analysis @ (half - t))) @ op.modes.T
+    upper[0] = half
+    upper[-1] = t
+    return -upper[::-1], upper
 
 
-def _solve_system(
-    sys_: _System,
-    t: float,
-    offsets: np.ndarray | None,
-    lip_rhs: np.ndarray | None = None,
-) -> np.ndarray:
-    """Solve the reduced system; returns values on every (duplicated) node.
+def _solve_jumps(n: int, t: float, tied: np.ndarray, load: np.ndarray | None = None) -> np.ndarray:
+    """Nodal jumps of the elastic optimum with the ``tied`` lip nodes closed.
 
-    ``offsets`` are nodal jump values when lip pairs are tied with a
-    prescribed jump (the AM elastic half-step); ``None`` means plain ties.
-    ``lip_rhs`` adds an antisymmetric nodal load on untied lip pairs
-    (pulled off the top lip, pushed onto the bottom one), which is how a
-    linear surface-slope term enters the stationarity system.
+    For jumps ``J`` the bulk is ``2 q.S.q`` with ``q = t - J/2``; a tied
+    node keeps ``q = t``.  ``load`` (per lip node, in bulk units) adds
+    ``2 load.J`` to that, which is how a linear surface-slope term enters.
+    The open nodes take one dense solve, whose residual must come out
+    below ``RESIDUAL_TOL``.
     """
-    mesh, w = sys_.mesh, sys_.mesh.edge_w
-    if offsets is None:
-        o = np.zeros(len(w))
-    else:
-        o = np.where(sys_.jp >= 0, offsets[sys_.jp], 0.0) - np.where(
-            sys_.jq >= 0, offsets[sys_.jq], 0.0
-        )
-
-    rhs = np.zeros(sys_.n_unknowns)
-    both = (sys_.ip >= 0) & (sys_.iq >= 0)
-    pu = (sys_.ip >= 0) & (sys_.iq < 0)
-    qu = (sys_.ip < 0) & (sys_.iq >= 0)
-    np.add.at(rhs, sys_.ip[both], -(w * o)[both])
-    np.add.at(rhs, sys_.iq[both], (w * o)[both])
-    np.add.at(rhs, sys_.ip[pu], (w * (sys_.sq * t - o))[pu])
-    np.add.at(rhs, sys_.iq[qu], (w * (sys_.sp * t + o))[qu])
-    if lip_rhs is not None:
-        top_ids = sys_.index[sys_.rep[mesh.tlip]]
-        bot_ids = sys_.index[sys_.rep[mesh.blip]]
-        mask = top_ids >= 0
-        np.add.at(rhs, top_ids[mask], -lip_rhs[mask])
-        mask = bot_ids >= 0
-        np.add.at(rhs, bot_ids[mask], lip_rhs[mask])
-
-    if sys_.lu is None:
-        sys_.lu = splu(sys_.matrix)
-    x = sys_.lu.solve(rhs)
-    scale = max(1.0, abs(t), float(np.abs(rhs).max(initial=0.0)))
-    r = rhs - sys_.matrix @ x
-    if float(np.abs(r).max(initial=0.0)) > 1e-13 * scale:
-        x = x + sys_.lu.solve(r)
-        r = rhs - sys_.matrix @ x
-    if float(np.abs(r).max(initial=0.0)) > RESIDUAL_TOL * scale:
+    stiff = _lip_operator(n).stiffness
+    free = np.flatnonzero(~tied)
+    jumps = np.zeros(n + 1)
+    if free.size == 0:
+        return jumps
+    rhs = -stiff[free] @ np.where(tied, t, 0.0)
+    if load is not None:
+        rhs += load[free]
+    a = stiff[np.ix_(free, free)]
+    q = np.linalg.solve(a, rhs)
+    residual = float(np.abs(rhs - a @ q).max())
+    scale = max(1.0, abs(t), float(np.abs(rhs).max()))
+    if not residual <= RESIDUAL_TOL * scale:
         raise PlanarNumericError(
-            f"linear solve residual {np.abs(r).max():.3g} exceeds {RESIDUAL_TOL:g}"
+            f"linear solve residual {residual:.3g} exceeds {RESIDUAL_TOL:g}"
         )
-
-    vals = sys_.fsign * t
-    red = sys_.index[sys_.rep]
-    mask = red >= 0
-    vals[mask] = x[red[mask]]
-    if offsets is not None:
-        vals[mesh.tlip] = vals[mesh.blip] + offsets
-    return vals
+    jumps[free] = 2.0 * (t - q)
+    return jumps
 
 
-def _split(mesh: _Mesh, vals: np.ndarray):
-    cols = mesh.n + 1
-    n_low = (mesh.m + 1) * cols
-    lower = vals[:n_low].reshape(mesh.m + 1, cols)
-    upper = vals[n_low:].reshape(mesh.m + 1, cols)
-    return lower, upper
+def _bulk(lower: np.ndarray, upper: np.ndarray) -> float:
+    """Five-point bulk of both blocks: half weights on the outer rows and columns."""
+    total = 0.0
+    for block in (lower, upper):
+        dx = np.diff(block, axis=1) ** 2
+        dy = np.diff(block, axis=0) ** 2
+        total += dx[1:-1].sum() + 0.5 * (dx[0].sum() + dx[-1].sum())
+        total += dy[:, 1:-1].sum() + 0.5 * (dy[:, 0].sum() + dy[:, -1].sum())
+    return float(total)
 
 
 def solve_elastic(grid: Grid2D, open_edges, t: float) -> Field2D:
     """Minimize the quadratic form with the given crack edges open.
 
     A closed edge ties the lip values at both its endpoints, so a lip
-    node jumps only when every incident crack edge is open.  The reduced
-    system is SPD and solved directly, with one refinement pass; the
-    residual must come out below ``1e-10``.
+    node jumps only when every incident crack edge is open.  The problem
+    reduces to the lip nodes: one dense solve with the lip operator on
+    the open ones (residual below ``1e-10``), then the field is rebuilt
+    mode by mode.
     """
     n = grid.n
     open_set = frozenset(int(e) for e in open_edges)
     if any(e < 0 or e >= n for e in open_set):
         raise ValueError(f"crack edges must lie in [0, {n}), got {sorted(open_set)}")
+    closed = np.ones(n, dtype=bool)
+    closed[list(open_set)] = False
     tied = np.zeros(n + 1, dtype=bool)
-    for e in range(n):
-        if e not in open_set:
-            tied[e] = True
-            tied[e + 1] = True
-    sys_ = _system(n, tuple(tied.tolist()))
-    vals = _solve_system(sys_, t, None)
-    lower, upper = _split(sys_.mesh, vals)
-    return Field2D(grid=grid, lower=lower.copy(), upper=upper.copy())
+    tied[:-1] |= closed
+    tied[1:] |= closed
+    lower, upper = _blocks(n, t, _solve_jumps(n, t, tied))
+    return Field2D(grid=grid, lower=lower, upper=upper)
 
 
 def cellwise_bulk(f: Field2D, density=None) -> float:
@@ -436,10 +347,7 @@ def prefix_crack_sweep(grid: Grid2D, t: float, laws: RescaledLaws, mode: str = "
 
 
 def _am_total(grid: Grid2D, psi: np.ndarray, laws: RescaledLaws, lower, upper) -> float:
-    mesh = _mesh(grid.n)
-    u = np.concatenate([lower.ravel(), upper.ravel()])
-    d = u[mesh.edge_p] - u[mesh.edge_q]
-    bulk = laws.bulk_weight * float(np.dot(mesh.edge_w, d * d))
+    bulk = laws.bulk_weight * _bulk(lower, upper)
     j = upper[0] - lower[-1]
     opening = 0.5 * (np.abs(j[:-1]) + np.abs(j[1:]))
     surf = laws.surface_weight * grid.spacing * float(
@@ -521,8 +429,8 @@ def _pattern_step(grid, psi, laws, t, jumps):
 
     With the open/closed pattern and the jump signs frozen, the surface
     term is linear in the jumps (exactly so for the piecewise-linear
-    law), so the stationary state solves the untied system with the
-    slope loads on the lip pairs.  Gauss-Seidel alone crawls along these
+    law), so the stationary state is one lip solve with the slope loads
+    on the open lip nodes.  Gauss-Seidel alone crawls along these
     flat directions at a rate that degrades like 1/n^2; the caller
     adopts the trial only when it lowers the energy, which keeps the
     descent property regardless of how crude the frozen pattern is.
@@ -537,10 +445,9 @@ def _pattern_step(grid, psi, laws, t, jumps):
     g[:-1] += 0.5 * slopes
     g[1:] += 0.5 * slopes
     g *= laws.surface_weight * grid.spacing * sign
-    sys_ = _system(grid.n, tuple(tied.tolist()))
-    vals = _solve_system(sys_, t, None, lip_rhs=g / (2.0 * laws.bulk_weight))
-    lower, upper = _split(sys_.mesh, vals)
-    return lower.copy(), upper.copy(), (upper[0] - lower[-1]).copy()
+    new = _solve_jumps(grid.n, t, tied, g / (2.0 * laws.bulk_weight))
+    lower, upper = _blocks(grid.n, t, new)
+    return lower, upper, new
 
 
 @dataclass(frozen=True, eq=False)
@@ -564,8 +471,9 @@ def alternate_minimize(
 ) -> AMResult:
     """Relax field and interface jumps in turn until the energy settles.
 
-    Both half-steps are exact partial minimizations (a tied SPD solve
-    with jump offsets, then per-node joint lip updates), so the recorded
+    Both half-steps are exact partial minimizations (the elastic field
+    for the current jumps, which needs no solve, then per-node joint lip
+    updates), so the recorded
     energies are nonincreasing.  The result is stationary but not
     certified global; use the prefix sweep as an independent check when
     the expected pattern is monotone.  ``target_energy`` lets a caller
@@ -581,12 +489,10 @@ def alternate_minimize(
     if jumps.shape != (n + 1,):
         raise ValueError("start_jumps must give one value per lip node")
 
-    sys_ = _system(n, tuple([True] * (n + 1)))
     energies = []
     prev = np.inf
     for it in range(max_iters):
-        lower, upper = _split(sys_.mesh, _solve_system(sys_, t, jumps))
-        lower, upper = lower.copy(), upper.copy()
+        lower, upper = _blocks(n, t, jumps)
         energies.append(_am_total(grid, psi, laws, lower, upper))
         _sweep_jumps(grid, psi, laws, lower, upper, jumps)
         e = _am_total(grid, psi, laws, lower, upper)
@@ -603,9 +509,9 @@ def alternate_minimize(
             e <= target_energy + max(10.0 * tol, 1e-8 * (1.0 + abs(target_energy)))
         )
         if prev - e < tol or matched:
-            lower, upper = _split(sys_.mesh, _solve_system(sys_, t, jumps))
+            lower, upper = _blocks(n, t, jumps)
             energies.append(_am_total(grid, psi, laws, lower, upper))
-            f = Field2D(grid=grid, lower=lower.copy(), upper=upper.copy())
+            f = Field2D(grid=grid, lower=lower, upper=upper)
             jn = f.nodal_jumps()
             return AMResult(
                 field=f,

@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from cohesivefrac.bar1d import CrackState, Domain1D
+from cohesivefrac.bar1d import LEFT, RIGHT, Domain1D
 from cohesivefrac.evolution import EvolutionTrace, LoadProgram, evolve
 from cohesivefrac.laws import CohesiveLaw, RescaledLaws, plain_laws, rescale_laws
 from cohesivefrac.solver1d import DEFAULT_CONFIG, SolverConfig
@@ -163,15 +162,12 @@ def size_effect_sweep(
     h_list,
     delta_list=None,
     cfg: SolverConfig = DEFAULT_CONFIG,
-    threads: int = 1,
 ) -> ScalingReport:
     """Run the rescaled evolutions over increasing h and collect diagnostics.
 
     ``delta_list`` pairs a time step with each h (default 1/h).  The
     brittle reference runs once on the base problem at the finest step;
     gaps are sups of step-interpolated energies on the union grid.
-    Cells are independent, so ``threads > 1`` maps them onto a thread
-    pool; the row order (and hence the report) stays deterministic.
     """
     h_list = [float(h) for h in h_list]
     if any(b <= a for a, b in zip(h_list, h_list[1:])):
@@ -238,12 +234,7 @@ def size_effect_sweep(
             max_tv=_total_variation(trace),
         )
 
-    pairs = list(zip(h_list, delta_list))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one_row, pairs))
-    else:
-        rows = [one_row(p) for p in pairs]
+    rows = [one_row(p) for p in zip(h_list, delta_list)]
 
     gaps = [r.gap_sup for r in rows]
     monotone = all(b <= a + 1e-6 for a, b in zip(gaps, gaps[1:]))
@@ -325,27 +316,13 @@ def total_variation_constant(base: BarProblem, delta: float = 1e-3) -> float:
 def piecewise_constant_minimum(domain: Domain1D, g) -> int:
     """Fewest jump sites over piecewise-constant states matching the data.
 
-    Enumerates every mesh-representable partition with at most two jump
-    sites; a candidate is feasible when its openings can absorb the full
-    datum difference (always true for a nonempty site set).
+    None when the data agree (or only one end is held); otherwise one
+    jump at any site absorbs the whole datum difference.
     """
-    from cohesivefrac.bar1d import LEFT, RIGHT
-
     if not (LEFT in domain.dirichlet and RIGHT in domain.dirichlet):
         return 0
-    delta = float(g[1]) - float(g[0])
-    sites = domain.jump_sites()
-    best = None
-    for count in (0, 1, 2):
-        if count == 0:
-            feasible = delta == 0.0
-        elif count == 1:
-            feasible = len(sites) >= 1
-        else:
-            feasible = len(sites) >= 2
-        if feasible:
-            best = count
-            break
-    if best is None:
+    if float(g[1]) - float(g[0]) == 0.0:
+        return 0
+    if not domain.jump_sites():
         raise ValueError("no representable partition matches the data")
-    return best
+    return 1

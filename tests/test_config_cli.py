@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +108,11 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="mode"):
             load_config(config_path("[planar]\nmode = dual\n"))
 
+    def test_planar_h_is_one_number(self, config_path):
+        assert load_config(config_path("[planar]\nh = 10\n")).planar.h == 10.0
+        with pytest.raises(ConfigError, match="\\[planar\\] h must be a number"):
+            load_config(config_path("[planar]\nh = 1, 10\n"))
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(str(tmp_path / "absent.ini"))
@@ -171,16 +177,6 @@ class TestMain:
         assert lines[0] == ",".join(SWEEP_HEADER)
         assert {row.split(",")[0] for row in lines[1:]} == {"1", "10"}
 
-    def test_sweep_threads_env_does_not_change_output(self, config_path, tmp_path,
-                                                      monkeypatch):
-        cfg = config_path(FULL_CONFIG)
-        seq = tmp_path / "seq.csv"
-        par = tmp_path / "par.csv"
-        assert main(["sweep", "--config", cfg, "--out", str(seq)]) == 0
-        monkeypatch.setenv("COHESIVEFRAC_THREADS", "2")
-        assert main(["sweep", "--config", cfg, "--out", str(par)]) == 0
-        assert seq.read_bytes() == par.read_bytes()
-
     def test_planar_sweep_full_tear_optimal(self, config_path, tmp_path, capsys):
         cfg = config_path(FULL_CONFIG)
         out = tmp_path / "planar.csv"
@@ -191,6 +187,30 @@ class TestMain:
         assert len(lines) == 1 + 8 + 1  # one row per prefix length 0..n
         bulk = np.array([float(r.split(",")[1]) for r in lines[1:]])
         assert np.all(np.diff(bulk) <= 1e-12)
+
+    def test_planar_rejects_h_list(self, config_path, capsys):
+        cfg = config_path(FULL_CONFIG + "h = 1, 10\n")
+        assert main(["planar", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_planar_rejects_times(self, config_path, capsys):
+        cfg = config_path(FULL_CONFIG + "times = 0.5\n")
+        assert main(["planar", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: unknown key") and "times" in err
+
+    def test_seed_flag_removed(self, config_path):
+        with pytest.raises(SystemExit) as err:
+            main(["evolve", "--config", config_path(FULL_CONFIG), "--seed", "1"])
+        assert err.value.code == 2
+
+    def test_relax_check_grid_cap(self, capsys):
+        # 2.4e10 grid points: refused at once, before any scan
+        t0 = time.perf_counter()
+        assert main(["relax-check", "--a", "2.0", "--grid", "1e-9"]) == 2
+        assert time.perf_counter() - t0 < 5.0
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "points" in err
 
     def test_relax_check_pass_and_fail(self, capsys):
         assert main(["relax-check", "--a", "2.0"]) == 0
@@ -224,10 +244,12 @@ class TestMain:
 
 
 def test_cli_import_leaves_scipy_special_unloaded():
-    # scipy.special costs resident memory and start-up time; only the
-    # exponential law's closed forms load it, on first use
+    # scipy costs resident memory and start-up time, so the CLI loads no
+    # part of it: only the exponential law's closed forms use
+    # scipy.special, on first use
     src = str(Path(cohesivefrac.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    code = "import sys, cohesivefrac.cli; sys.exit('scipy.special' in sys.modules)"
+    code = ("import sys, cohesivefrac.cli; "
+            "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -214,6 +214,14 @@ def _wavy(x):
 
 
 class TestRelaxOracle:
+    def test_grid_cap_raises_before_scanning(self):
+        def base(x):
+            raise AssertionError("the grid was scanned")
+
+        # 2 * (1 + 2) / 1e-9 grid points, far past the cap
+        with pytest.raises(ValueError, match="6e\\+09 points"):
+            relax_bulk_oracle(base, 2.0, np.array([-1.0, 1.0]), grid_step=1e-9)
+
     def test_zero_strain(self):
         assert relax_bulk_oracle(lambda x: x**2, 2.0, 0.0) == pytest.approx(0.0, abs=1e-7)
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.linalg import spsolve
 
 from cohesivefrac.laws import CohesiveLaw, LawKind, plain_laws, rescale_laws
 from cohesivefrac.planar2d import (
@@ -11,7 +13,10 @@ from cohesivefrac.planar2d import (
     Field2D,
     Grid2D,
     PlanarNonconvergence,
+    _blocks,
     _lip_jump,
+    _lip_operator,
+    _pattern_step,
     alternate_minimize,
     cellwise_bulk,
     evolve_tearing,
@@ -26,6 +31,125 @@ DUGDALE = CohesiveLaw(LawKind.DUGDALE, 2.0)
 # Tied elastic compliance of the half-open crack, frozen from the first
 # n = 64 run; guards the discretization against silent changes.
 HALF_CRACK_BULK_64 = 0.256390567908076
+
+
+def _sparse_oracle(n, t, tied, jumps=None, load=None):
+    """Sparse five-point solve on the whole duplicated mesh, as ``(lower, upper)``.
+
+    Minimizes ``E(u) + load.(top lip - bottom lip)`` with the outer rows
+    at ``-t`` and ``+t``.  A tied lip pair shares one unknown, the top
+    one offset by ``jumps`` when given.  Independent of the lip operator.
+    """
+    m, cols = n // 2, n + 1
+    ids = np.arange(2 * (m + 1) * cols).reshape(2, m + 1, cols)  # block, row, column
+    row_w = np.where(np.isin(np.arange(m + 1), (0, m)), 0.5, 1.0)
+    col_w = np.where(np.isin(np.arange(cols), (0, n)), 0.5, 1.0)
+    p = np.concatenate([ids[:, :, :-1].ravel(), ids[:, :-1].ravel()])
+    q = np.concatenate([ids[:, :, 1:].ravel(), ids[:, 1:].ravel()])
+    w = np.concatenate([np.tile(np.repeat(row_w, n), 2), np.tile(col_w, 2 * m)])
+    size = ids.size
+    lap = coo_matrix((np.concatenate([w, w, -w, -w]),
+                      (np.concatenate([p, q, p, q]), np.concatenate([p, q, q, p]))),
+                     shape=(size, size)).tocsr()
+
+    top, bottom = ids[1, 0], ids[0, -1]
+    u0 = np.zeros(size)
+    u0[ids[0, 0]], u0[ids[1, -1]] = -t, t
+    if jumps is not None:
+        u0[top[tied]] = jumps[tied]
+    fixed = np.zeros(size, dtype=bool)
+    fixed[ids[0, 0]] = fixed[ids[1, -1]] = True
+    follow = np.arange(size)
+    follow[top[tied]] = bottom[tied]
+    own = ~fixed & (follow == np.arange(size))
+    rows = np.flatnonzero(~fixed)
+    unknown = np.cumsum(own) - 1
+    pmat = coo_matrix((np.ones(rows.size), (rows, unknown[follow[rows]])),
+                      shape=(size, int(own.sum()))).tocsr()
+    lin = np.zeros(size)
+    if load is not None:
+        lin[top], lin[bottom] = load, -load
+    z = spsolve((pmat.T @ lap @ pmat).tocsc(), -pmat.T @ (lap @ u0 + 0.5 * lin))
+    lower, upper = (pmat @ z + u0).reshape(2, m + 1, cols)
+    return lower, upper
+
+
+def _tied_nodes(n, open_edges):
+    closed = np.ones(n, dtype=bool)
+    closed[list(open_edges)] = False
+    tied = np.zeros(n + 1, dtype=bool)
+    tied[:-1] |= closed
+    tied[1:] |= closed
+    return tied
+
+
+def test_solve_elastic_matches_sparse_oracle():
+    rng = np.random.default_rng(7)
+    for n in (8, 16, 32, 64):
+        for _ in range(6):
+            open_edges = np.flatnonzero(rng.random(n) < rng.random())
+            t = rng.uniform(0.05, 2.0)
+            f = solve_elastic(Grid2D(n), open_edges, t)
+            lower, upper = _sparse_oracle(n, t, _tied_nodes(n, open_edges))
+            assert np.abs(f.lower - lower).max() < 1e-12
+            assert np.abs(f.upper - upper).max() < 1e-12
+
+
+def test_jump_field_matches_sparse_oracle():
+    # the field of the alternate-minimization elastic half-step
+    rng = np.random.default_rng(8)
+    for n in (8, 16, 32, 64):
+        for _ in range(6):
+            t = rng.uniform(0.05, 2.0)
+            jumps = rng.uniform(-2.0 * t, 2.0 * t, n + 1) * (rng.random(n + 1) < 0.7)
+            lower, upper = _blocks(n, t, jumps)
+            ref_lower, ref_upper = _sparse_oracle(n, t, np.ones(n + 1, dtype=bool), jumps)
+            assert np.abs(lower - ref_lower).max() < 1e-12
+            assert np.abs(upper - ref_upper).max() < 1e-12
+            assert np.all(upper[0] - lower[-1] == jumps)
+
+
+def test_pattern_step_matches_sparse_oracle():
+    rng = np.random.default_rng(9)
+    for kind in LawKind:
+        laws = rescale_laws(CohesiveLaw(kind, 2.0), 2.0, 10.0, 0.75)  # bulk weight != 1
+        for n in (8, 16, 32):
+            for _ in range(4):
+                t = rng.uniform(0.05, 2.0)
+                jumps = rng.uniform(-1.0, 1.0, n + 1) * (rng.random(n + 1) < 0.6)
+                jumps[0] = 0.5
+                psi = rng.uniform(0.0, 0.3, n) * (rng.random(n) < 0.3)
+                lower, upper, new = _pattern_step(Grid2D(n), psi, laws, t, jumps)
+                # slope of the frozen surface branch, per lip node
+                opening = 0.5 * (np.abs(jumps[:-1]) + np.abs(jumps[1:]))
+                slopes = np.where(opening > psi, laws.phi.deriv(opening), 0.0)
+                g = np.zeros(n + 1)
+                g[:-1] += 0.5 * slopes
+                g[1:] += 0.5 * slopes
+                g *= laws.surface_weight * np.sign(jumps) / n
+                ref_lower, ref_upper = _sparse_oracle(n, t, jumps == 0.0,
+                                                      load=g / laws.bulk_weight)
+                assert np.abs(lower - ref_lower).max() < 1e-12
+                assert np.abs(upper - ref_upper).max() < 1e-12
+                assert np.all(new == upper[0] - lower[-1])
+                assert np.all(new[jumps == 0.0] == 0.0)
+
+
+def test_mode_profiles_stable_and_match_recurrence():
+    # profiles run from the lip (row 0) to the clamped edge (row m)
+    n, m = 16, 8
+    lam = 2.0 - 2.0 * np.cos(np.pi * np.arange(n + 1) / n)
+    ref = np.zeros((m + 1, n + 1))
+    ref[1] = 1.0
+    for j in range(1, m):
+        ref[j + 1] = (2.0 + lam) * ref[j] - ref[j - 1]
+    assert np.abs(_lip_operator(n).profiles - (ref / ref[m])[::-1]).max() < 1e-12
+    # the recurrence overflows here; the closed form must not
+    op = _lip_operator.__wrapped__(1024)
+    rho = op.profiles
+    assert np.isfinite(rho).all() and rho.min() >= 0.0 and rho.max() <= 1.0
+    assert np.all(rho[0] == 1.0) and np.all(rho[-1] == 0.0)
+    assert np.isfinite(op.stiffness).all()
 
 
 def test_grid_validation():

@@ -1,9 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from cohesivefrac.bar1d import CrackState, Domain1D
+from cohesivefrac.bar1d import LEFT, RIGHT, CrackState, Domain1D
 from cohesivefrac.evolution import LoadProgram, evolve
 from cohesivefrac.laws import CohesiveLaw, LawKind, plain_laws
 from cohesivefrac.scaling import (
@@ -193,3 +194,16 @@ class TestBoundHelpers:
 
     def test_zero_datum_needs_no_jump(self):
         assert piecewise_constant_minimum(Domain1D.uniform(1.0, 4), (0.3, 0.3)) == 0
+
+    def test_any_datum_difference_needs_one_jump(self):
+        domain = Domain1D.uniform(1.0, 4)
+        assert piecewise_constant_minimum(domain, (0.0, 2.0)) == 1
+        assert piecewise_constant_minimum(domain, (0.5, -0.5)) == 1
+        # one held end: the free end absorbs any datum
+        assert piecewise_constant_minimum(Domain1D.uniform(1.0, 4, (LEFT,)), (0.0, 2.0)) == 0
+
+    def test_no_jump_site_rejected(self):
+        siteless = SimpleNamespace(dirichlet=frozenset((LEFT, RIGHT)), jump_sites=lambda: [])
+        assert piecewise_constant_minimum(siteless, (0.0, 0.0)) == 0
+        with pytest.raises(ValueError, match="no representable partition"):
+            piecewise_constant_minimum(siteless, (0.0, 1.0))
