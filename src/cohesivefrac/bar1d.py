@@ -14,11 +14,7 @@ energy even while the current jump is zero: surface energy is paid per
 opening level reached, never refunded.
 
 Energies are evaluated against a :class:`~cohesivefrac.laws.RescaledLaws`
-bundle so the same code serves unit-size and size-swept problems.  The
-Cantor column is identically zero for these piecewise representations (a
-finite jump set cannot carry a diffuse singular part; the affine tail of
-the bulk density is its discrete surrogate) but is carried through all
-reports for format stability.
+bundle so the same code serves unit-size and size-swept problems.
 """
 
 from __future__ import annotations
@@ -203,11 +199,10 @@ class Displacement1D:
 class EnergyBreakdown:
     bulk: float
     surface: float
-    cantor: float
 
     @property
     def total(self) -> float:
-        return self.bulk + self.surface + self.cantor
+        return self.bulk + self.surface
 
 
 def _check_boundary_data(domain: Domain1D, g) -> tuple:
@@ -230,7 +225,6 @@ def total_energy(
 
     bulk    = bulk_weight * sum_e len_e * f(slope_e)
     surface = surface_weight * sum over {psi > 0} u {jump != 0} of phi(|jump| v psi)
-    cantor  = 0 (kept as a column; see module docstring)
 
     ``g = (g_left, g_right)`` enters only through validation: boundary
     mismatches are stored on the displacement itself.
@@ -245,7 +239,6 @@ def total_energy(
     return EnergyBreakdown(
         bulk=laws.bulk_weight * bulk,
         surface=laws.surface_weight * surface,
-        cantor=0.0,
     )
 
 
@@ -268,7 +261,7 @@ def griffith_energy(
     existing = set(crack_sites)
     bulk = bw * float(np.sum(domain.element_lengths * u.slopes**2))
     fresh = sum(1 for s in u.jumps if s not in existing)
-    return EnergyBreakdown(bulk=bulk, surface=sw * float(len(existing) + fresh), cantor=0.0)
+    return EnergyBreakdown(bulk=bulk, surface=sw * float(len(existing) + fresh))
 
 
 def reconstruct(

@@ -25,6 +25,7 @@ Example::
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 
 from cohesivefrac.bar1d import LEFT, RIGHT, Domain1D
@@ -195,7 +196,7 @@ def _planar(sec) -> PlanarSection:
     mode = sec.get("mode", "cohesive").strip().lower()
     if mode not in ("cohesive", "griffith"):
         raise ConfigError(f"[planar] mode must be cohesive or griffith, got {mode!r}")
-    return PlanarSection(
+    planar = PlanarSection(
         n=_int("planar", "n", sec.get("n", "16")),
         load=_float("planar", "load", sec.get("load", "0.3")),
         mode=mode,
@@ -204,6 +205,19 @@ def _planar(sec) -> PlanarSection:
         alpha=_float("planar", "alpha", sec.get("alpha", "0.25")),
         h=_float("planar", "h", sec.get("h", "1")),
     )
+    # every comparison is false for NaN, so NaN fails each range
+    ranges = (
+        ("n", planar.n >= 8 and planar.n % 2 == 0, "an even integer >= 8"),
+        ("load", math.isfinite(planar.load), "finite"),
+        ("crack_length", 0.0 <= planar.crack_length <= 1.0, "in [0, 1]"),
+        ("gamma", 0.0 <= planar.gamma < math.inf, "finite and >= 0"),
+        ("alpha", 0.0 < planar.alpha < 2.0, "in (0, 2)"),
+        ("h", 1.0 <= planar.h < math.inf, "finite and >= 1"),
+    )
+    for key, ok, want in ranges:
+        if not ok:
+            raise ConfigError(f"[planar] {key} must be {want}, got {getattr(planar, key)!r}")
+    return planar
 
 
 _BUILDERS = {

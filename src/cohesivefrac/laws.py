@@ -19,8 +19,8 @@ domain of diameter ``h`` with boundary-datum exponent ``alpha`` is pulled
 back to it.  Both families are closed under that rescaling: the opening
 dilation ``s -> h**alpha * s`` turns a law of slope ``a`` into the same
 kind of law with slope ``a * h**alpha``, and the bulk density keeps its
-shape with slope ``a * h**(1-alpha)``.  The weights attached to the bulk,
-surface and Cantor terms depend on where ``alpha`` sits relative to the
+shape with slope ``a * h**(1-alpha)``.  The weights attached to the bulk
+and surface terms depend on where ``alpha`` sits relative to the
 critical exponent 1/2.
 """
 
@@ -175,10 +175,6 @@ class RescaledLaws:
 
         bulk_weight * integral f_h(grad v)
       + surface_weight * integral phi_h(|[v]| v psi)
-      + cantor_weight * |D^c v|
-
-    where the last term vanishes for the piecewise representations used by
-    the discrete solvers but is reported for completeness.
     """
 
     h: float
@@ -188,16 +184,15 @@ class RescaledLaws:
     bulk: BulkDensity
     bulk_weight: float
     surface_weight: float
-    cantor_weight: float
 
 
 def rescale_laws(law: CohesiveLaw, a: float, h: float, alpha: float) -> RescaledLaws:
     """Pull the laws of a body of diameter ``h`` back to the unit body.
 
     ``a`` is the initial slope of ``law`` (passed explicitly because it also
-    sets the bulk slope and the Cantor weight).  ``h >= 1`` is the size ratio
-    and ``alpha`` in (0, 2) the boundary-datum scaling exponent.  ``h = 1``
-    returns identity weights regardless of ``alpha``.
+    sets the bulk slope).  ``h >= 1`` is the size ratio and ``alpha`` in
+    (0, 2) the boundary-datum scaling exponent.  ``h = 1`` returns identity
+    weights regardless of ``alpha``.
     """
     if h < 1.0:
         raise ValueError(f"size ratio must satisfy h >= 1, got {h}")
@@ -205,12 +200,10 @@ def rescale_laws(law: CohesiveLaw, a: float, h: float, alpha: float) -> Rescaled
         raise ValueError(f"scaling exponent must lie in (0, 2), got {alpha}")
     phi_h = CohesiveLaw(law.kind, a * h**alpha)
     bulk_h = BulkDensity(a * h ** (1.0 - alpha))
-    if alpha < 0.5:
-        bw, sw, cw = 1.0, h ** (1.0 - 2.0 * alpha), a * h ** (1.0 - alpha)
-    elif alpha == 0.5:
-        bw, sw, cw = 1.0, 1.0, a * math.sqrt(h)
+    if alpha <= 0.5:
+        bw, sw = 1.0, h ** (1.0 - 2.0 * alpha)
     else:
-        bw, sw, cw = h ** (2.0 * alpha - 1.0), 1.0, a * h**alpha
+        bw, sw = h ** (2.0 * alpha - 1.0), 1.0
     return RescaledLaws(
         h=h,
         alpha=alpha,
@@ -219,12 +212,11 @@ def rescale_laws(law: CohesiveLaw, a: float, h: float, alpha: float) -> Rescaled
         bulk=bulk_h,
         bulk_weight=bw,
         surface_weight=sw,
-        cantor_weight=cw,
     )
 
 
 def plain_laws(law: CohesiveLaw) -> RescaledLaws:
-    """Unit-size laws: all weights 1, Cantor weight equal to the law slope."""
+    """Unit-size laws: all weights 1."""
     return rescale_laws(law, law.a, 1.0, 0.5)
 
 

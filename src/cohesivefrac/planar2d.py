@@ -31,10 +31,12 @@ Three operations are exposed.  ``solve_elastic`` minimizes the quadratic
 form with a prescribed set of open crack edges (a closed edge ties the
 lip values at both its endpoints).  ``prefix_crack_sweep`` scans the
 crack lengths ``l = k/n`` and returns the energy-optimal prefix, the
-global check for monotone patterns.  ``alternate_minimize`` relaxes
-field and jumps in turn for a cohesive surface cost; each half-step is
-an exact partial minimization, so the energy trace is nonincreasing, but
-the stationary point is a local statement and is not certified global.
+global check for monotone patterns.  ``alternate_minimize`` minimizes the
+reduced lip energy ``2 bw q.S.q + w sum phi(opening v psi)`` over the
+nodal jumps alone, by coordinate descent: each node update is exact (the
+bulk is minimized out for every trial jump), so the energy trace is
+nonincreasing, but the stationary point is a local statement and is not
+certified global.  Fields are rebuilt only for the results.
 """
 
 from __future__ import annotations
@@ -133,7 +135,14 @@ class Field2D:
         return 0.5 * (j[:-1] + j[1:])
 
     def edge_bulk(self) -> float:
-        return _bulk(self.lower, self.upper)
+        """Five-point bulk of both blocks: half weights on the outer rows and columns."""
+        total = 0.0
+        for block in (self.lower, self.upper):
+            dx = np.diff(block, axis=1) ** 2
+            dy = np.diff(block, axis=0) ** 2
+            total += dx[1:-1].sum() + 0.5 * (dx[0].sum() + dx[-1].sum())
+            total += dy[:, 1:-1].sum() + 0.5 * (dy[:, 0].sum() + dy[:, -1].sum())
+        return float(total)
 
     def to_text(self) -> str:
         stacked = np.vstack([self.upper[::-1], self.lower[::-1]])
@@ -240,15 +249,29 @@ def _solve_jumps(n: int, t: float, tied: np.ndarray, load: np.ndarray | None = N
     return jumps
 
 
-def _bulk(lower: np.ndarray, upper: np.ndarray) -> float:
-    """Five-point bulk of both blocks: half weights on the outer rows and columns."""
-    total = 0.0
-    for block in (lower, upper):
-        dx = np.diff(block, axis=1) ** 2
-        dy = np.diff(block, axis=0) ** 2
-        total += dx[1:-1].sum() + 0.5 * (dx[0].sum() + dx[-1].sum())
-        total += dy[:, 1:-1].sum() + 0.5 * (dy[:, 0].sum() + dy[:, -1].sum())
-    return float(total)
+def _tied(n: int, open_edges) -> np.ndarray:
+    """Lip nodes held at zero jump: those with a closed incident crack edge."""
+    closed = np.ones(n, dtype=bool)
+    closed[list(open_edges)] = False
+    tied = np.zeros(n + 1, dtype=bool)
+    tied[:-1] |= closed
+    tied[1:] |= closed
+    return tied
+
+
+def _lip_bulk(n: int, t: float, jumps: np.ndarray) -> float:
+    """Unweighted bulk ``2 q.S.q``, ``q = t - jumps/2``, of the elastic optimum."""
+    q = t - 0.5 * jumps
+    return 2.0 * float(q @ _lip_operator(n).stiffness @ q)
+
+
+def _lip_energy(grid: Grid2D, psi: np.ndarray, laws: RescaledLaws, t: float, jumps) -> float:
+    """Reduced energy of nodal jumps: weighted lip bulk plus the cohesive surface."""
+    opening = 0.5 * (np.abs(jumps[:-1]) + np.abs(jumps[1:]))
+    surface = laws.surface_weight * grid.spacing * float(
+        np.sum(laws.phi(np.maximum(opening, psi)))
+    )
+    return laws.bulk_weight * _lip_bulk(grid.n, t, jumps) + surface
 
 
 def solve_elastic(grid: Grid2D, open_edges, t: float) -> Field2D:
@@ -264,12 +287,7 @@ def solve_elastic(grid: Grid2D, open_edges, t: float) -> Field2D:
     open_set = frozenset(int(e) for e in open_edges)
     if any(e < 0 or e >= n for e in open_set):
         raise ValueError(f"crack edges must lie in [0, {n}), got {sorted(open_set)}")
-    closed = np.ones(n, dtype=bool)
-    closed[list(open_set)] = False
-    tied = np.zeros(n + 1, dtype=bool)
-    tied[:-1] |= closed
-    tied[1:] |= closed
-    lower, upper = _blocks(n, t, _solve_jumps(n, t, tied))
+    lower, upper = _blocks(n, t, _solve_jumps(n, t, _tied(n, open_set)))
     return Field2D(grid=grid, lower=lower, upper=upper)
 
 
@@ -320,14 +338,14 @@ def prefix_crack_sweep(grid: Grid2D, t: float, laws: RescaledLaws, mode: str = "
     bulk = np.empty(n + 1)
     surface = np.empty(n + 1)
     for k in range(n + 1):
-        f = solve_elastic(grid, range(k), t)
-        bulk[k] = laws.bulk_weight * f.edge_bulk()
+        jumps = _solve_jumps(n, t, _tied(n, range(k)))
+        bulk[k] = laws.bulk_weight * _lip_bulk(n, t, jumps)
         if mode == "griffith":
             fresh = int(np.sum(grid.psi[:k] == 0.0))
             surface[k] = laws.surface_weight * delta * fresh
         else:
             opening = np.zeros(n)
-            opening[:k] = np.abs(f.edge_jumps()[:k])
+            opening[:k] = np.abs(0.5 * (jumps[:k] + jumps[1:k + 1]))
             surface[k] = laws.surface_weight * delta * float(
                 np.sum(laws.phi(np.maximum(opening, grid.psi)))
             )
@@ -344,16 +362,6 @@ def prefix_crack_sweep(grid: Grid2D, t: float, laws: RescaledLaws, mode: str = "
         surface=surface,
         total=total,
     )
-
-
-def _am_total(grid: Grid2D, psi: np.ndarray, laws: RescaledLaws, lower, upper) -> float:
-    bulk = laws.bulk_weight * _bulk(lower, upper)
-    j = upper[0] - lower[-1]
-    opening = 0.5 * (np.abs(j[:-1]) + np.abs(j[1:]))
-    surf = laws.surface_weight * grid.spacing * float(
-        np.sum(laws.phi(np.maximum(opening, psi)))
-    )
-    return bulk + surf
 
 
 def _lip_jump(phi, kappa, d, w, j, psi):
@@ -383,49 +391,37 @@ def _lip_jump(phi, kappa, d, w, j, psi):
     return x if d >= 0.0 else -x
 
 
-def _sweep_jumps(grid, psi, laws, lower, upper, jumps):
-    """One Gauss-Seidel pass of exact per-node jump updates.
+def _sweep_jumps(grid, psi, laws, t, jumps):
+    """One Gauss-Seidel pass of exact per-node updates of the lip energy.
 
-    At node ``i`` the pair (bottom lip, top lip) is minimized jointly:
-    for fixed jump the quadratic part has a closed-form optimum, leaving
-    a one-dimensional piecewise-smooth problem in the jump that
-    :func:`_lip_jump` solves exactly, so each update is nonincreasing.
+    With the other jumps fixed, the bulk ``2 bw q.S.q`` (``q = t - J/2``,
+    the interior already minimized out) is ``kappa*(x - d)**2`` plus a
+    constant in the jump ``x`` at node ``i``, with ``kappa = bw*S_ii/2`` and
+    ``d = 2t + 2*(S_i.q - S_ii*q_i)/S_ii``; :func:`_lip_jump` minimizes it
+    together with the surface term exactly, so no update raises the
+    energy.  ``S.q`` follows each update by a rank-one correction.
     """
     n = grid.n
+    stiff = _lip_operator(n).stiffness
     w = laws.surface_weight * grid.spacing
-    phi = laws.phi
-    brow, trow = lower[-1], upper[0]
-    below, above = lower[-2], upper[1]
-
+    q = t - 0.5 * jumps
+    sq = stiff @ q
     for i in range(n + 1):
-        wcol = 0.5 if i in (0, n) else 1.0
-        wsum = wcol + 0.5 * (i > 0) + 0.5 * (i < n)
-        vb = wcol * below[i]
-        vt = wcol * above[i]
-        if i > 0:
-            vb += 0.5 * brow[i - 1]
-            vt += 0.5 * trow[i - 1]
-        if i < n:
-            vb += 0.5 * brow[i + 1]
-            vt += 0.5 * trow[i + 1]
-        vb /= wsum
-        vt /= wsum
-        kappa = 0.5 * wsum  # w_b*w_t/(w_b+w_t) with equal sums
-        d = vt - vb
-
+        s_ii = stiff[i, i]
+        d = 2.0 * t + 2.0 * (sq[i] - s_ii * q[i]) / s_ii
         # crack edges i-1 and i, whose other nodes are i-1 and i+1
         others = [k for k in (i - 1, i + 1) if 0 <= k <= n]
         edges = psi[max(i - 1, 0):min(i + 1, n)]
-        x_star = _lip_jump(phi, kappa, d, w, np.abs(jumps[others]), edges)
-
-        jumps[i] = x_star
-        b = vb + 0.5 * (d - x_star)  # = (w_b*vb + w_t*(vt - x)) / (w_b + w_t)
-        brow[i] = b
-        trow[i] = b + x_star
+        x = _lip_jump(laws.phi, 0.5 * laws.bulk_weight * s_ii, d, w,
+                      np.abs(jumps[others]), edges)
+        q_new = t - 0.5 * x
+        sq += stiff[i] * (q_new - q[i])  # S is symmetric: row i is column i
+        q[i] = q_new
+        jumps[i] = x
 
 
 def _pattern_step(grid, psi, laws, t, jumps):
-    """Joint field/jump optimum of the current smooth branch, one solve.
+    """Jumps at the lip-energy optimum of the current smooth branch, one solve.
 
     With the open/closed pattern and the jump signs frozen, the surface
     term is linear in the jumps (exactly so for the piecewise-linear
@@ -445,9 +441,7 @@ def _pattern_step(grid, psi, laws, t, jumps):
     g[:-1] += 0.5 * slopes
     g[1:] += 0.5 * slopes
     g *= laws.surface_weight * grid.spacing * sign
-    new = _solve_jumps(grid.n, t, tied, g / (2.0 * laws.bulk_weight))
-    lower, upper = _blocks(grid.n, t, new)
-    return lower, upper, new
+    return _solve_jumps(grid.n, t, tied, g / (2.0 * laws.bulk_weight))
 
 
 @dataclass(frozen=True, eq=False)
@@ -455,7 +449,7 @@ class AMResult:
     field: Field2D
     jumps: np.ndarray          # signed per-edge (midpoint) jumps
     nodal_jumps: np.ndarray
-    energies: np.ndarray       # after every half-step, nonincreasing
+    energies: np.ndarray       # start, each sweep, each accepted pattern step; nonincreasing
     iterations: int
 
 
@@ -469,17 +463,20 @@ def alternate_minimize(
     tol: float = 1e-10,
     target_energy: float | None = None,
 ) -> AMResult:
-    """Relax field and interface jumps in turn until the energy settles.
+    """Minimize the reduced lip energy over the nodal jumps until it settles.
 
-    Both half-steps are exact partial minimizations (the elastic field
-    for the current jumps, which needs no solve, then per-node joint lip
-    updates), so the recorded
-    energies are nonincreasing.  The result is stationary but not
-    certified global; use the prefix sweep as an independent check when
-    the expected pattern is monotone.  ``target_energy`` lets a caller
-    that already holds a competitor value stop a descent early once it
-    is matched; crack fronts advance one node per sweep, so runs racing
-    a known optimum would otherwise burn hundreds of sweeps.
+    Each iteration is one Gauss-Seidel pass of exact per-node jump
+    updates on ``2 bw q.S.q + w sum phi(opening v psi)`` (the elastic
+    field minimized out for every trial jump), then a pattern step that
+    is kept only when it lowers the energy.  The energy is recorded at
+    the start, after every pass and after every accepted pattern step, so
+    the trace is nonincreasing.  The field is rebuilt once, for the
+    result.  The result is stationary but not certified global; use the
+    prefix sweep as an independent check when the expected pattern is
+    monotone.  ``target_energy`` lets a caller that already holds a
+    competitor value stop a descent early once it is matched; crack
+    fronts advance one node per sweep, so runs racing a known optimum
+    would otherwise burn hundreds of sweeps.
     """
     n = grid.n
     psi = grid.psi if psi is None else np.asarray(psi, dtype=float)
@@ -489,20 +486,17 @@ def alternate_minimize(
     if jumps.shape != (n + 1,):
         raise ValueError("start_jumps must give one value per lip node")
 
-    energies = []
+    energies = [_lip_energy(grid, psi, laws, t, jumps)]
     prev = np.inf
     for it in range(max_iters):
-        lower, upper = _blocks(n, t, jumps)
-        energies.append(_am_total(grid, psi, laws, lower, upper))
-        _sweep_jumps(grid, psi, laws, lower, upper, jumps)
-        e = _am_total(grid, psi, laws, lower, upper)
+        _sweep_jumps(grid, psi, laws, t, jumps)
+        e = _lip_energy(grid, psi, laws, t, jumps)
         energies.append(e)
         trial = _pattern_step(grid, psi, laws, t, jumps)
         if trial is not None:
-            t_lower, t_upper, t_jumps = trial
-            e_acc = _am_total(grid, psi, laws, t_lower, t_upper)
+            e_acc = _lip_energy(grid, psi, laws, t, trial)
             if e_acc < e:
-                jumps[:] = t_jumps
+                jumps = trial
                 e = e_acc
                 energies.append(e)
         matched = target_energy is not None and (
@@ -510,13 +504,10 @@ def alternate_minimize(
         )
         if prev - e < tol or matched:
             lower, upper = _blocks(n, t, jumps)
-            energies.append(_am_total(grid, psi, laws, lower, upper))
-            f = Field2D(grid=grid, lower=lower, upper=upper)
-            jn = f.nodal_jumps()
             return AMResult(
-                field=f,
-                jumps=0.5 * (jn[:-1] + jn[1:]),
-                nodal_jumps=jn,
+                field=Field2D(grid=grid, lower=lower, upper=upper),
+                jumps=0.5 * (jumps[:-1] + jumps[1:]),
+                nodal_jumps=jumps,
                 energies=np.asarray(energies),
                 iterations=it + 1,
             )
@@ -559,7 +550,7 @@ def evolve_tearing(
         starts = [np.full(grid.n + 1, 2.0 * t)]
         mem = np.flatnonzero(psi > 0.0)
         if mem.size:
-            starts.append(solve_elastic(grid, mem.tolist(), t).nodal_jumps())
+            starts.append(_solve_jumps(grid.n, t, _tied(grid.n, mem)))
         if prev is not None:
             starts.append(prev)
         starts.append(np.zeros(grid.n + 1))

@@ -73,7 +73,6 @@ class TestEnergy:
         e = total_energy(u, CrackState(), (0.0, 0.5), DUGDALE2, d)
         assert e.bulk == pytest.approx(0.25, abs=1e-15)
         assert e.surface == 0.0
-        assert e.cantor == 0.0
         assert e.total == pytest.approx(0.25, abs=1e-15)
 
     def test_boundary_mismatch_pays_surface(self):
@@ -117,7 +116,7 @@ class TestEnergy:
         d = bar(4)
         u = Displacement1D(np.full(4, 1.7), {2: 0.2})
         e = total_energy(u, CrackState({1: 0.1}), (0.0, 1.9), DUGDALE2, d)
-        assert e.total == pytest.approx(e.bulk + e.surface + e.cantor, abs=1e-12)
+        assert e.total == pytest.approx(e.bulk + e.surface, abs=1e-12)
 
     def test_mismatched_mesh_rejected(self):
         d = bar(4)

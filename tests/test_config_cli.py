@@ -199,6 +199,24 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("config error: unknown key") and "times" in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("n", "7"), ("n", "6"), ("h", "0.5"), ("h", "inf"), ("alpha", "3"), ("alpha", "0"),
+        ("gamma", "-1"), ("gamma", "nan"), ("load", "nan"), ("load", "inf"),
+        ("crack_length", "2"), ("crack_length", "-0.1"),
+    ])
+    def test_planar_rejects_out_of_range(self, key, value, config_path, monkeypatch, capsys):
+        def solve(*args, **kwargs):
+            raise AssertionError("solver reached")
+
+        monkeypatch.setattr("cohesivefrac.cli.prefix_crack_sweep", solve)
+        keys = {"n": "8", "load": "0.3", "crack_length": "0.5", "gamma": "0.1",
+                "alpha": "0.25", "h": "1", key: value}
+        cfg = config_path("[law]\nkind = dugdale\na = 2.0\n\n[planar]\n"
+                          + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+        assert main(["planar", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: [planar] {key} must be"), err
+
     def test_seed_flag_removed(self, config_path):
         with pytest.raises(SystemExit) as err:
             main(["evolve", "--config", config_path(FULL_CONFIG), "--seed", "1"])

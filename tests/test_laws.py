@@ -150,7 +150,7 @@ class TestRescale:
         s = np.linspace(0.0, 3.0, 50)
         np.testing.assert_allclose(rl.phi(s), exponential(2.0)(s), rtol=0, atol=1e-15)
         assert rl.bulk.a == 2.0
-        assert (rl.bulk_weight, rl.surface_weight, rl.cantor_weight) == (1.0, 1.0, 2.0)
+        assert (rl.bulk_weight, rl.surface_weight) == (1.0, 1.0)
 
     def test_pinned_values_half_exponent(self):
         rl = rescale_laws(exponential(2.0), 2.0, 4.0, 0.5)
@@ -168,13 +168,11 @@ class TestRescale:
         rl = rescale_laws(dugdale(2.0), 2.0, 16.0, 0.25)
         assert rl.bulk_weight == 1.0
         assert rl.surface_weight == pytest.approx(4.0)
-        assert rl.cantor_weight == pytest.approx(16.0)
         rl = rescale_laws(dugdale(2.0), 2.0, 16.0, 0.75)
         assert rl.bulk_weight == pytest.approx(4.0)
         assert rl.surface_weight == 1.0
-        assert rl.cantor_weight == pytest.approx(16.0)
         rl = rescale_laws(dugdale(2.0), 2.0, 9.0, 0.5)
-        assert rl.cantor_weight == pytest.approx(6.0)
+        assert (rl.bulk_weight, rl.surface_weight) == (1.0, 1.0)
 
     @given(
         s=st.floats(0.0, 5.0),

@@ -14,9 +14,11 @@ from cohesivefrac.planar2d import (
     Grid2D,
     PlanarNonconvergence,
     _blocks,
+    _lip_energy,
     _lip_jump,
     _lip_operator,
     _pattern_step,
+    _sweep_jumps,
     alternate_minimize,
     cellwise_bulk,
     evolve_tearing,
@@ -119,7 +121,8 @@ def test_pattern_step_matches_sparse_oracle():
                 jumps = rng.uniform(-1.0, 1.0, n + 1) * (rng.random(n + 1) < 0.6)
                 jumps[0] = 0.5
                 psi = rng.uniform(0.0, 0.3, n) * (rng.random(n) < 0.3)
-                lower, upper, new = _pattern_step(Grid2D(n), psi, laws, t, jumps)
+                new = _pattern_step(Grid2D(n), psi, laws, t, jumps)
+                lower, upper = _blocks(n, t, new)
                 # slope of the frozen surface branch, per lip node
                 opening = 0.5 * (np.abs(jumps[:-1]) + np.abs(jumps[1:]))
                 slopes = np.where(opening > psi, laws.phi.deriv(opening), 0.0)
@@ -133,6 +136,26 @@ def test_pattern_step_matches_sparse_oracle():
                 assert np.abs(upper - ref_upper).max() < 1e-12
                 assert np.all(new == upper[0] - lower[-1])
                 assert np.all(new[jumps == 0.0] == 0.0)
+
+
+@pytest.mark.parametrize("kind", list(LawKind))
+def test_reduced_energy_matches_rebuilt_field(kind):
+    # 2 bw q.S.q plus the surface term against the five-point bulk of the field
+    rng = np.random.default_rng(10 + list(LawKind).index(kind))
+    laws = rescale_laws(CohesiveLaw(kind, 2.0), 2.0, 10.0, 0.75)  # bulk weight != 1
+    assert laws.bulk_weight != 1.0
+    for n in (8, 16, 32):
+        grid = Grid2D(n)
+        for _ in range(5):
+            t = rng.uniform(0.05, 2.0)
+            jumps = rng.uniform(-2.0 * t, 2.0 * t, n + 1) * (rng.random(n + 1) < 0.7)
+            psi = rng.uniform(0.0, 0.3, n) * (rng.random(n) < 0.3)
+            opening = 0.5 * (np.abs(jumps[:-1]) + np.abs(jumps[1:]))
+            surface = laws.surface_weight * float(np.sum(laws.phi(np.maximum(opening, psi)))) / n
+            lower, upper = _blocks(n, t, jumps)
+            want = laws.bulk_weight * Field2D(grid, lower, upper).edge_bulk() + surface
+            got = _lip_energy(grid, psi, laws, t, jumps)
+            assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_mode_profiles_stable_and_match_recurrence():
@@ -308,6 +331,25 @@ def test_lip_jump_never_beaten_by_grid(kind):
     assert seen["saturation" if kind is LawKind.DUGDALE else "two_stationary"]
 
 
+@pytest.mark.parametrize("kind", list(LawKind))
+def test_sweep_leaves_last_node_at_its_minimum(kind):
+    # the last node of a pass sees every earlier update only through S.q
+    rng = np.random.default_rng(20 + list(LawKind).index(kind))
+    laws = rescale_laws(CohesiveLaw(kind, 2.0), 2.0, 10.0, 0.75)  # bulk weight != 1
+    grid = Grid2D(16)
+    for _ in range(5):
+        t = rng.uniform(0.2, 1.0)
+        jumps = rng.uniform(0.0, 2.0 * t, 17)
+        psi = rng.uniform(0.0, 0.3, 16) * (rng.random(16) < 0.3)
+        before = _lip_energy(grid, psi, laws, t, jumps)
+        _sweep_jumps(grid, psi, laws, t, jumps)
+        after = _lip_energy(grid, psi, laws, t, jumps)
+        assert after <= before
+        grid_best = min(_lip_energy(grid, psi, laws, t, np.append(jumps[:-1], x))
+                        for x in np.linspace(-4.0 * t, 4.0 * t, 4001))
+        assert after <= grid_best + 1e-12 * max(1.0, grid_best)
+
+
 class TestAlternateMinimize:
     def test_small_load_matches_tied_elastic(self):
         grid = Grid2D(16)
@@ -325,11 +367,17 @@ class TestAlternateMinimize:
         assert res.field.edge_bulk() < 1e-12
         assert res.energies[-1] == pytest.approx(1.0, abs=1e-12)
 
-    def test_energy_nonincreasing_per_half_step(self):
+    @pytest.mark.parametrize("kind", list(LawKind))
+    @pytest.mark.parametrize("alpha, h", [(0.25, 1.0), (0.75, 10.0), (0.75, 100.0)])
+    def test_energy_nonincreasing_per_half_step(self, kind, alpha, h):
+        # alpha > 1/2 gives bulk weight h^(2 alpha - 1) != 1
+        laws = rescale_laws(CohesiveLaw(kind, 2.0), 2.0, h, alpha)
         psi = np.zeros(16)
         psi[:8] = 0.1
-        res = alternate_minimize(Grid2D(16), psi, 0.5, plain_laws(DUGDALE))
-        assert np.all(np.diff(res.energies) <= 1e-9)
+        t = 0.5
+        for start in (None, np.full(17, 2.0 * t)):
+            res = alternate_minimize(Grid2D(16), psi, t, laws, start_jumps=start)
+            assert np.all(np.diff(res.energies) <= 1e-9)
 
     def test_nonconvergence_carries_last_energy(self):
         with pytest.raises(PlanarNonconvergence) as err:

@@ -44,7 +44,6 @@ class TestBuild:
 
     def test_subcritical_alpha_weights(self):
         scaled = build_scaled_problem(tearing_base(), 16.0, 0.25)
-        assert scaled.laws.cantor_weight == pytest.approx(2.0 * 8.0)
         assert scaled.laws.surface_weight == pytest.approx(4.0)
         assert scaled.laws.bulk_weight == pytest.approx(1.0)
         assert scaled.normalization == pytest.approx(0.25)

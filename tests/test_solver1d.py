@@ -160,7 +160,7 @@ class TestExcessMinima:
             bw, sw = rng.uniform(0.2, 5.0, 2)
             laws = RescaledLaws(h=1.0, alpha=0.5, base=law, phi=law,
                                 bulk=BulkDensity(rng.uniform(0.5, 5.0)), bulk_weight=bw,
-                                surface_weight=sw, cantor_weight=0.0)
+                                surface_weight=sw)
             phi = laws.phi
             L = rng.uniform(0.5, 2.0)
             c = rng.uniform(0.05, 3.0)
