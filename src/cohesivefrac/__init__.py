@@ -9,7 +9,6 @@ from cohesivefrac.bar1d import (
 )
 from cohesivefrac.config import ConfigError, RunConfig, load_config
 from cohesivefrac.evolution import (
-    EvolutionStepError,
     EvolutionTrace,
     LoadProgram,
     energy_balance_report,
@@ -47,7 +46,6 @@ from cohesivefrac.scaling import (
 from cohesivefrac.solver1d import (
     BudgetError,
     NonconvergenceError,
-    SolverConfig,
     brute_force_minimize,
     griffith_minimize,
     incremental_minimize,
@@ -66,7 +64,6 @@ __all__ = [
     "Displacement1D",
     "Domain1D",
     "EnergyBreakdown",
-    "EvolutionStepError",
     "EvolutionTrace",
     "Field2D",
     "Grid2D",
@@ -79,7 +76,6 @@ __all__ = [
     "RescaledLaws",
     "RunConfig",
     "ScalingReport",
-    "SolverConfig",
     "alternate_minimize",
     "brute_force_minimize",
     "classify_regime",

@@ -35,8 +35,6 @@ __all__ = [
     "EnergyBreakdown",
     "total_energy",
     "griffith_energy",
-    "reconstruct",
-    "sup_norm",
     "consistency_residual",
     "make_displacement",
 ]
@@ -262,52 +260,6 @@ def griffith_energy(
     bulk = bw * float(np.sum(domain.element_lengths * u.slopes**2))
     fresh = sum(1 for s in u.jumps if s not in existing)
     return EnergyBreakdown(bulk=bulk, surface=sw * float(len(existing) + fresh))
-
-
-def reconstruct(
-    u: Displacement1D, domain: Domain1D, left_value: float = 0.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Node values on both sides of each interior jump, anchored on the left.
-
-    ``left_value`` is the displacement just inside the left end.  Returns
-    ``(left_values, right_values)``; they differ exactly at interior jump
-    nodes.  Boundary mismatch slots are not part of the walk: the returned
-    endpoint values are the traces.
-    """
-    u.validate(domain)
-    last = domain.n_elements
-    inc = domain.element_lengths * u.slopes
-    left_vals = np.empty(last + 1)
-    right_vals = np.empty(last + 1)
-    left_vals[0] = right_vals[0] = left_value
-    for i in range(1, last + 1):
-        left_vals[i] = right_vals[i - 1] + inc[i - 1]
-        jump = u.jumps.get(i, 0.0) if i < last else 0.0
-        right_vals[i] = left_vals[i] + jump
-    return left_vals, right_vals
-
-
-def anchored_left_value(u: Displacement1D, domain: Domain1D, g) -> float:
-    """Left trace implied by the boundary data and stored mismatches."""
-    gl, gr = _check_boundary_data(domain, g)
-    last = domain.n_elements
-    if LEFT in domain.dirichlet:
-        return gl + u.jumps.get(0, 0.0)
-    if RIGHT in domain.dirichlet:
-        right_trace = gr + u.jumps.get(last, 0.0)
-        interior = sum(v for s, v in u.jumps.items() if 0 < s < last)
-        return right_trace - float(np.sum(domain.element_lengths * u.slopes)) - interior
-    return 0.0
-
-
-def sup_norm(u: Displacement1D, domain: Domain1D, g) -> float:
-    """Sup of |u| over the open bar (piecewise affine, so attained at nodes)."""
-    left_vals, right_vals = reconstruct(u, domain, anchored_left_value(u, domain, g))
-    last = domain.n_elements
-    samples = [right_vals[0], left_vals[last]]
-    for i in range(1, last):
-        samples.extend((left_vals[i], right_vals[i]))
-    return float(np.max(np.abs(samples)))
 
 
 def consistency_residual(u: Displacement1D, domain: Domain1D, g) -> float:

@@ -3,7 +3,9 @@
 A run file has up to five sections: ``[domain]``, ``[law]``,
 ``[program]``, ``[sweep]`` and ``[planar]``.  Validation is strict in
 both directions: unknown sections or keys fail before any computation
-(silent typos in experiment configs are worse than a hard stop), and
+(silent typos in experiment configs are worse than a hard stop), every
+value is range-checked when its section is built (so a command-line
+override, applied with ``dataclasses.replace``, is checked too), and
 each subcommand checks that the sections it needs are present.
 
 Example::
@@ -55,6 +57,16 @@ class ConfigError(ValueError):
     """Malformed run configuration; maps to exit code 2."""
 
 
+def _check_ranges(section: str, ranges) -> None:
+    """Raise on the first ``(key, value, ok, want)`` whose range test ``ok`` failed.
+
+    Every comparison is false for NaN, so NaN fails each range.
+    """
+    for key, value, ok, want in ranges:
+        if not ok:
+            raise ConfigError(f"[{section}] {key} must be {want}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DomainSection:
     elements: int
@@ -62,14 +74,29 @@ class DomainSection:
     dirichlet: tuple
     crack: tuple  # (coordinate, opening) pairs
 
+    def __post_init__(self):
+        _check_ranges("domain", (
+            ("elements", self.elements, self.elements >= 1, "an integer >= 1"),
+            ("length", self.length, 0.0 < self.length < math.inf, "finite and > 0"),
+            ("crack", self.crack,
+             all(0.0 <= x <= self.length and 0.0 < v < math.inf for x, v in self.crack),
+             "position:opening pairs with the position on the bar and a finite opening > 0"),
+        ))
+
     def build(self) -> Domain1D:
-        return Domain1D.uniform(self.length, self.elements, self.dirichlet, self.crack)
+        try:
+            return Domain1D.uniform(self.length, self.elements, self.dirichlet, self.crack)
+        except ValueError as err:  # a crack snapped to an end that is not held
+            raise ConfigError(f"[domain] {err}") from err
 
 
 @dataclass(frozen=True)
 class LawSection:
     kind: LawKind
     a: float
+
+    def __post_init__(self):
+        _check_ranges("law", (("a", self.a, 0.0 < self.a < math.inf, "finite and > 0"),))
 
     def build(self) -> CohesiveLaw:
         return CohesiveLaw(self.kind, self.a)
@@ -81,12 +108,31 @@ class ProgramSection:
     delta: float
     rate: float
 
+    def __post_init__(self):
+        _check_ranges("program", (
+            ("horizon", self.horizon, 0.0 < self.horizon < math.inf, "finite and > 0"),
+            ("delta", self.delta, 0.0 < self.delta < math.inf, "finite and > 0"),
+            ("rate", self.rate, math.isfinite(self.rate), "finite"),
+        ))
+
 
 @dataclass(frozen=True)
 class SweepSection:
     alpha: float
     h: tuple
     delta: tuple | None
+
+    def __post_init__(self):
+        h, delta = self.h, self.delta
+        _check_ranges("sweep", (
+            ("alpha", self.alpha, 0.0 < self.alpha < 2.0, "in (0, 2)"),
+            ("h", h, len(h) > 0 and all(1.0 <= x < math.inf for x in h)
+             and all(b > a for a, b in zip(h, h[1:])),
+             "a nonempty increasing list of finite sizes >= 1"),
+            ("delta", delta, delta is None or (
+                len(delta) == len(h) and all(0.0 < d < math.inf for d in delta)),
+             "one finite step > 0 per size in h"),
+        ))
 
 
 @dataclass(frozen=True)
@@ -98,6 +144,16 @@ class PlanarSection:
     gamma: float
     alpha: float
     h: float
+
+    def __post_init__(self):
+        _check_ranges("planar", (
+            ("n", self.n, self.n >= 8 and self.n % 2 == 0, "an even integer >= 8"),
+            ("load", self.load, math.isfinite(self.load), "finite"),
+            ("crack_length", self.crack_length, 0.0 <= self.crack_length <= 1.0, "in [0, 1]"),
+            ("gamma", self.gamma, 0.0 <= self.gamma < math.inf, "finite and >= 0"),
+            ("alpha", self.alpha, 0.0 < self.alpha < 2.0, "in (0, 2)"),
+            ("h", self.h, 1.0 <= self.h < math.inf, "finite and >= 1"),
+        ))
 
 
 @dataclass(frozen=True)
@@ -196,7 +252,7 @@ def _planar(sec) -> PlanarSection:
     mode = sec.get("mode", "cohesive").strip().lower()
     if mode not in ("cohesive", "griffith"):
         raise ConfigError(f"[planar] mode must be cohesive or griffith, got {mode!r}")
-    planar = PlanarSection(
+    return PlanarSection(
         n=_int("planar", "n", sec.get("n", "16")),
         load=_float("planar", "load", sec.get("load", "0.3")),
         mode=mode,
@@ -205,19 +261,6 @@ def _planar(sec) -> PlanarSection:
         alpha=_float("planar", "alpha", sec.get("alpha", "0.25")),
         h=_float("planar", "h", sec.get("h", "1")),
     )
-    # every comparison is false for NaN, so NaN fails each range
-    ranges = (
-        ("n", planar.n >= 8 and planar.n % 2 == 0, "an even integer >= 8"),
-        ("load", math.isfinite(planar.load), "finite"),
-        ("crack_length", 0.0 <= planar.crack_length <= 1.0, "in [0, 1]"),
-        ("gamma", 0.0 <= planar.gamma < math.inf, "finite and >= 0"),
-        ("alpha", 0.0 < planar.alpha < 2.0, "in (0, 2)"),
-        ("h", 1.0 <= planar.h < math.inf, "finite and >= 1"),
-    )
-    for key, ok, want in ranges:
-        if not ok:
-            raise ConfigError(f"[planar] {key} must be {want}, got {getattr(planar, key)!r}")
-    return planar
 
 
 _BUILDERS = {

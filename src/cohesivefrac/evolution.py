@@ -7,6 +7,12 @@ interpolated in time.  A brittle (griffith) mode runs the same loop with
 a unit cost per broken site instead of the cohesive surface density and
 serves as an independent reference for the size-effect limits.
 
+The state carried from step to step is the opening memory over the jump
+sites of the bar.  Every step's minimizer has one uniform slope and
+jumps only at jump sites (see :mod:`cohesivefrac.solver1d`), so the
+loop works on floats, every energy has a closed form in the slope and
+the memory, and the trace is stored as columns.
+
 Diagnostics follow the discrete energy inequality: each step is compared
 against the translated previous state (slack, nonnegative by
 minimality), and the external work is accumulated with the left-endpoint
@@ -19,34 +25,28 @@ holds with a remainder quadratic in the data increments.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from cohesivefrac.bar1d import (
+    LEFT,
+    RIGHT,
     CrackState,
     Displacement1D,
     Domain1D,
     EnergyBreakdown,
-    griffith_energy,
-    total_energy,
+    make_displacement,
 )
 from cohesivefrac.laws import RescaledLaws
-from cohesivefrac.solver1d import (
-    DEFAULT_CONFIG,
-    NonconvergenceError,
-    SolverConfig,
-    griffith_minimize,
-    incremental_minimize,
-)
+from cohesivefrac.solver1d import _cohesive_step, _griffith_step
 
 __all__ = [
     "LoadProgram",
     "StepRecord",
     "EvolutionTrace",
-    "EvolutionStepError",
-    "update_memory",
     "evolve",
     "energy_balance_report",
     "BalanceReport",
@@ -54,17 +54,6 @@ __all__ = [
 ]
 
 MODES = ("cohesive", "griffith")
-
-
-class EvolutionStepError(RuntimeError):
-    """Solver nonconvergence wrapped with the failing step."""
-
-    def __init__(self, step: int, time: float, cause: NonconvergenceError):
-        self.step = step
-        self.time = time
-        self.structured_energy = cause.structured_energy
-        self.oracle_energy = cause.oracle_energy
-        super().__init__(f"step {step} (t={time}): {cause}")
 
 
 @dataclass(frozen=True)
@@ -130,9 +119,9 @@ class LoadProgram:
 
 @dataclass(frozen=True)
 class StepRecord:
-    index: int
+    """One step of a trace as objects (see :attr:`EvolutionTrace.records`)."""
+
     time: float
-    g: tuple[float, float]
     displacement: Displacement1D
     crack: CrackState
     energy: EnergyBreakdown
@@ -140,42 +129,60 @@ class StepRecord:
     work: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvolutionTrace:
+    """An evolution stored as columns, one row per grid time of ``program``.
+
+    ``slope`` is each step's uniform slope, ``jumps`` its oriented jump at
+    each site of ``domain.jump_sites()`` and ``psi`` the memory after the
+    step (both of shape ``(steps, sites)``).  ``bulk`` and ``surface`` are
+    the step energies, ``slack`` the energy of the translated previous
+    state (the competitor of the energy-inequality proof) minus the
+    step's, and ``work`` the left-endpoint work increment.
+    """
+
     domain: Domain1D
     laws: RescaledLaws
     mode: str
-    records: tuple[StepRecord, ...] = field(default_factory=tuple)
+    program: LoadProgram
+    slope: np.ndarray
+    jumps: np.ndarray
+    psi: np.ndarray
+    bulk: np.ndarray
+    surface: np.ndarray
+    slack: np.ndarray
+    work: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.slope.size
 
     def times(self) -> np.ndarray:
-        return np.array([r.time for r in self.records])
+        return self.program.times
 
     def totals(self) -> np.ndarray:
-        return np.array([r.energy.total for r in self.records])
+        return self.bulk + self.surface
 
-    def slacks(self) -> np.ndarray:
-        return np.array([r.slack for r in self.records])
+    @functools.cached_property
+    def records(self) -> tuple[StepRecord, ...]:
+        """The columns as one :class:`StepRecord` per step, built on first use.
 
-    def works(self) -> np.ndarray:
-        return np.array([r.work for r in self.records])
-
-    @property
-    def final_crack(self) -> CrackState:
-        return self.records[-1].crack if self.records else CrackState()
-
-
-def update_memory(crack: CrackState, u: Displacement1D) -> CrackState:
-    """Fold current openings into the history: psi' = psi v |jump|."""
-    return crack.updated(u.jumps)
-
-
-def _mode_energy(mode, u, crack_sites, crack, g, laws, domain) -> EnergyBreakdown:
-    if mode == "griffith":
-        return griffith_energy(u, crack_sites, domain, laws)
-    return total_energy(u, crack, g, laws, domain)
+        For readers that want objects; the package itself reads only the
+        columns.
+        """
+        sites = self.domain.jump_sites()
+        rows = []
+        for i, t in enumerate(self.times().tolist()):
+            oriented = {s: j for s, j in zip(sites, self.jumps[i].tolist()) if j != 0.0}
+            slopes = np.full(self.domain.n_elements, self.slope[i])
+            rows.append(StepRecord(
+                time=t,
+                displacement=make_displacement(self.domain, self.program.pair(i), slopes, oriented),
+                crack=CrackState(dict(zip(sites, self.psi[i].tolist()))),
+                energy=EnergyBreakdown(float(self.bulk[i]), float(self.surface[i])),
+                slack=float(self.slack[i]),
+                work=float(self.work[i]),
+            ))
+        return tuple(rows)
 
 
 def evolve(
@@ -184,71 +191,62 @@ def evolve(
     program: LoadProgram,
     laws: RescaledLaws,
     mode: str = "cohesive",
-    cfg: SolverConfig = DEFAULT_CONFIG,
 ) -> EvolutionTrace:
     """Run the incremental minimization scheme over the whole program.
 
-    Returns one record per grid time: the minimizer, the memory after the
-    update, its energy, the slack against the translated previous state
-    (competitor of the energy-inequality proof) and the left-endpoint
-    work increment.  Certification failures abort with the step index.
+    Each step solves the float kernel of ``mode`` on the datum difference
+    and the memory, then updates the memory to ``psi' = psi v |jump|``.
+    The energies are closed forms in the slope and the memory: bulk
+    ``bw L f(slope)`` (``f`` the square in griffith mode) and surface
+    ``sw sum phi(psi')``, summed site by site in site order (``sw`` times
+    the number of cracked sites in griffith mode).  Priced with ``psi'``
+    they equal the step's functional, which uses the memory before the
+    step, because ``|jump| v psi`` is ``psi'``.  Raises ``RuntimeError``
+    if the memory ever decreases.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
+    step = _cohesive_step if mode == "cohesive" else _griffith_step
     L = domain.length
+    sites = domain.jump_sites()
+    held = LEFT in domain.dirichlet and RIGHT in domain.dirichlet
     deltas = program.deltas()
-    crack = initial_crack
-    records: list[StepRecord] = []
-    prev: Displacement1D | None = None
-    for i in range(program.n_steps):
-        t = float(program.times[i])
-        g = program.pair(i)
-        before = crack
-        sites_before = before.sites
-        try:
-            if mode == "cohesive":
-                u = incremental_minimize(domain, before, g, laws, cfg)
-            else:
-                u = griffith_minimize(domain, sites_before, g, laws, cfg)
-        except NonconvergenceError as err:
-            raise EvolutionStepError(i, t, err) from err
 
-        if i == 0:
-            competitor = Displacement1D(np.full(domain.n_elements, deltas[0] / L))
-            dgrad = 0.0
-            work = 0.0
-        else:
-            dgrad = (deltas[i] - deltas[i - 1]) / L
-            competitor = Displacement1D(prev.slopes + dgrad, dict(prev.jumps))
-            if mode == "griffith":
-                fprime = 2.0 * prev.slopes
-            else:
-                fprime = laws.bulk.deriv(prev.slopes)
-            work = laws.bulk_weight * float(
-                np.sum(domain.element_lengths * fprime * dgrad)
-            )
+    psi = [initial_crack.value(s) for s in sites]
+    slopes, jump_rows, memory = [], [], [psi]
+    for delta in deltas.tolist():
+        slope, jumps = step(laws, L, delta if held else 0.0, psi)
+        psi = [max(p, abs(j)) for p, j in zip(psi, jumps)]
+        slopes.append(slope)
+        jump_rows.append(jumps)
+        memory.append(psi)
+    slope = np.array(slopes)
+    jumps = np.array(jump_rows).reshape(slope.size, len(sites))
+    memory = np.array(memory).reshape(slope.size + 1, len(sites))
+    if not np.all(np.diff(memory, axis=0) >= 0.0):
+        raise RuntimeError("irreversibility violated: an opening memory decreased")
 
-        # the functional value with the pre-update memory equals the
-        # recorded energy with the post-update one: |J| v psi is psi'
-        e_u = _mode_energy(mode, u, sites_before, before, g, laws, domain)
-        e_comp = _mode_energy(mode, competitor, sites_before, before, g, laws, domain)
-        slack = e_comp.total - e_u.total
-
-        crack = update_memory(before, u)
-        records.append(
-            StepRecord(
-                index=i,
-                time=t,
-                g=g,
-                displacement=u,
-                crack=crack,
-                energy=e_u,
-                slack=slack,
-                work=work,
-            )
-        )
-        prev = u
-    return EvolutionTrace(domain, laws, mode, tuple(records))
+    # surface energy of every memory row, the initial one first
+    bw, sw = laws.bulk_weight, laws.surface_weight
+    if mode == "griffith":
+        density, density_deriv = np.square, lambda x: 2.0 * x
+        surface = sw * np.count_nonzero(memory > 0.0, axis=1)
+    else:
+        density, density_deriv = laws.bulk, laws.bulk.deriv
+        surface = np.zeros(memory.shape[0])
+        for cost in laws.phi(memory).T:
+            surface += cost
+        surface = sw * surface
+    bulk = bw * (L * density(slope))
+    dgrad = np.diff(deltas) / L
+    # the translated previous state keeps its jumps, which the memory
+    # before the step covers, so that memory prices its surface
+    competitor = np.concatenate([deltas[:1] / L, slope[:-1] + dgrad])
+    slack = (bw * (L * density(competitor)) + surface[:-1]) - (bulk + surface[1:])
+    work = np.concatenate([[0.0], bw * (L * density_deriv(slope[:-1]) * dgrad)])
+    return EvolutionTrace(
+        domain, laws, mode, program, slope, jumps, memory[1:], bulk, surface[1:], slack, work
+    )
 
 
 @dataclass(frozen=True)
@@ -277,38 +275,28 @@ def energy_balance_report(trace: EvolutionTrace, program: LoadProgram) -> Balanc
     """
     if len(trace) != program.n_steps:
         raise ValueError("trace and program lengths differ")
-    domain, laws = trace.domain, trace.laws
-    L = domain.length
-    lens = domain.element_lengths
+    laws = trace.laws
+    L = trace.domain.length
     bw = laws.bulk_weight
-    thr = laws.bulk.threshold
-    deltas = program.deltas()
-
-    n = len(trace)
-    remainders = np.zeros(n)
-    for i in range(1, n):
-        dgrad = (deltas[i] - deltas[i - 1]) / L
-        rem = bw * L * dgrad * dgrad
-        if trace.mode == "cohesive":
-            slopes = trace.records[i - 1].displacement.slopes
-            over = np.abs(slopes) > thr
-            if np.any(over):
-                fprime = laws.bulk.deriv(slopes[over])
-                rem += bw * float(np.sum(lens[over] * np.abs(fprime) * abs(dgrad)))
-        remainders[i] = rem
+    dgrad = np.diff(program.deltas()) / L
+    rem = bw * L * dgrad * dgrad
+    if trace.mode == "cohesive":
+        prev = trace.slope[:-1]
+        over = bw * (L * np.abs(laws.bulk.deriv(prev)) * np.abs(dgrad))
+        rem += np.where(np.abs(prev) > laws.bulk.threshold, over, 0.0)
+    remainders = np.concatenate([[0.0], rem])
 
     totals = trace.totals()
-    works = trace.works()
-    bound = totals[0] + np.cumsum(works) + np.cumsum(remainders)
+    bound = totals[0] + np.cumsum(trace.work) + np.cumsum(remainders)
     violation = float(np.max(totals - bound))
 
     deviation = None
     if trace.mode == "griffith":
-        deviation = totals - totals[0] - np.cumsum(works)
+        deviation = totals - totals[0] - np.cumsum(trace.work)
 
     return BalanceReport(
-        slacks=trace.slacks(),
-        works=works,
+        slacks=trace.slack,
+        works=trace.work,
         remainders=remainders,
         cumulative_violation=violation,
         griffith_deviation=deviation,
@@ -316,8 +304,6 @@ def energy_balance_report(trace: EvolutionTrace, program: LoadProgram) -> Balanc
 
 
 def first_crack_time(trace: EvolutionTrace, tol: float = 0.0) -> float | None:
-    """Time of the first record whose displacement carries a jump above tol."""
-    for r in trace.records:
-        if any(abs(v) > tol for v in r.displacement.jumps.values()):
-            return r.time
-    return None
+    """Time of the first step whose displacement carries a jump above tol."""
+    cracked = np.flatnonzero(np.any(np.abs(trace.jumps) > tol, axis=1))
+    return float(trace.times()[cracked[0]]) if cracked.size else None

@@ -110,9 +110,6 @@ class Grid2D:
     def spacing(self) -> float:
         return 1.0 / self.n
 
-    def with_psi(self, psi) -> "Grid2D":
-        return Grid2D(self.n, np.asarray(psi, dtype=float).copy())
-
 
 @dataclass(frozen=True, eq=False)
 class Field2D:
@@ -129,10 +126,6 @@ class Field2D:
 
     def nodal_jumps(self) -> np.ndarray:
         return self.upper[0] - self.lower[-1]
-
-    def edge_jumps(self) -> np.ndarray:
-        j = self.nodal_jumps()
-        return 0.5 * (j[:-1] + j[1:])
 
     def edge_bulk(self) -> float:
         """Five-point bulk of both blocks: half weights on the outer rows and columns."""

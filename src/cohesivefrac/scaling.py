@@ -30,7 +30,6 @@ import numpy as np
 from cohesivefrac.bar1d import LEFT, RIGHT, Domain1D
 from cohesivefrac.evolution import EvolutionTrace, LoadProgram, evolve
 from cohesivefrac.laws import CohesiveLaw, RescaledLaws, plain_laws, rescale_laws
-from cohesivefrac.solver1d import DEFAULT_CONFIG, SolverConfig
 
 __all__ = [
     "BarProblem",
@@ -140,20 +139,13 @@ def _pc_interp(times: np.ndarray, values: np.ndarray, query: np.ndarray) -> np.n
 
 def _total_variation(trace: EvolutionTrace) -> float:
     domain = trace.domain
-    interior = set(range(1, domain.n_elements))
-    best = 0.0
-    for r in trace.records:
-        u = r.displacement
-        tv = float(np.sum(domain.element_lengths * np.abs(u.slopes)))
-        tv += sum(abs(v) for s, v in u.jumps.items() if s in interior)
-        best = max(best, tv)
-    return best
+    interior = [0 < s < domain.n_elements for s in domain.jump_sites()]
+    tv = domain.length * np.abs(trace.slope) + np.abs(trace.jumps[:, interior]).sum(axis=1)
+    return float(np.max(tv))
 
 
 def trace_jump_counts(trace: EvolutionTrace, tol: float = 1e-12) -> np.ndarray:
-    return np.array(
-        [sum(1 for v in r.displacement.jumps.values() if abs(v) > tol) for r in trace.records]
-    )
+    return np.count_nonzero(np.abs(trace.jumps) > tol, axis=1)
 
 
 def size_effect_sweep(
@@ -161,7 +153,6 @@ def size_effect_sweep(
     alpha: float,
     h_list,
     delta_list=None,
-    cfg: SolverConfig = DEFAULT_CONFIG,
 ) -> ScalingReport:
     """Run the rescaled evolutions over increasing h and collect diagnostics.
 
@@ -185,7 +176,6 @@ def size_effect_sweep(
         base.program(min(delta_list)),
         plain_laws(base.law),
         "griffith",
-        cfg,
     )
     ref_times = reference.times()
     ref_totals = reference.totals()
@@ -207,20 +197,18 @@ def size_effect_sweep(
     def one_row(pair) -> RegimeRow:
         h, delta = pair
         scaled = build_scaled_problem(base, h, alpha)
-        trace = evolve(base.domain, initial, scaled.program(delta), scaled.laws, "cohesive", cfg)
+        trace = evolve(base.domain, initial, scaled.program(delta), scaled.laws, "cohesive")
         times = trace.times()
         totals = trace.totals()
-        bulks = np.array([r.energy.bulk for r in trace.records])
 
         union = np.union1d(times, ref_times)
         gap_sup = float(
             np.max(np.abs(_pc_interp(times, totals, union) - _pc_interp(ref_times, ref_totals, union)))
         )
         bulk_gap_sup = float(
-            np.max(np.abs(_pc_interp(times, bulks, union) - elastic_reference(union)))
+            np.max(np.abs(_pc_interp(times, trace.bulk, union) - elastic_reference(union)))
         )
-        u0 = trace.records[0].displacement
-        grad_l1 = float(np.sum(base.domain.element_lengths * np.abs(u0.slopes)))
+        grad_l1 = L * abs(float(trace.slope[0]))
         bound = (n_crack_sites + n_boundary_sites + 1) / (base.law.a * h**alpha)
         return RegimeRow(
             h=h,

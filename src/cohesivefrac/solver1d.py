@@ -2,9 +2,9 @@
 
 Two routes are provided and kept deliberately independent:
 
-* :func:`incremental_minimize` exploits structure.  With constant slope
-  being bulk-optimal for any prescribed total jump (Jensen, ``f`` convex),
-  the energy reduces to a competition between the elastic residual
+* The structured step exploits structure.  With constant slope being
+  bulk-optimal for any prescribed total jump (Jensen, ``f`` convex), the
+  energy reduces to a competition between the elastic residual
   ``bulk_weight * L * f((Delta - T)/L)`` and the cohesive cost of
   distributing the total jump ``T``.  Concavity of ``phi`` with
   ``phi(0) = 0`` makes the surface cost subadditive, so a minimizer never
@@ -12,19 +12,25 @@ Two routes are provided and kept deliberately independent:
   their recorded opening, and concentrates any excess beyond the total
   free capacity at a single site.  Each surviving branch is a 1d problem
   solved exactly: its minimum lies at an end of its interval or at a
-  closed-form stationary point of a smooth piece.
+  closed-form stationary point of a smooth piece.  A step is therefore
+  a function of the bar length, the signed datum difference and the
+  memory vector over the jump sites, and returns one slope and one
+  oriented jump per site: :func:`_cohesive_step` and
+  :func:`_griffith_step` work on those floats alone, and
+  :func:`incremental_minimize` and :func:`griffith_minimize` wrap them
+  in displacement objects for library callers.
 
 * :func:`brute_force_minimize` quantizes jump vectors over the active
   sites and enumerates them exhaustively.  It knows nothing about the
   branch structure above and is the certification oracle for it.
 
-Ties are broken toward the smaller total jump, then the leftmost site.
+Ties (energies within ``TIE_TOL``) are broken toward the smaller total
+jump, then the leftmost site.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +46,6 @@ from cohesivefrac.bar1d import (
 from cohesivefrac.laws import RescaledLaws
 
 __all__ = [
-    "SolverConfig",
     "NonconvergenceError",
     "BudgetError",
     "incremental_minimize",
@@ -48,6 +53,10 @@ __all__ = [
     "griffith_minimize",
     "certify_minimality",
 ]
+
+TIE_TOL = 1e-12
+# how far the structured energy may sit above the oracle's
+CERTIFICATION_TOL = 1e-9
 
 
 class NonconvergenceError(RuntimeError):
@@ -66,75 +75,11 @@ class BudgetError(RuntimeError):
     """The requested brute-force enumeration exceeds the search budget."""
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    tie_tol: float = 1e-12
-    certify: bool = False
-    certification_tol: float = 1e-9
-    oracle_grid_step: float = 1e-3
-    oracle_max_sites: int = 3
-    oracle_budget: int = 40_000_000
-
-
-DEFAULT_CONFIG = SolverConfig()
-
-
 def _delta(domain: Domain1D, g) -> float | None:
     """Net datum difference when both ends are Dirichlet, else None."""
     if LEFT in domain.dirichlet and RIGHT in domain.dirichlet:
         return float(g[1]) - float(g[0])
     return None
-
-
-def _trivial_state(domain: Domain1D) -> Displacement1D:
-    return Displacement1D(np.zeros(domain.n_elements))
-
-
-@dataclass(frozen=True)
-class _Branch:
-    energy: float
-    total_jump: float
-    site_order: float
-    oriented: dict
-
-
-def _memory_fill(sites_psi, amount: float) -> dict:
-    """Fill free capacity leftmost-first until ``amount`` is exhausted."""
-    fill = {}
-    left = amount
-    for site, psi in sites_psi:
-        if left <= 0.0:
-            break
-        take = min(psi, left)
-        if take > 0.0:
-            fill[site] = take
-            left -= take
-    return fill
-
-
-def incremental_minimize(
-    domain: Domain1D,
-    crack: CrackState,
-    g,
-    laws: RescaledLaws,
-    cfg: SolverConfig = DEFAULT_CONFIG,
-) -> Displacement1D:
-    """Minimize the one-step cohesive energy over slopes and jump sites.
-
-    The returned displacement carries a constant slope and jumps only at
-    memory sites plus at most one fresh site.  With ``cfg.certify`` the
-    brute-force oracle is run on the same instance and a
-    :class:`NonconvergenceError` is raised if it wins by more than
-    ``cfg.certification_tol``.
-    """
-    delta = _delta(domain, g)
-    if delta is None or delta == 0.0:
-        u = _trivial_state(domain)
-    else:
-        u = _structured_minimize(domain, crack, g, delta, laws, cfg)
-    if cfg.certify:
-        certify_minimality(u, domain, crack, g, laws, cfg)
-    return u
 
 
 def _excess_minima(laws, L, c, shifts):
@@ -165,90 +110,116 @@ def _excess_minima(laws, L, c, shifts):
     return e[best, pick], energy[best, pick]
 
 
-def _structured_minimize(domain, crack, g, delta, laws, cfg) -> Displacement1D:
-    L = domain.length
+def _memory_refill(psi: list, amount: float) -> list:
+    """Openings that refill free memory leftmost-first until ``amount`` is used."""
+    jumps = [0.0] * len(psi)
+    left = amount
+    for k, p in enumerate(psi):
+        if left <= 0.0:
+            break
+        take = min(p, left)
+        if take > 0.0:
+            jumps[k] = take
+            left -= take
+    return jumps
+
+
+def _cohesive_step(laws: RescaledLaws, L: float, delta: float, psi: list) -> tuple:
+    """One cohesive step on floats: ``(slope, oriented jumps)``.
+
+    ``psi`` is the opening memory per jump site, in site order, and
+    ``delta`` the signed datum difference (0 when an end is free).  The
+    branches are the memory refill up to ``min(sum psi, |delta|)`` and,
+    past the free capacity, the excess at one memory site or at the
+    leftmost fresh site; the jumps carry the sign of ``delta``.
+    """
+    if delta == 0.0:
+        return 0.0, [0.0] * len(psi)
     bw, sw = laws.bulk_weight, laws.surface_weight
     sigma = 1.0 if delta > 0.0 else -1.0
     D = abs(delta)
-    mem = sorted(crack.psi.items())
+    mem = [(k, p) for k, p in enumerate(psi) if p > 0.0]
     psi_total = sum(p for _, p in mem)
     sunk = sw * float(np.sum(laws.phi([p for _, p in mem]))) if mem else 0.0
 
-    branches: list[_Branch] = []
-
-    # within free capacity: opening is surface-free, bulk decreases in T
+    # (energy, total jump, site of the excess or -1, excess); within free
+    # capacity opening is surface-free and the bulk decreases in T
     t_a = min(psi_total, D)
-    branches.append(
-        _Branch(
-            energy=bw * L * laws.bulk((D - t_a) / L) + sunk,
-            total_jump=t_a,
-            site_order=-1.0,
-            oriented=_memory_fill(mem, t_a),
-        )
-    )
-
+    branches = [(bw * L * laws.bulk((D - t_a) / L) + sunk, t_a, -1, 0.0)]
     excess_cap = D - psi_total
     if excess_cap > 0.0:
         # exceed one memory site beyond its recorded opening, or open the
         # leftmost fresh site (a memory of 0)
-        fresh = next((s for s in domain.jump_sites() if s not in crack.psi), None)
+        fresh = next((k for k, p in enumerate(psi) if p == 0.0), None)
         owners = mem + ([(fresh, 0.0)] if fresh is not None else [])
         if owners:
             shifts = np.array([p for _, p in owners])
-            excess, energy = _excess_minima(laws, L, excess_cap, shifts)
-            for (site, _), e_star, v in zip(owners, excess.tolist(), energy.tolist()):
-                oriented = _memory_fill(mem, psi_total)
-                oriented[site] = oriented.get(site, 0.0) + e_star
-                branches.append(
-                    _Branch(
-                        energy=v + sunk,
-                        total_jump=psi_total + e_star,
-                        site_order=float(site),
-                        oriented=oriented,
-                    )
-                )
+            e_stars, energies = _excess_minima(laws, L, excess_cap, shifts)
+            for (k, _), e_star, v in zip(owners, e_stars.tolist(), energies.tolist()):
+                branches.append((v + sunk, psi_total + e_star, k, e_star))
 
-    best = min(branches, key=lambda b: b.energy)
-    tied = [b for b in branches if b.energy <= best.energy + cfg.tie_tol]
-    chosen = min(tied, key=lambda b: (b.total_jump, b.site_order))
+    best = min(b[0] for b in branches)
+    tied = [b for b in branches if b[0] <= best + TIE_TOL]
+    _, total_jump, owner, excess = min(tied, key=lambda b: (b[1], b[2]))
 
-    slope = sigma * (D - chosen.total_jump) / L
-    oriented = {s: sigma * v for s, v in chosen.oriented.items() if v != 0.0}
-    return make_displacement(
-        domain, (float(g[0]), float(g[1])), np.full(domain.n_elements, slope), oriented
-    )
+    jumps = _memory_refill(psi, t_a if owner < 0 else psi_total)
+    if owner >= 0:
+        jumps[owner] += excess
+    return sigma * (D - total_jump) / L, [sigma * j if j != 0.0 else 0.0 for j in jumps]
 
 
-def griffith_minimize(
-    domain: Domain1D,
-    crack_sites,
-    g,
-    laws: RescaledLaws,
-    cfg: SolverConfig = DEFAULT_CONFIG,
+def _griffith_step(laws: RescaledLaws, L: float, delta: float, psi: list) -> tuple:
+    """One brittle step on floats: ``(slope, oriented jumps)``.
+
+    Unit cost per fresh site, free reopening: with any cracked site
+    (``psi > 0``) the leftmost one absorbs the datum difference at zero
+    cost.  Otherwise the elastic state competes with a single fully
+    opened leftmost site; ties prefer the elastic state.
+    """
+    jumps = [0.0] * len(psi)
+    if delta == 0.0:
+        return 0.0, jumps
+    site = next((k for k, p in enumerate(psi) if p > 0.0), None)
+    if site is None:
+        if laws.bulk_weight * delta**2 / L <= laws.surface_weight + TIE_TOL:
+            return delta / L, jumps
+        site = 0
+    jumps[site] = delta
+    return 0.0, jumps
+
+
+def _displacement(domain: Domain1D, g, step) -> Displacement1D:
+    slope, jumps = step
+    oriented = {s: j for s, j in zip(domain.jump_sites(), jumps) if j != 0.0}
+    return make_displacement(domain, g, np.full(domain.n_elements, slope), oriented)
+
+
+def incremental_minimize(
+    domain: Domain1D, crack: CrackState, g, laws: RescaledLaws
 ) -> Displacement1D:
+    """Minimize the one-step cohesive energy over slopes and jump sites.
+
+    The returned displacement carries a constant slope and jumps only at
+    memory sites plus at most one fresh site.
+    """
+    psi = [crack.value(s) for s in domain.jump_sites()]
+    delta = _delta(domain, g)
+    step = _cohesive_step(laws, domain.length, 0.0 if delta is None else delta, psi)
+    return _displacement(domain, g, step)
+
+
+def griffith_minimize(domain: Domain1D, crack_sites, g, laws: RescaledLaws) -> Displacement1D:
     """One-step brittle minimization: unit cost per fresh site, free reopening.
 
     With any existing crack site the datum difference is absorbed there at
     zero cost.  Otherwise the elastic state competes with a single fully
     opened fresh site; ties prefer the elastic state.
     """
+    cracked = set(crack_sites)
+    psi = [float(s in cracked) for s in domain.jump_sites()]
     delta = _delta(domain, g)
-    if delta is None or delta == 0.0:
-        return _trivial_state(domain)
-    pair = (float(g[0]), float(g[1]))
-    existing = sorted(set(crack_sites))
-    if existing:
-        return make_displacement(
-            domain, pair, np.zeros(domain.n_elements), {existing[0]: delta}
-        )
-    bw, sw = laws.bulk_weight, laws.surface_weight
-    elastic_energy = bw * delta**2 / domain.length
-    if elastic_energy <= sw * 1.0 + cfg.tie_tol:
-        return make_displacement(
-            domain, pair, np.full(domain.n_elements, delta / domain.length), {}
-        )
-    fresh = domain.jump_sites()[0]
-    return make_displacement(domain, pair, np.zeros(domain.n_elements), {fresh: delta})
+    step = _griffith_step(laws, domain.length, 0.0 if delta is None else delta, psi)
+    return _displacement(domain, g, step)
 
 
 def _candidate_values(limit: float, step: float, specials) -> np.ndarray:
@@ -286,7 +257,7 @@ def brute_force_minimize(
         raise BudgetError(f"grid step {jump_grid_step} below the supported budget")
     delta = _delta(domain, g)
     if delta is None:
-        return _trivial_state(domain)
+        return Displacement1D(np.zeros(domain.n_elements))
 
     mem = sorted(crack.psi.items())
     fresh_sites = [s for s in domain.jump_sites() if s not in crack.psi][:n_fresh]
@@ -355,25 +326,17 @@ def certify_minimality(
     crack: CrackState,
     g,
     laws: RescaledLaws,
-    cfg: SolverConfig = DEFAULT_CONFIG,
+    jump_grid_step: float = 1e-3,
 ) -> tuple[float, float]:
     """Compare a candidate state against the brute-force oracle.
 
     Returns ``(candidate_energy, oracle_energy)``; raises
-    :class:`NonconvergenceError` when the oracle wins by more than the
-    certification tolerance.
+    :class:`NonconvergenceError` when the oracle, on a jump grid of step
+    ``jump_grid_step``, wins by more than ``CERTIFICATION_TOL``.
     """
     e_struct = total_energy(u, crack, g, laws, domain).total
-    v = brute_force_minimize(
-        domain,
-        crack,
-        g,
-        laws,
-        jump_grid_step=cfg.oracle_grid_step,
-        max_active_sites=cfg.oracle_max_sites,
-        budget=cfg.oracle_budget,
-    )
+    v = brute_force_minimize(domain, crack, g, laws, jump_grid_step)
     e_oracle = total_energy(v, crack, g, laws, domain).total
-    if e_struct > e_oracle + cfg.certification_tol:
+    if e_struct > e_oracle + CERTIFICATION_TOL:
         raise NonconvergenceError(e_struct, e_oracle)
     return e_struct, e_oracle

@@ -10,8 +10,6 @@ from cohesivefrac.bar1d import (
     consistency_residual,
     griffith_energy,
     make_displacement,
-    reconstruct,
-    sup_norm,
     total_energy,
 )
 from cohesivefrac.laws import CohesiveLaw, LawKind, plain_laws
@@ -137,30 +135,6 @@ class TestEnergy:
         e = griffith_energy(Displacement1D(np.full(4, 0.7)), [2], d)
         assert e.bulk == pytest.approx(0.49, abs=1e-15)
         assert e.surface == 1.0
-
-
-class TestReconstruct:
-    def test_zero_everything(self):
-        d = bar(4)
-        left, right = reconstruct(Displacement1D(np.zeros(4)), d, 0.0)
-        assert np.all(left == 0.0) and np.all(right == 0.0)
-
-    def test_single_element_slope(self):
-        d = Domain1D(np.array([0.0, 1.0]))
-        left, right = reconstruct(Displacement1D(np.array([2.0])), d, 0.0)
-        assert left[1] == pytest.approx(2.0)
-
-    def test_interior_jump(self):
-        d = bar(2)
-        left, right = reconstruct(Displacement1D(np.zeros(2), {1: 1.0}), d, 0.0)
-        assert left[1] == 0.0
-        assert right[1] == 1.0
-        assert left[2] == 1.0
-
-    def test_sup_norm_with_mismatch(self):
-        d = bar(2)
-        u = Displacement1D(np.zeros(2), {2: -1.0})
-        assert sup_norm(u, d, (0.0, 1.0)) == 0.0
 
 
 class TestConsistency:

@@ -13,7 +13,7 @@ import cohesivefrac
 from cohesivefrac.cli import PLANAR_HEADER, SWEEP_HEADER, TRACE_HEADER, emit_csv, main
 from cohesivefrac.config import ConfigError, load_config
 from cohesivefrac.laws import LawKind
-from cohesivefrac.solver1d import NonconvergenceError
+from cohesivefrac.planar2d import PlanarNumericError
 
 FULL_CONFIG = """
 [domain]
@@ -254,11 +254,92 @@ class TestMain:
 
     def test_solver_failure_exit_code(self, config_path, monkeypatch, capsys):
         def boom(path):
-            raise NonconvergenceError(1.0, 0.5)
+            raise PlanarNumericError("lip solve residual 1")
 
         monkeypatch.setattr("cohesivefrac.cli.load_config", boom)
-        assert main(["evolve", "--config", "ignored"]) == 3
+        assert main(["planar", "--config", "ignored"]) == 3
         assert "solver error" in capsys.readouterr().err
+
+
+BAR_SECTIONS = {
+    "domain": {"elements": "8", "length": "1.0"},
+    "law": {"kind": "dugdale", "a": "2.0"},
+    "program": {"horizon": "1.2", "delta": "0.1"},
+    "sweep": {"alpha": "0.5", "h": "1, 10"},
+}
+
+
+def _bar_config(config_path, section=None, key=None, value=None):
+    sections = {name: dict(keys) for name, keys in BAR_SECTIONS.items()}
+    if section is not None:
+        sections[section][key] = value
+    return config_path("".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) + "\n"
+        for name, keys in sections.items()
+    ))
+
+
+@pytest.fixture
+def no_bar_solve(monkeypatch):
+    def solve(*args, **kwargs):
+        raise AssertionError("solver reached")
+
+    monkeypatch.setattr("cohesivefrac.cli.evolve", solve)
+    monkeypatch.setattr("cohesivefrac.cli.size_effect_sweep", solve)
+
+
+class TestBarRanges:
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("sweep", "sweep", "alpha", "3"),
+        ("sweep", "sweep", "h", "0.5"),
+        ("sweep", "sweep", "h", "nan"),
+        ("sweep", "sweep", "h", "10, 1"),
+        ("sweep", "sweep", "delta", "0.1"),
+        ("evolve", "program", "delta", "0"),
+        ("evolve", "program", "delta", "-0.1"),
+        ("evolve", "program", "horizon", "0"),
+        ("evolve", "domain", "elements", "0"),
+        ("evolve", "domain", "length", "0"),
+        ("evolve", "law", "a", "-2"),
+    ])
+    def test_rejects_out_of_range(self, command, section, key, value, config_path,
+                                  no_bar_solve, capsys):
+        cfg = _bar_config(config_path, section, key, value)
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: [{section}] {key} must be"), err
+
+    def test_crack_at_free_end_rejected(self, config_path, no_bar_solve, capsys):
+        cfg = config_path(FULL_CONFIG.replace("crack = 0.5:0.3", "crack = 0.0:0.3")
+                          .replace("dirichlet = left,right", "dirichlet = right"))
+        assert main(["evolve", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("config error: [domain] crack site 0")
+
+    @pytest.mark.parametrize("flag, value", [("--alpha", "3"), ("--h", "0.5")])
+    def test_sweep_override_range_checked(self, flag, value, config_path, no_bar_solve,
+                                          capsys):
+        assert main(["sweep", "--config", _bar_config(config_path), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: [sweep] {flag[2:]} must be"), err
+
+    def test_delta_override_range_checked(self, config_path, no_bar_solve, capsys):
+        assert main(["evolve", "--config", _bar_config(config_path), "--delta", "0"]) == 2
+        assert capsys.readouterr().err.startswith("config error: [program] delta must be")
+
+    @pytest.mark.parametrize("command", ["sweep", "planar"])
+    def test_delta_flag_only_on_traces(self, command, config_path):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--config", config_path(FULL_CONFIG), "--delta", "0.5"])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("command", ["evolve", "griffith"])
+    def test_check_requires_energy_balance(self, command, config_path, monkeypatch, capsys):
+        class Report:
+            cumulative_violation = 3e-7
+
+        monkeypatch.setattr("cohesivefrac.cli.energy_balance_report", lambda *a: Report())
+        assert main([command, "--config", _bar_config(config_path), "--check"]) == 4
+        assert "energy-balance violation 3e-07" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_special_unloaded():

@@ -7,14 +7,12 @@ from cohesivefrac.bar1d import (
     CrackState,
     Domain1D,
     consistency_residual,
-    sup_norm,
     total_energy,
 )
 from cohesivefrac.laws import BulkDensity, CohesiveLaw, LawKind, RescaledLaws, plain_laws
 from cohesivefrac.solver1d import (
     BudgetError,
     NonconvergenceError,
-    SolverConfig,
     _excess_minima,
     brute_force_minimize,
     certify_minimality,
@@ -129,11 +127,11 @@ class TestStructured:
             assert abs(consistency_residual(u, domain, g)) < 1e-9
 
     def test_certified_run_passes(self):
-        cfg = SolverConfig(certify=True, oracle_grid_step=2e-3)
         domain = bar(crack=((0.5, 0.6),))
         crack = domain.initial_crack_state()
         for g in [(0.0, 0.5), (0.0, 1.3), (0.0, 2.4), (0.0, -0.8)]:
-            incremental_minimize(domain, crack, g, EXPONENTIAL2, cfg)
+            u = incremental_minimize(domain, crack, g, EXPONENTIAL2)
+            certify_minimality(u, domain, crack, g, EXPONENTIAL2, jump_grid_step=2e-3)
 
     def test_certification_rejects_bad_candidate(self):
         from cohesivefrac.bar1d import make_displacement
@@ -282,13 +280,15 @@ class TestAgreement:
         exponential=st.booleans(),
     )
     def test_sup_norm_never_exceeds_data(self, delta, psi, exponential):
+        # a slope and oriented jumps of the datum's sign make the
+        # displacement monotone between the data, which bounds its sup
         crack_spec = ((0.5, psi),) if psi > 0 else ()
         domain = bar(crack=crack_spec)
         crack = domain.initial_crack_state()
         laws = EXPONENTIAL2 if exponential else DUGDALE2
-        g = (0.0, delta)
-        u = incremental_minimize(domain, crack, g, laws)
-        assert sup_norm(u, domain, g) <= max(abs(g[0]), abs(g[1])) + 1e-9
+        u = incremental_minimize(domain, crack, (0.0, delta), laws)
+        increments = [u.slopes[0], *u.oriented_jumps(domain).values()]
+        assert all(np.sign(v) in (0.0, np.sign(delta)) for v in increments)
 
     @settings(max_examples=60, deadline=None)
     @given(delta=st.floats(0.0, 3.0))
