@@ -4,9 +4,10 @@ The bar occupies ``(0, L)``.  A displacement is stored as one slope per
 mesh element plus a sparse map of signed jumps keyed by node index.  Jump
 slots exist at every interior node and, when the corresponding end is a
 Dirichlet end, at the boundary nodes; a boundary "jump" is the mismatch
-between the displacement trace and the boundary datum, stored as
-trace-minus-datum (only its magnitude enters the energy, so the sign
-convention is a bookkeeping choice).
+between the displacement trace and the boundary datum.  Every jump is
+stored oriented, as the increment of the function extended by the data
+crossing its site left to right: datum to trace at the left end, trace to
+datum at the right end.  Only magnitudes enter the energy.
 
 The crack history is a map from node index to the largest opening ever
 reached there.  A site with positive memory contributes its cohesive
@@ -154,8 +155,9 @@ class CrackState:
 class Displacement1D:
     """Slopes per element plus sparse signed jumps keyed by node index.
 
-    Interior entries are ``u(x+) - u(x-)``; entries at Dirichlet boundary
-    nodes are trace-minus-datum mismatches.
+    Entries are oriented increments: ``u(x+) - u(x-)`` at interior nodes,
+    trace minus datum at the left end and datum minus trace at the right
+    end.
     """
 
     slopes: np.ndarray
@@ -166,22 +168,6 @@ class Displacement1D:
         object.__setattr__(
             self, "jumps", {int(s): float(v) for s, v in dict(self.jumps).items() if v != 0.0}
         )
-
-    def oriented_jumps(self, domain: Domain1D) -> dict[int, float]:
-        """Jumps oriented as increments of the extended function, left to right.
-
-        Interior values and the left-boundary mismatch are already oriented;
-        the right-boundary mismatch flips sign because crossing the right
-        end goes from trace to datum.
-        """
-        out = dict(self.jumps)
-        last = domain.n_elements
-        if last in out:
-            out[last] = -out[last]
-        return out
-
-    def max_opening(self) -> float:
-        return max((abs(v) for v in self.jumps.values()), default=0.0)
 
     def validate(self, domain: Domain1D) -> None:
         if self.slopes.shape != (domain.n_elements,):
@@ -265,15 +251,15 @@ def griffith_energy(
 def consistency_residual(u: Displacement1D, domain: Domain1D, g) -> float:
     """Defect of the closed walk datum -> trace -> ... -> trace -> datum.
 
-    Zero iff the stored boundary mismatches close the identity
-    ``left trace + sum(slope*len) + sum(interior jumps) = right trace``
-    when both ends are Dirichlet.
+    Zero iff the oriented jumps, boundary mismatches included, and the
+    slopes carry the left datum to the right one,
+    ``g_left + sum(jumps) + sum(slope*len) = g_right``, when both ends
+    are Dirichlet.
     """
     gl, gr = _check_boundary_data(domain, g)
     if not (LEFT in domain.dirichlet and RIGHT in domain.dirichlet):
         raise ValueError("consistency check requires Dirichlet conditions at both ends")
-    oriented = u.oriented_jumps(domain)
-    walk = gl + sum(oriented.values()) + float(np.sum(domain.element_lengths * u.slopes))
+    walk = gl + sum(u.jumps.values()) + float(np.sum(domain.element_lengths * u.slopes))
     return walk - gr
 
 
@@ -281,21 +267,16 @@ def make_displacement(
     domain: Domain1D,
     g,
     slopes,
-    oriented_jumps: Mapping[int, float] | None = None,
+    jumps: Mapping[int, float] | None = None,
 ) -> Displacement1D:
-    """Build a displacement from oriented jumps, converting to storage signs.
+    """Build a displacement from oriented jumps and check it against the data.
 
-    ``oriented_jumps`` are increments of the extended function crossing each
-    site left to right (boundary slots included).  When both ends are
-    Dirichlet the closure identity is enforced to 1e-9.
+    ``jumps`` are increments of the extended function crossing each site
+    left to right (boundary slots included).  When both ends are Dirichlet
+    the closure identity is enforced to 1e-9.
     """
     _check_boundary_data(domain, g)
-    oriented = {int(s): float(v) for s, v in (oriented_jumps or {}).items()}
-    stored = dict(oriented)
-    last = domain.n_elements
-    if last in stored:
-        stored[last] = -stored[last]
-    u = Displacement1D(np.asarray(slopes, dtype=float), stored)
+    u = Displacement1D(np.asarray(slopes, dtype=float), jumps or {})
     u.validate(domain)
     if LEFT in domain.dirichlet and RIGHT in domain.dirichlet:
         res = consistency_residual(u, domain, g)

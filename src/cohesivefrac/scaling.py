@@ -29,15 +29,13 @@ import numpy as np
 
 from cohesivefrac.bar1d import LEFT, RIGHT, Domain1D
 from cohesivefrac.evolution import EvolutionTrace, LoadProgram, evolve
-from cohesivefrac.laws import CohesiveLaw, RescaledLaws, plain_laws, rescale_laws
+from cohesivefrac.laws import CohesiveLaw, plain_laws, rescale_laws
 
 __all__ = [
     "BarProblem",
-    "ScaledProblem",
     "RegimeRow",
     "ScalingReport",
     "Regime",
-    "build_scaled_problem",
     "size_effect_sweep",
     "classify_regime",
     "half_saturation_opening",
@@ -68,30 +66,6 @@ class BarProblem:
     @staticmethod
     def tearing(domain: Domain1D, law: CohesiveLaw, horizon: float = 2.0) -> "BarProblem":
         return BarProblem(domain, law, lambda t: 0.0, lambda t: t, horizon)
-
-
-@dataclass(frozen=True)
-class ScaledProblem:
-    """Base problem dilated by h, pulled back to the fixed domain."""
-
-    base: BarProblem
-    h: float
-    alpha: float
-    laws: RescaledLaws
-    normalization: float
-
-    def program(self, delta: float) -> LoadProgram:
-        return self.base.program(delta)
-
-
-def build_scaled_problem(base: BarProblem, h: float, alpha: float) -> ScaledProblem:
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
-    laws = rescale_laws(base.law, base.law.a, h, alpha)
-    # reported energies divide the physical ones by this power of h
-    # (trivial above alpha = 1/2 in one dimension)
-    normalization = 1.0 if alpha >= 0.5 else h ** (2.0 * alpha - 1.0)
-    return ScaledProblem(base, float(h), float(alpha), laws, normalization)
 
 
 @dataclass(frozen=True)
@@ -196,8 +170,8 @@ def size_effect_sweep(
 
     def one_row(pair) -> RegimeRow:
         h, delta = pair
-        scaled = build_scaled_problem(base, h, alpha)
-        trace = evolve(base.domain, initial, scaled.program(delta), scaled.laws, "cohesive")
+        laws = rescale_laws(base.law, base.law.a, h, alpha)
+        trace = evolve(base.domain, initial, base.program(delta), laws, "cohesive")
         times = trace.times()
         totals = trace.totals()
 

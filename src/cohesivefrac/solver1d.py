@@ -10,22 +10,26 @@ Two routes are provided and kept deliberately independent:
   ``phi(0) = 0`` makes the surface cost subadditive, so a minimizer never
   opens more than one fresh site, reopens memory sites for free up to
   their recorded opening, and concentrates any excess beyond the total
-  free capacity at a single site.  Each surviving branch is a 1d problem
-  solved exactly: its minimum lies at an end of its interval or at a
-  closed-form stationary point of a smooth piece.  A step is therefore
-  a function of the bar length, the signed datum difference and the
-  memory vector over the jump sites, and returns one slope and one
-  oriented jump per site: :func:`_cohesive_step` and
-  :func:`_griffith_step` work on those floats alone, and
-  :func:`incremental_minimize` and :func:`griffith_minimize` wrap them
-  in displacement objects for library callers.
+  free capacity at a single site.  Concavity also makes the increment
+  ``phi(p + e) - phi(p)`` nonincreasing in the memory ``p``, so at every
+  excess ``e`` the site of largest memory is never beaten as the owner:
+  a step prices that one branch, a 1d problem solved exactly, whose
+  minimum lies at an end of its interval or at a closed-form stationary
+  point of a smooth piece.  A step is therefore a function of the bar
+  length, the signed datum difference and the memory vector over the
+  jump sites, and returns one slope and one oriented jump per site:
+  :func:`_cohesive_step` and :func:`_griffith_step` work on those floats
+  alone, and :func:`incremental_minimize` and :func:`griffith_minimize`
+  wrap them in displacement objects for library callers.
 
 * :func:`brute_force_minimize` quantizes jump vectors over the active
   sites and enumerates them exhaustively.  It knows nothing about the
   branch structure above and is the certification oracle for it.
 
-Ties (energies within ``TIE_TOL``) are broken toward the smaller total
-jump, then the leftmost site.
+Ties go to the smaller total jump: the refill wins over any excess
+within ``TIE_TOL``.  The excess goes to the site of largest memory, the
+leftmost of those when several tie, and the leftmost site when there is
+no memory.
 """
 
 from __future__ import annotations
@@ -82,10 +86,10 @@ def _delta(domain: Domain1D, g) -> float | None:
     return None
 
 
-def _excess_minima(laws, L, c, shifts):
-    """Exact minima of the excess branches, one per memory ``p`` in ``shifts``.
+def _excess_minimum(laws, L, c, p):
+    """Exact minimum of the excess branch of an owner with memory ``p``.
 
-    Branch ``p`` minimizes ``bw*L*f((c - e)/L) + sw*(phi(p + e) - phi(p))``
+    The branch minimizes ``bw*L*f((c - e)/L) + sw*(phi(p + e) - phi(p))``
     over the excess ``e`` in ``[0, c]``, where ``c`` is the datum
     difference left over once every memory site is refilled.  Below
     ``c - L*threshold`` the bulk is affine and the branch concave, so it
@@ -94,20 +98,21 @@ def _excess_minima(laws, L, c, shifts):
     :meth:`CohesiveLaw.stationary_points`.  The bulk threshold is a C1
     join and the Dugdale saturation a concave kink, so neither holds a
     minimum that is not already a candidate: the ends and the stationary
-    points suffice.  All candidates are evaluated at once; ties go to
-    the smaller excess.  Returns ``(e, energy)``.
+    points suffice.  ``e = 0``, the plain refill, wins whenever it is
+    within ``TIE_TOL`` of the minimum; other ties go to the smaller
+    excess.  Returns ``(e, energy)``.
     """
     phi, sw = laws.phi, laws.surface_weight
-    weights = sw * phi.deriv(shifts) / phi.a
-    stationary = phi.stationary_points(laws.bulk_weight / L, c, weights)
-    # one column of candidates per branch
-    e = np.vstack([np.zeros(shifts.size), np.full(shifts.size, c), stationary])
+    stationary = phi.stationary_points(laws.bulk_weight / L, c, sw * phi.deriv(p) / phi.a)
     # fmin maps a point that is not real (NaN) to the right end
-    e = np.sort(np.maximum(np.fmin(e, c), 0.0), axis=0)
-    energy = laws.bulk_weight * L * laws.bulk((c - e) / L) + sw * (phi(shifts + e) - phi(shifts))
-    best = np.argmin(energy, axis=0)
-    pick = np.arange(shifts.size)
-    return e[best, pick], energy[best, pick]
+    e = np.sort(np.maximum(np.fmin(np.concatenate([[0.0, c], stationary]), c), 0.0))
+    # e[0] is 0, so cost[0] is phi(p)
+    cost = phi(p + e)
+    energy = laws.bulk_weight * L * laws.bulk((c - e) / L) + sw * (cost - cost[0])
+    best = int(np.argmin(energy))
+    if energy[0] <= energy[best] + TIE_TOL:
+        best = 0
+    return float(e[best]), float(energy[best])
 
 
 def _memory_refill(psi: list, amount: float) -> list:
@@ -129,42 +134,24 @@ def _cohesive_step(laws: RescaledLaws, L: float, delta: float, psi: list) -> tup
 
     ``psi`` is the opening memory per jump site, in site order, and
     ``delta`` the signed datum difference (0 when an end is free).  The
-    branches are the memory refill up to ``min(sum psi, |delta|)`` and,
-    past the free capacity, the excess at one memory site or at the
-    leftmost fresh site; the jumps carry the sign of ``delta``.
+    memory refills leftmost-first up to ``min(sum psi, |delta|)``; past
+    the free capacity the whole excess goes to the owner, the site of
+    largest memory (the leftmost of those, the leftmost site when there
+    is no memory).  The jumps carry the sign of ``delta``.
     """
     if delta == 0.0:
         return 0.0, [0.0] * len(psi)
-    bw, sw = laws.bulk_weight, laws.surface_weight
     sigma = 1.0 if delta > 0.0 else -1.0
     D = abs(delta)
-    mem = [(k, p) for k, p in enumerate(psi) if p > 0.0]
-    psi_total = sum(p for _, p in mem)
-    sunk = sw * float(np.sum(laws.phi([p for _, p in mem]))) if mem else 0.0
-
-    # (energy, total jump, site of the excess or -1, excess); within free
-    # capacity opening is surface-free and the bulk decreases in T
-    t_a = min(psi_total, D)
-    branches = [(bw * L * laws.bulk((D - t_a) / L) + sunk, t_a, -1, 0.0)]
-    excess_cap = D - psi_total
-    if excess_cap > 0.0:
-        # exceed one memory site beyond its recorded opening, or open the
-        # leftmost fresh site (a memory of 0)
-        fresh = next((k for k, p in enumerate(psi) if p == 0.0), None)
-        owners = mem + ([(fresh, 0.0)] if fresh is not None else [])
-        if owners:
-            shifts = np.array([p for _, p in owners])
-            e_stars, energies = _excess_minima(laws, L, excess_cap, shifts)
-            for (k, _), e_star, v in zip(owners, e_stars.tolist(), energies.tolist()):
-                branches.append((v + sunk, psi_total + e_star, k, e_star))
-
-    best = min(b[0] for b in branches)
-    tied = [b for b in branches if b[0] <= best + TIE_TOL]
-    _, total_jump, owner, excess = min(tied, key=lambda b: (b[1], b[2]))
-
-    jumps = _memory_refill(psi, t_a if owner < 0 else psi_total)
-    if owner >= 0:
+    psi_total = sum(psi)
+    # reopening up to the memory costs no surface and lowers the bulk
+    total_jump = min(psi_total, D)
+    jumps = _memory_refill(psi, total_jump)
+    if D > psi_total:
+        owner = max(range(len(psi)), key=psi.__getitem__)
+        excess, _ = _excess_minimum(laws, L, D - psi_total, psi[owner])
         jumps[owner] += excess
+        total_jump += excess
     return sigma * (D - total_jump) / L, [sigma * j if j != 0.0 else 0.0 for j in jumps]
 
 

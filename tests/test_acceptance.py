@@ -153,24 +153,28 @@ def test_irreversibility_across_traces(griffith_run, brittle_run, rupture_run):
     traces = [griffith_run[0]]
     traces += [row.trace for row in brittle_run[1].rows]
     traces += [row.trace for row in rupture_run[1].rows]
-    violations = 0
+    violations = open_walks = 0
     for trace in traces:
-        prev = CrackState()
-        for record in trace.records:
-            if not record.crack.extends(prev, tol=0.0):
-                violations += 1
-            prev = record.crack
+        domain, program = trace.domain, trace.program
+        initial = domain.initial_crack_state()
+        memory = np.vstack([[initial.value(s) for s in domain.jump_sites()], trace.psi])
+        violations += int(np.count_nonzero(np.diff(memory, axis=0) < 0.0))
+        # each row's slope and oriented jumps carry one datum to the other
+        walk = domain.length * trace.slope + trace.jumps.sum(axis=1)
+        scale = 1.0 + np.abs(program.left) + np.abs(program.right)
+        open_walks += int(np.count_nonzero(np.abs(walk - program.deltas()) > 1e-9 * scale))
     _verdict(
         "irreversibility",
-        violations == 0,
-        f"{violations} memory regressions across {len(traces)} traces",
+        violations == 0 and open_walks == 0,
+        f"{violations} memory regressions and {open_walks} open walks "
+        f"across {len(traces)} traces",
     )
 
 
 def test_brittle_scaling_ladder(brittle_run):
     _, report, elapsed = brittle_run
     gaps = np.array([row.gap_sup for row in report.rows])
-    surface = np.array([r.energy.surface for r in report.rows[-1].trace.records])
+    surface = report.rows[-1].trace.surface
     integer_dev = float(np.max(np.abs(surface - np.round(surface))))
     ok = (
         bool(np.all(np.diff(gaps) <= 1e-6))

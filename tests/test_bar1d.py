@@ -75,8 +75,9 @@ class TestEnergy:
 
     def test_boundary_mismatch_pays_surface(self):
         d = bar(4)
-        # u identically zero under g = (0, 1): trace-minus-datum is -1 at the right
-        u = Displacement1D(np.zeros(4), {4: -1.0})
+        # u identically zero under g = (0, 1): crossing the right end from
+        # trace 0 to datum 1 is an increment of 1
+        u = Displacement1D(np.zeros(4), {4: 1.0})
         e = total_energy(u, CrackState(), (0.0, 1.0), DUGDALE2, d)
         assert e.bulk == 0.0
         assert e.surface == pytest.approx(1.0, abs=1e-15)
@@ -147,9 +148,10 @@ class TestConsistency:
 
     def test_make_displacement_right_boundary_sign(self):
         d = bar(2)
-        # all of g carried by a right-boundary mismatch: trace 0, datum 1
+        # all of g carried by a right-boundary mismatch: trace 0, datum 1,
+        # stored oriented as datum minus trace
         u = make_displacement(d, (0.0, 1.0), np.zeros(2), {2: 1.0})
-        assert u.jumps[2] == -1.0
+        assert u.jumps[2] == 1.0
         assert abs(consistency_residual(u, d, (0.0, 1.0))) == 0.0
 
     def test_make_displacement_rejects_open_walk(self):
@@ -169,8 +171,8 @@ class TestConsistency:
         gl = 0.25
         # close the walk through the right mismatch, then check the identity
         gr = -0.5
-        right_trace_minus_datum = (
-            gl + j0 + float(np.sum(d.element_lengths * slopes)) + j1 - gr
+        right_datum_minus_trace = gr - (
+            gl + j0 + float(np.sum(d.element_lengths * slopes)) + j1
         )
-        u = Displacement1D(slopes, {0: j0, 1: j1, 3: right_trace_minus_datum})
+        u = Displacement1D(slopes, {0: j0, 1: j1, 3: right_datum_minus_trace})
         assert abs(consistency_residual(u, d, (gl, gr))) <= 1e-12

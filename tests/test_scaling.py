@@ -10,7 +10,6 @@ from cohesivefrac.laws import CohesiveLaw, LawKind, plain_laws
 from cohesivefrac.scaling import (
     BarProblem,
     Regime,
-    build_scaled_problem,
     classify_regime,
     half_saturation_opening,
     piecewise_constant_minimum,
@@ -28,31 +27,8 @@ def tearing_base(crack=(), horizon=2.0):
     return BarProblem.tearing(Domain1D.uniform(1.0, 4, crack=crack), DUGDALE, horizon)
 
 
-class TestBuild:
-    def test_identity_at_h_one(self):
-        scaled = build_scaled_problem(tearing_base(), 1.0, 0.5)
-        assert scaled.laws == plain_laws(DUGDALE)
-        assert scaled.normalization == 1.0
-
-    def test_dugdale_rescale_values(self):
-        scaled = build_scaled_problem(tearing_base(), 100.0, 0.5)
-        assert scaled.laws.phi.a == pytest.approx(20.0)
-        assert float(scaled.laws.phi(0.02)) == pytest.approx(0.4)
-        assert float(scaled.laws.phi(0.05)) == pytest.approx(1.0)
-        assert scaled.laws.bulk.threshold == pytest.approx(10.0)
-        assert scaled.normalization == 1.0
-
-    def test_subcritical_alpha_weights(self):
-        scaled = build_scaled_problem(tearing_base(), 16.0, 0.25)
-        assert scaled.laws.surface_weight == pytest.approx(4.0)
-        assert scaled.laws.bulk_weight == pytest.approx(1.0)
-        assert scaled.normalization == pytest.approx(0.25)
-
-    def test_rejections(self):
-        with pytest.raises(ValueError):
-            build_scaled_problem(tearing_base(), 10.0, 0.0)
-        with pytest.raises(ValueError):
-            build_scaled_problem(tearing_base(), 0.5, 0.5)
+class TestBarProblem:
+    def test_rejects_nonpositive_horizon(self):
         with pytest.raises(ValueError):
             BarProblem.tearing(Domain1D.uniform(1.0, 4), DUGDALE, 0.0)
 

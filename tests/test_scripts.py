@@ -1,0 +1,38 @@
+"""Smoke runs of the experiment scripts, each in its own interpreter."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+@pytest.mark.parametrize(
+    "name, args, line",
+    [
+        ("brittle_sweep.py", ["--h", "1,10"], "alpha = 0.5  ->  brittle_limit"),
+        ("rupture_check.py", ["--h", "1,16"], "verdict: rupture"),
+    ],
+)
+def test_script_prints_its_verdict(name, args, line):
+    assert line in run_script(name, *args)
+
+
+def test_tearing_script_dumps_the_field(tmp_path):
+    dump = tmp_path / "field.txt"
+    lines = run_script("tearing_2d.py", "--n", "8", "--h", "1,10", "--dump-field", str(dump))
+    assert f"final field written to {dump}" in lines
+    assert dump.stat().st_size > 0

@@ -13,7 +13,8 @@ from cohesivefrac.laws import BulkDensity, CohesiveLaw, LawKind, RescaledLaws, p
 from cohesivefrac.solver1d import (
     BudgetError,
     NonconvergenceError,
-    _excess_minima,
+    _cohesive_step,
+    _excess_minimum,
     brute_force_minimize,
     certify_minimality,
     griffith_minimize,
@@ -50,9 +51,8 @@ class TestStructured:
     def test_large_load_breaks_in_one_jump(self):
         domain = bar()
         u = incremental_minimize(domain, CrackState(), (0.0, 2.0), DUGDALE2)
-        oriented = u.oriented_jumps(domain)
-        assert len(oriented) == 1
-        assert list(oriented.values())[0] == pytest.approx(2.0, abs=1e-9)
+        assert len(u.jumps) == 1
+        assert list(u.jumps.values())[0] == pytest.approx(2.0, abs=1e-9)
         assert np.allclose(u.slopes, 0.0, atol=1e-12)
         assert energy_of(u, domain, CrackState(), (0.0, 2.0), DUGDALE2) == pytest.approx(
             1.0, abs=1e-9
@@ -61,9 +61,8 @@ class TestStructured:
     def test_exponential_interior_optimum(self):
         domain = bar()
         u = incremental_minimize(domain, CrackState(), (0.0, 2.0), EXPONENTIAL2)
-        oriented = u.oriented_jumps(domain)
-        assert len(oriented) == 1
-        assert list(oriented.values())[0] == pytest.approx(EXP_DELTA2_JUMP, abs=1e-5)
+        assert len(u.jumps) == 1
+        assert list(u.jumps.values())[0] == pytest.approx(EXP_DELTA2_JUMP, abs=1e-5)
         total = energy_of(u, domain, CrackState(), (0.0, 2.0), EXPONENTIAL2)
         assert total == pytest.approx(EXP_DELTA2_TOTAL, abs=1e-9)
 
@@ -71,7 +70,7 @@ class TestStructured:
         domain = bar(crack=((0.5, 0.6),))
         crack = domain.initial_crack_state()
         u = incremental_minimize(domain, crack, (0.0, 0.5), DUGDALE2)
-        assert u.oriented_jumps(domain) == pytest.approx({2: 0.5})
+        assert u.jumps == pytest.approx({2: 0.5})
         total = energy_of(u, domain, crack, (0.0, 0.5), DUGDALE2)
         # elastic competitor pays 0.25 bulk on top of the sunk phi(0.6) = 1
         assert total == pytest.approx(1.0, abs=1e-12)
@@ -80,14 +79,14 @@ class TestStructured:
         domain = bar(crack=((0.25, 0.3), (0.75, 0.3)))
         crack = domain.initial_crack_state()
         u = incremental_minimize(domain, crack, (0.0, 0.4), DUGDALE2)
-        assert u.oriented_jumps(domain) == pytest.approx({1: 0.3, 3: 0.1})
+        assert u.jumps == pytest.approx({1: 0.3, 3: 0.1})
         assert np.allclose(u.slopes, 0.0, atol=1e-12)
 
     def test_exceeding_memory_runs_to_full_break(self):
         domain = bar(crack=((0.5, 0.2),))
         crack = domain.initial_crack_state()
         u = incremental_minimize(domain, crack, (0.0, 2.0), DUGDALE2)
-        assert u.oriented_jumps(domain) == pytest.approx({2: 2.0}, abs=1e-9)
+        assert u.jumps == pytest.approx({2: 2.0}, abs=1e-9)
         total = energy_of(u, domain, crack, (0.0, 2.0), DUGDALE2)
         assert total == pytest.approx(1.0, abs=1e-9)
 
@@ -110,8 +109,7 @@ class TestStructured:
     def test_negative_load_mirrors(self):
         domain = bar()
         u = incremental_minimize(domain, CrackState(), (0.0, -2.0), DUGDALE2)
-        oriented = u.oriented_jumps(domain)
-        assert list(oriented.values())[0] == pytest.approx(-2.0, abs=1e-9)
+        assert list(u.jumps.values())[0] == pytest.approx(-2.0, abs=1e-9)
 
     def test_single_dirichlet_end_relaxes_completely(self):
         domain = Domain1D.uniform(1.0, 4, dirichlet=("left",))
@@ -168,7 +166,7 @@ class TestExcessMinima:
             def energy(e):
                 return bw * L * laws.bulk((c - e) / L) + sw * (phi(shifts + e) - phi(shifts))
 
-            e_star, got = _excess_minima(laws, L, c, shifts)
+            e_star, got = np.array([_excess_minimum(laws, L, c, p) for p in shifts]).T
             want = energy(c * grid).min(axis=0)
             assert np.all((0.0 <= e_star) & (e_star <= c))
             assert np.array_equal(got, energy(e_star[None, :])[0])
@@ -188,6 +186,52 @@ class TestExcessMinima:
             assert seen["two_stationary"] > 0
 
 
+class TestOwnerRule:
+    """Every excess goes to the site of largest memory, then the leftmost."""
+
+    @pytest.mark.parametrize("kind", list(LawKind))
+    def test_most_open_site_is_never_beaten(self, kind):
+        rng = np.random.default_rng(40 + list(LawKind).index(kind))
+        for _ in range(200):
+            law = CohesiveLaw(kind, rng.uniform(0.5, 5.0))
+            bw, sw = rng.uniform(0.2, 5.0, 2)
+            laws = RescaledLaws(h=1.0, alpha=0.5, base=law, phi=law,
+                                bulk=BulkDensity(rng.uniform(0.5, 5.0)), bulk_weight=bw,
+                                surface_weight=sw)
+            phi = laws.phi
+            L = rng.uniform(0.5, 2.0)
+            n = int(rng.integers(2, 7))
+            # a small pool of levels, so that memories repeat; the last
+            # level saturates a Dugdale law
+            pool = [*rng.uniform(0.0, 1.5 / phi.a, 2), 2.0 / phi.a]
+            held = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+            psi = [0.0] * n
+            for k in held:
+                psi[k] = float(rng.choice(pool))
+            delta = float(rng.choice([-1.0, 1.0])) * (sum(psi) + rng.uniform(0.05, 3.0))
+
+            slope, jumps = _cohesive_step(laws, L, delta, psi)
+            got = bw * L * laws.bulk(slope) + sw * sum(
+                phi(max(abs(j), p)) for j, p in zip(jumps, psi)
+            )
+            sunk = sw * sum(phi(p) for p in psi)
+            c = abs(delta) - sum(psi)
+            want = min(sunk + _excess_minimum(laws, L, c, p)[1] for p in psi)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_tie_goes_to_largest_memory(self, sign):
+        # both memories are saturated (phi = 1 past 0.5), so either one
+        # takes the excess for free; the larger one, at site 3, owns it
+        domain = bar(crack=((0.5, 0.6), (0.75, 0.8)))
+        crack = domain.initial_crack_state()
+        g = (0.0, 3.0 * sign)
+        u = incremental_minimize(domain, crack, g, DUGDALE2)
+        assert u.jumps == pytest.approx({2: 0.6 * sign, 3: 2.4 * sign})
+        assert np.allclose(u.slopes, 0.0, atol=1e-12)
+        assert energy_of(u, domain, crack, g, DUGDALE2) == pytest.approx(2.0, abs=1e-12)
+
+
 class TestBruteForce:
     def test_zero_load_keeps_sunk_cost(self):
         domain = bar(crack=((0.25, 0.1), (0.5, 0.3)))
@@ -205,8 +249,7 @@ class TestBruteForce:
     def test_full_break_found(self):
         domain = bar()
         u = brute_force_minimize(domain, CrackState(), (0.0, 2.0), DUGDALE2, 1e-3)
-        oriented = u.oriented_jumps(domain)
-        assert list(oriented.values()) == pytest.approx([2.0])
+        assert list(u.jumps.values()) == pytest.approx([2.0])
         total = energy_of(u, domain, CrackState(), (0.0, 2.0), DUGDALE2)
         assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -287,7 +330,7 @@ class TestAgreement:
         crack = domain.initial_crack_state()
         laws = EXPONENTIAL2 if exponential else DUGDALE2
         u = incremental_minimize(domain, crack, (0.0, delta), laws)
-        increments = [u.slopes[0], *u.oriented_jumps(domain).values()]
+        increments = [u.slopes[0], *u.jumps.values()]
         assert all(np.sign(v) in (0.0, np.sign(delta)) for v in increments)
 
     @settings(max_examples=60, deadline=None)
@@ -295,12 +338,11 @@ class TestAgreement:
     def test_dugdale_monotone_load_dichotomy(self, delta):
         domain = bar()
         u = incremental_minimize(domain, CrackState(), (0.0, delta), DUGDALE2)
-        oriented = u.oriented_jumps(domain)
         if delta**2 < 1.0 - 1e-9:
-            assert oriented == {}
+            assert u.jumps == {}
         elif delta**2 > 1.0 + 1e-9:
-            assert len(oriented) == 1
-            assert list(oriented.values())[0] == pytest.approx(delta, abs=1e-8)
+            assert len(u.jumps) == 1
+            assert list(u.jumps.values())[0] == pytest.approx(delta, abs=1e-8)
 
 
 class TestGriffith:
@@ -318,13 +360,12 @@ class TestGriffith:
     def test_breaks_above_threshold(self):
         domain = bar()
         u = griffith_minimize(domain, (), (0.0, 1.1), DUGDALE2)
-        oriented = u.oriented_jumps(domain)
-        assert len(oriented) == 1
-        assert list(oriented.values())[0] == pytest.approx(1.1)
+        assert len(u.jumps) == 1
+        assert list(u.jumps.values())[0] == pytest.approx(1.1)
         assert np.allclose(u.slopes, 0.0)
 
     def test_existing_site_absorbs_everything(self):
         domain = bar(crack=((0.5, 1.0),))
         u = griffith_minimize(domain, [2], (0.0, 0.4), DUGDALE2)
-        assert u.oriented_jumps(domain) == pytest.approx({2: 0.4})
+        assert u.jumps == pytest.approx({2: 0.4})
         assert np.allclose(u.slopes, 0.0)
