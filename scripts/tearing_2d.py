@@ -36,11 +36,11 @@ def main():
 
     law = CohesiveLaw(LawKind.DUGDALE, args.a)
     times = [float(v) for v in args.times.split(",")]
-    k = int(round(args.crack_length * args.n))
-    psi0 = np.zeros(args.n)
-    psi0[:k] = args.gamma
-    grid = Grid2D(args.n, psi0)
-    laws = rescale_laws(law, args.a, 1.0, args.alpha)
+    try:
+        grid = Grid2D.precracked(args.n, args.crack_length, args.gamma)
+    except ValueError as err:
+        parser.error(str(err))
+    laws = rescale_laws(law, 1.0, args.alpha)
 
     sweep = prefix_crack_sweep(grid, times[-1], laws)
     print(f"prefix sweep at t = {times[-1]:g}: best length {sweep.best_length:g}, "

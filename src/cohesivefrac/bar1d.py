@@ -20,6 +20,7 @@ bundle so the same code serves unit-size and size-swept problems.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -51,8 +52,8 @@ class Domain1D:
     ``nodes`` are the M+1 mesh nodes, strictly increasing from 0 to the bar
     length.  ``preexisting_crack`` pairs a node index with the initial
     opening memory at that site; sites must be interior nodes or Dirichlet
-    endpoints, and the initial opening must be positive (zero memory means
-    the site simply is not part of the initial crack).
+    endpoints, and the initial opening must be positive and finite (zero
+    memory means the site simply is not part of the initial crack).
     """
 
     nodes: np.ndarray
@@ -77,8 +78,8 @@ class Domain1D:
         for site, gamma in self.preexisting_crack:
             if not self.is_jump_site(site):
                 raise ValueError(f"crack site {site} is not a valid jump site")
-            if gamma <= 0.0:
-                raise ValueError("preexisting opening must be positive")
+            if not (gamma > 0.0 and math.isfinite(gamma)):
+                raise ValueError(f"preexisting opening must be positive and finite, got {gamma}")
 
     @staticmethod
     def uniform(length: float, elements: int, dirichlet=(LEFT, RIGHT), crack=()):
@@ -121,14 +122,16 @@ class Domain1D:
 
 @dataclass(frozen=True)
 class CrackState:
-    """Opening memory per site.  Sites never leave and values never decrease."""
+    """Opening memory per site: finite and nonnegative, zero entries dropped."""
 
     psi: Mapping[int, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "psi", {int(s): float(v) for s, v in dict(self.psi).items() if v > 0.0}
-        )
+        psi = {int(s): float(v) for s, v in dict(self.psi).items()}
+        bad = {s: v for s, v in psi.items() if not (v >= 0.0 and math.isfinite(v))}
+        if bad:
+            raise ValueError(f"memory must be finite and nonnegative, got {bad}")
+        object.__setattr__(self, "psi", {s: v for s, v in psi.items() if v > 0.0})
 
     def value(self, site: int) -> float:
         return self.psi.get(site, 0.0)
@@ -136,19 +139,6 @@ class CrackState:
     @property
     def sites(self) -> frozenset:
         return frozenset(self.psi)
-
-    def updated(self, jumps: Mapping[int, float]) -> "CrackState":
-        """Memory update after a step: psi' = psi v |jump|, fresh sites enter."""
-        new = dict(self.psi)
-        for site, j in jumps.items():
-            opening = abs(j)
-            if opening > new.get(site, 0.0):
-                new[int(site)] = opening
-        return CrackState(new)
-
-    def extends(self, earlier: "CrackState", tol: float = 0.0) -> bool:
-        """Irreversibility: every earlier site is retained with no smaller psi."""
-        return all(self.value(s) >= v - tol for s, v in earlier.psi.items())
 
 
 @dataclass(frozen=True)

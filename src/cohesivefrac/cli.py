@@ -80,7 +80,7 @@ def _trace_checks(trace: EvolutionTrace) -> list[str]:
     slack = float(trace.slack.min())
     if slack < -1e-9:
         failures.append(f"negative minimality slack {slack:.3g}")
-    violation = energy_balance_report(trace, trace.program).cumulative_violation
+    violation = energy_balance_report(trace).cumulative_violation
     if not violation <= 1e-9:
         failures.append(f"cumulative energy-balance violation {violation:.3g}")
     return failures
@@ -142,12 +142,8 @@ def _run_planar(args) -> int:
     cfg = load_config(args.config)
     cfg.require("planar", "law")
     p = cfg.planar
-    law = cfg.law.build()
-    psi = np.zeros(p.n)
-    k = int(round(p.crack_length * p.n))
-    psi[:k] = p.gamma
-    grid = Grid2D(p.n, psi)
-    laws = rescale_laws(law, law.a, p.h, p.alpha)
+    grid = Grid2D.precracked(p.n, p.crack_length, p.gamma)
+    laws = rescale_laws(cfg.law.build(), p.h, p.alpha)
     result = prefix_crack_sweep(grid, p.load, laws, mode=p.mode)
     if args.out:
         rows = list(zip(result.lengths, result.bulk, result.surface, result.total))

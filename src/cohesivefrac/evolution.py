@@ -264,21 +264,20 @@ class BalanceReport:
         return float(np.min(self.slacks))
 
 
-def energy_balance_report(trace: EvolutionTrace, program: LoadProgram) -> BalanceReport:
+def energy_balance_report(trace: EvolutionTrace) -> BalanceReport:
     """Check E(t_i) <= E(0) + cumulative work + remainder along the trace.
 
-    The remainder collects the quadratic term in the data increments plus
-    the over-threshold linear term where the previous gradient sits on
-    the affine branch of the bulk density.  In griffith mode the work
+    The data increments are those of ``trace.program``.  The remainder
+    collects the quadratic term in them plus the over-threshold linear
+    term where the previous gradient sits on the affine branch of the
+    bulk density.  In griffith mode the work
     increments are exactly 2 <grad u, grad dg>, so the deviation from the
     energy equality of the brittle evolution is reported as well.
     """
-    if len(trace) != program.n_steps:
-        raise ValueError("trace and program lengths differ")
     laws = trace.laws
     L = trace.domain.length
     bw = laws.bulk_weight
-    dgrad = np.diff(program.deltas()) / L
+    dgrad = np.diff(trace.program.deltas()) / L
     rem = bw * L * dgrad * dgrad
     if trace.mode == "cohesive":
         prev = trace.slope[:-1]
@@ -303,7 +302,7 @@ def energy_balance_report(trace: EvolutionTrace, program: LoadProgram) -> Balanc
     )
 
 
-def first_crack_time(trace: EvolutionTrace, tol: float = 0.0) -> float | None:
-    """Time of the first step whose displacement carries a jump above tol."""
-    cracked = np.flatnonzero(np.any(np.abs(trace.jumps) > tol, axis=1))
+def first_crack_time(trace: EvolutionTrace) -> float | None:
+    """Time of the first step whose displacement carries a nonzero jump."""
+    cracked = np.flatnonzero(np.any(trace.jumps != 0.0, axis=1))
     return float(trace.times()[cracked[0]]) if cracked.size else None

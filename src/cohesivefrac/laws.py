@@ -177,39 +177,30 @@ class RescaledLaws:
       + surface_weight * integral phi_h(|[v]| v psi)
     """
 
-    h: float
-    alpha: float
-    base: CohesiveLaw
     phi: CohesiveLaw
     bulk: BulkDensity
     bulk_weight: float
     surface_weight: float
 
 
-def rescale_laws(law: CohesiveLaw, a: float, h: float, alpha: float) -> RescaledLaws:
+def rescale_laws(law: CohesiveLaw, h: float, alpha: float) -> RescaledLaws:
     """Pull the laws of a body of diameter ``h`` back to the unit body.
 
-    ``a`` is the initial slope of ``law`` (passed explicitly because it also
-    sets the bulk slope).  ``h >= 1`` is the size ratio and ``alpha`` in
-    (0, 2) the boundary-datum scaling exponent.  ``h = 1`` returns identity
-    weights regardless of ``alpha``.
+    The initial slope ``law.a`` sets both rescaled slopes.  ``h >= 1`` is
+    the size ratio and ``alpha`` in (0, 2) the boundary-datum scaling
+    exponent.  ``h = 1`` returns identity weights regardless of ``alpha``.
     """
     if h < 1.0:
         raise ValueError(f"size ratio must satisfy h >= 1, got {h}")
     if not (0.0 < alpha < 2.0):
         raise ValueError(f"scaling exponent must lie in (0, 2), got {alpha}")
-    phi_h = CohesiveLaw(law.kind, a * h**alpha)
-    bulk_h = BulkDensity(a * h ** (1.0 - alpha))
     if alpha <= 0.5:
         bw, sw = 1.0, h ** (1.0 - 2.0 * alpha)
     else:
         bw, sw = h ** (2.0 * alpha - 1.0), 1.0
     return RescaledLaws(
-        h=h,
-        alpha=alpha,
-        base=law,
-        phi=phi_h,
-        bulk=bulk_h,
+        phi=CohesiveLaw(law.kind, law.a * h**alpha),
+        bulk=BulkDensity(law.a * h ** (1.0 - alpha)),
         bulk_weight=bw,
         surface_weight=sw,
     )
@@ -217,7 +208,7 @@ def rescale_laws(law: CohesiveLaw, a: float, h: float, alpha: float) -> Rescaled
 
 def plain_laws(law: CohesiveLaw) -> RescaledLaws:
     """Unit-size laws: all weights 1."""
-    return rescale_laws(law, law.a, 1.0, 0.5)
+    return rescale_laws(law, 1.0, 0.5)
 
 
 # grid points scanned at once by ``relax_bulk_oracle``

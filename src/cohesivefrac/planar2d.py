@@ -66,6 +66,11 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-10
+# an alternate minimization has settled once an iteration lowers the
+# energy by less than this
+AM_TOL = 1e-10
+# iteration budget of each alternate minimization in a tearing step
+TEARING_MAX_ITERS = 400
 
 
 class PlanarNumericError(RuntimeError):
@@ -89,8 +94,8 @@ class Grid2D:
     """Square grid with a duplicated crack row at ``y = 1/2``.
 
     ``n`` is the number of cells per side (even, at least 8) and ``psi``
-    the per-crack-edge memory, one value for each of the ``n`` edges of
-    the interface.
+    the per-crack-edge memory, one finite nonnegative value for each of
+    the ``n`` edges of the interface.
     """
 
     n: int
@@ -102,9 +107,24 @@ class Grid2D:
         psi = np.zeros(self.n) if self.psi is None else np.asarray(self.psi, dtype=float)
         if psi.shape != (self.n,):
             raise ValueError(f"psi must have one entry per crack edge, got shape {psi.shape}")
-        if np.any(psi < 0.0):
-            raise ValueError("memory values must be nonnegative")
+        if not np.all((psi >= 0.0) & np.isfinite(psi)):
+            raise ValueError("memory values must be finite and nonnegative")
         object.__setattr__(self, "psi", psi)
+
+    @staticmethod
+    def precracked(n: int, length: float, gamma: float) -> "Grid2D":
+        """Grid whose first ``round(length * n)`` crack edges carry memory ``gamma``.
+
+        ``length`` must lie in [0, 1] and ``gamma`` be finite and
+        nonnegative.
+        """
+        if not 0.0 <= length <= 1.0:
+            raise ValueError(f"crack length must lie in [0, 1], got {length}")
+        if not (gamma >= 0.0 and np.isfinite(gamma)):
+            raise ValueError(f"crack memory must be finite and nonnegative, got {gamma}")
+        psi = np.zeros(n)
+        psi[:int(round(length * n))] = gamma
+        return Grid2D(n, psi)
 
     @property
     def spacing(self) -> float:
@@ -258,11 +278,11 @@ def _lip_bulk(n: int, t: float, jumps: np.ndarray) -> float:
     return 2.0 * float(q @ _lip_operator(n).stiffness @ q)
 
 
-def _lip_energy(grid: Grid2D, psi: np.ndarray, laws: RescaledLaws, t: float, jumps) -> float:
+def _lip_energy(grid: Grid2D, laws: RescaledLaws, t: float, jumps) -> float:
     """Reduced energy of nodal jumps: weighted lip bulk plus the cohesive surface."""
     opening = 0.5 * (np.abs(jumps[:-1]) + np.abs(jumps[1:]))
     surface = laws.surface_weight * grid.spacing * float(
-        np.sum(laws.phi(np.maximum(opening, psi)))
+        np.sum(laws.phi(np.maximum(opening, grid.psi)))
     )
     return laws.bulk_weight * _lip_bulk(grid.n, t, jumps) + surface
 
@@ -384,7 +404,7 @@ def _lip_jump(phi, kappa, d, w, j, psi):
     return x if d >= 0.0 else -x
 
 
-def _sweep_jumps(grid, psi, laws, t, jumps):
+def _sweep_jumps(grid, laws, t, jumps):
     """One Gauss-Seidel pass of exact per-node updates of the lip energy.
 
     With the other jumps fixed, the bulk ``2 bw q.S.q`` (``q = t - J/2``,
@@ -394,7 +414,7 @@ def _sweep_jumps(grid, psi, laws, t, jumps):
     together with the surface term exactly, so no update raises the
     energy.  ``S.q`` follows each update by a rank-one correction.
     """
-    n = grid.n
+    n, psi = grid.n, grid.psi
     stiff = _lip_operator(n).stiffness
     w = laws.surface_weight * grid.spacing
     q = t - 0.5 * jumps
@@ -413,7 +433,7 @@ def _sweep_jumps(grid, psi, laws, t, jumps):
         jumps[i] = x
 
 
-def _pattern_step(grid, psi, laws, t, jumps):
+def _pattern_step(grid, laws, t, jumps):
     """Jumps at the lip-energy optimum of the current smooth branch, one solve.
 
     With the open/closed pattern and the jump signs frozen, the surface
@@ -429,7 +449,7 @@ def _pattern_step(grid, psi, laws, t, jumps):
     if tied.all():
         return None
     opening = 0.5 * (np.abs(jumps[:-1]) + np.abs(jumps[1:]))
-    slopes = np.where(opening > psi, laws.phi.deriv(opening), 0.0)
+    slopes = np.where(opening > grid.psi, laws.phi.deriv(opening), 0.0)
     g = np.zeros(grid.n + 1)
     g[:-1] += 0.5 * slopes
     g[1:] += 0.5 * slopes
@@ -448,22 +468,21 @@ class AMResult:
 
 def alternate_minimize(
     grid: Grid2D,
-    psi: np.ndarray | None,
     t: float,
     laws: RescaledLaws,
     start_jumps: np.ndarray | None = None,
     max_iters: int = 200,
-    tol: float = 1e-10,
     target_energy: float | None = None,
 ) -> AMResult:
     """Minimize the reduced lip energy over the nodal jumps until it settles.
 
     Each iteration is one Gauss-Seidel pass of exact per-node jump
     updates on ``2 bw q.S.q + w sum phi(opening v psi)`` (the elastic
-    field minimized out for every trial jump), then a pattern step that
-    is kept only when it lowers the energy.  The energy is recorded at
-    the start, after every pass and after every accepted pattern step, so
-    the trace is nonincreasing.  The field is rebuilt once, for the
+    field minimized out for every trial jump, ``psi`` the memory of
+    ``grid``), then a pattern step that is kept only when it lowers the
+    energy; it stops once an iteration gains less than ``AM_TOL``.  The
+    energy is recorded at the start, after every pass and after every
+    accepted pattern step, so the trace is nonincreasing.  The field is rebuilt once, for the
     result.  The result is stationary but not certified global; use the
     prefix sweep as an independent check when the expected pattern is
     monotone.  ``target_energy`` lets a caller that already holds a
@@ -472,30 +491,27 @@ def alternate_minimize(
     would otherwise burn hundreds of sweeps.
     """
     n = grid.n
-    psi = grid.psi if psi is None else np.asarray(psi, dtype=float)
-    if psi.shape != (n,) or np.any(psi < 0.0):
-        raise ValueError("psi must be a nonnegative per-edge array")
     jumps = np.zeros(n + 1) if start_jumps is None else np.asarray(start_jumps, dtype=float).copy()
     if jumps.shape != (n + 1,):
         raise ValueError("start_jumps must give one value per lip node")
 
-    energies = [_lip_energy(grid, psi, laws, t, jumps)]
+    energies = [_lip_energy(grid, laws, t, jumps)]
     prev = np.inf
     for it in range(max_iters):
-        _sweep_jumps(grid, psi, laws, t, jumps)
-        e = _lip_energy(grid, psi, laws, t, jumps)
+        _sweep_jumps(grid, laws, t, jumps)
+        e = _lip_energy(grid, laws, t, jumps)
         energies.append(e)
-        trial = _pattern_step(grid, psi, laws, t, jumps)
+        trial = _pattern_step(grid, laws, t, jumps)
         if trial is not None:
-            e_acc = _lip_energy(grid, psi, laws, t, trial)
+            e_acc = _lip_energy(grid, laws, t, trial)
             if e_acc < e:
                 jumps = trial
                 e = e_acc
                 energies.append(e)
         matched = target_energy is not None and (
-            e <= target_energy + max(10.0 * tol, 1e-8 * (1.0 + abs(target_energy)))
+            e <= target_energy + max(10.0 * AM_TOL, 1e-8 * (1.0 + abs(target_energy)))
         )
-        if prev - e < tol or matched:
+        if prev - e < AM_TOL or matched:
             lower, upper = _blocks(n, t, jumps)
             return AMResult(
                 field=Field2D(grid=grid, lower=lower, upper=upper),
@@ -517,26 +533,20 @@ class TearingStep:
     energy: float
 
 
-def evolve_tearing(
-    grid: Grid2D,
-    times,
-    laws: RescaledLaws,
-    psi0: np.ndarray | None = None,
-    max_iters: int = 400,
-    tol: float = 1e-10,
-) -> list[TearingStep]:
+def evolve_tearing(grid: Grid2D, times, laws: RescaledLaws) -> list[TearingStep]:
     """Incremental tearing evolution driven by alternate minimization.
 
-    Each step restarts AM from the fully torn state, from the elastic
-    solution with the memory edges open, from the previous jumps, and
-    from zero, keeping the lowest energy; the memory then absorbs the
-    new edge openings.  This is the honest local scheme: no global
-    certificate, but competing starts catch the coarse branch switches.
-    A start that stalls against the sweep budget is dropped as long as
-    another one converged: crack fronts move one node per sweep, so a
-    run racing an already-found optimum can legitimately time out.
+    The memory starts at ``grid.psi``.  Each step restarts AM from the
+    fully torn state, from the elastic solution with the memory edges
+    open, from the previous jumps, and from zero, keeping the lowest
+    energy; the memory then absorbs the new edge openings.  This is the
+    honest local scheme: no global certificate, but competing starts
+    catch the coarse branch switches.  A start that stalls against the
+    sweep budget (``TEARING_MAX_ITERS``) is dropped as long as another
+    one converged: crack fronts move one node per sweep, so a run racing
+    an already-found optimum can legitimately time out.
     """
-    psi = (grid.psi if psi0 is None else np.asarray(psi0, dtype=float)).copy()
+    psi = grid.psi
     prev = None
     steps: list[TearingStep] = []
     for t in times:
@@ -549,11 +559,12 @@ def evolve_tearing(
         starts.append(np.zeros(grid.n + 1))
         best = None
         stalled = None
+        step_grid = Grid2D(grid.n, psi)
         for s in starts:
             tgt = None if best is None else float(best.energies[-1])
             try:
-                res = alternate_minimize(grid, psi, t, laws, start_jumps=s,
-                                         max_iters=max_iters, tol=tol,
+                res = alternate_minimize(step_grid, t, laws, start_jumps=s,
+                                         max_iters=TEARING_MAX_ITERS,
                                          target_energy=tgt)
             except PlanarNonconvergence as exc:
                 stalled = exc
@@ -567,7 +578,7 @@ def evolve_tearing(
         psi = np.maximum(psi, opening)
         prev = jn
         steps.append(TearingStep(time=float(t), field=best.field, jumps=best.jumps,
-                                 psi=psi.copy(), energy=float(best.energies[-1])))
+                                 psi=psi, energy=float(best.energies[-1])))
     return steps
 
 
@@ -582,21 +593,18 @@ def tearing_gap_ladder(
 ) -> np.ndarray:
     """Normalized bulk gap to the cracked elastic reference, per size.
 
-    The initial crack is the prefix of the given length with uniform
-    memory ``gamma``.  For each ``h`` the tearing evolution runs with
+    The initial crack is :meth:`Grid2D.precracked` with the given length
+    and memory ``gamma``.  For each ``h`` the tearing evolution runs with
     the rescaled laws and the reported bulk is the cell quadrature of
     the rescaled density; the reference is the elastic solve with the
     memory edges open, same quadrature, which scales as ``t^2``.
     """
     h_list = [float(h) for h in h_list]
-    k = int(round(crack_length * n))
-    psi0 = np.zeros(n)
-    psi0[:k] = gamma
-    grid = Grid2D(n, psi0)
-    ref1 = cellwise_bulk(solve_elastic(grid, range(k), 1.0))
+    grid = Grid2D.precracked(n, crack_length, gamma)
+    ref1 = cellwise_bulk(solve_elastic(grid, np.flatnonzero(grid.psi > 0.0), 1.0))
     gaps = np.empty(len(h_list))
     for row, h in enumerate(h_list):
-        laws = rescale_laws(base_law, base_law.a, h, alpha)
+        laws = rescale_laws(base_law, h, alpha)
         steps = evolve_tearing(grid, times, laws)
         gap = 0.0
         for st in steps:

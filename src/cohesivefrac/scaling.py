@@ -15,7 +15,9 @@ evolutions approach:
 
 Classification never asserts beyond tolerances: convergence holds in
 the limit, with no rate, so gaps are checked for monotonicity within
-noise plus a final-gap threshold.
+noise plus a final-gap threshold (``GAP_TOL`` for the brittle gap,
+``BULK_TOL`` for the elastic bulk gap, ``BOUND_SLACK`` above the
+rupture bound), fixed for every sweep.
 """
 
 from __future__ import annotations
@@ -44,6 +46,16 @@ __all__ = [
     "piecewise_constant_minimum",
     "trace_jump_counts",
 ]
+
+# last brittle gap and last elastic bulk gap below which the limit is reached
+GAP_TOL = 0.05
+BULK_TOL = 0.1
+# rounding allowed above the hard rupture bound on the initial gradient
+BOUND_SLACK = 1e-9
+# smallest opening counted as a jump
+JUMP_TOL = 1e-12
+# time step at which the energy and variation bounds sample the data
+BOUND_DELTA = 1e-3
 
 
 @dataclass(frozen=True)
@@ -118,8 +130,9 @@ def _total_variation(trace: EvolutionTrace) -> float:
     return float(np.max(tv))
 
 
-def trace_jump_counts(trace: EvolutionTrace, tol: float = 1e-12) -> np.ndarray:
-    return np.count_nonzero(np.abs(trace.jumps) > tol, axis=1)
+def trace_jump_counts(trace: EvolutionTrace) -> np.ndarray:
+    """Jumps above ``JUMP_TOL`` per step."""
+    return np.count_nonzero(np.abs(trace.jumps) > JUMP_TOL, axis=1)
 
 
 def size_effect_sweep(
@@ -170,7 +183,7 @@ def size_effect_sweep(
 
     def one_row(pair) -> RegimeRow:
         h, delta = pair
-        laws = rescale_laws(base.law, base.law.a, h, alpha)
+        laws = rescale_laws(base.law, h, alpha)
         trace = evolve(base.domain, initial, base.program(delta), laws, "cohesive")
         times = trace.times()
         totals = trace.totals()
@@ -203,28 +216,23 @@ def size_effect_sweep(
     return ScalingReport(float(alpha), tuple(rows), ref_times, ref_totals, monotone)
 
 
-def classify_regime(
-    report: ScalingReport,
-    gap_tol: float = 0.05,
-    bulk_tol: float = 0.1,
-    bound_slack: float = 1e-9,
-) -> Regime:
-    """Read the regime off the sweep diagnostics, within tolerances only."""
+def classify_regime(report: ScalingReport) -> Regime:
+    """Read the regime off the sweep diagnostics, within the module tolerances."""
     if not report.rows:
         return Regime.INCONCLUSIVE
     last = report.rows[-1]
     if report.alpha == 0.5:
-        if last.gap_sup < gap_tol:
+        if last.gap_sup < GAP_TOL:
             return Regime.BRITTLE_LIMIT
         return Regime.INCONCLUSIVE
     if report.alpha < 0.5:
         bulk_gaps = [r.bulk_gap_sup for r in report.rows]
-        if last.bulk_gap_sup < bulk_tol and all(
+        if last.bulk_gap_sup < BULK_TOL and all(
             b <= a + 1e-6 for a, b in zip(bulk_gaps, bulk_gaps[1:])
         ):
             return Regime.ELASTIC_LIMIT
         return Regime.INCONCLUSIVE
-    if all(r.initial_grad_l1 <= r.rupture_bound + bound_slack for r in report.rows):
+    if all(r.initial_grad_l1 <= r.rupture_bound + BOUND_SLACK for r in report.rows):
         return Regime.RUPTURE
     return Regime.INCONCLUSIVE
 
@@ -244,13 +252,14 @@ def half_saturation_opening(law: CohesiveLaw) -> float:
     return 0.5 * (lo + hi)
 
 
-def uniform_bound_constant(base: BarProblem, delta: float = 1e-3) -> float:
+def uniform_bound_constant(base: BarProblem) -> float:
     """Energy bound C' from the data: the evolutions stay below it at every h.
 
     C' = |grad g(0)|^2 + #initial sites + 2 max|grad g| TV(grad g) + 1,
-    with the affine lifting of the boundary pair as the data gradient.
+    with the affine lifting of the boundary pair as the data gradient,
+    sampled every ``BOUND_DELTA``.
     """
-    program = base.program(delta)
+    program = base.program(BOUND_DELTA)
     grads = program.deltas() / base.domain.length
     tv = float(np.sum(np.abs(np.diff(grads))))
     gmax = float(np.max(np.abs(grads)))
@@ -258,7 +267,7 @@ def uniform_bound_constant(base: BarProblem, delta: float = 1e-3) -> float:
     return float(grads[0] ** 2) + n_sites + 2.0 * gmax * tv + 1.0
 
 
-def total_variation_constant(base: BarProblem, delta: float = 1e-3) -> float:
+def total_variation_constant(base: BarProblem) -> float:
     """Total-variation bound C'' for the evolutions, from C' and the law.
 
     Splits |Dv| into gradient, small openings (below the half-saturation
@@ -266,10 +275,10 @@ def total_variation_constant(base: BarProblem, delta: float = 1e-3) -> float:
     surface energy) and large openings (at most C' of them, each bounded
     through the sup norm by the data).
     """
-    c_prime = uniform_bound_constant(base, delta)
+    c_prime = uniform_bound_constant(base)
     s_bar = half_saturation_opening(base.law)
     a_bar = 2.0 * s_bar
-    program = base.program(delta)
+    program = base.program(BOUND_DELTA)
     c_g = max(float(np.max(np.abs(program.left))), float(np.max(np.abs(program.right))))
     L = base.domain.length
     return (c_prime + L) + (a_bar + 4.0 * c_g) * c_prime + c_prime / base.law.a

@@ -61,6 +61,8 @@ __all__ = [
 TIE_TOL = 1e-12
 # how far the structured energy may sit above the oracle's
 CERTIFICATION_TOL = 1e-9
+# most sites the brute-force oracle enumerates at once
+MAX_ACTIVE_SITES = 3
 
 
 class NonconvergenceError(RuntimeError):
@@ -228,14 +230,13 @@ def brute_force_minimize(
     g,
     laws: RescaledLaws,
     jump_grid_step: float = 1e-3,
-    max_active_sites: int = 3,
     n_fresh: int = 1,
     budget: int = 40_000_000,
 ) -> Displacement1D:
     """Exhaustive minimum over quantized jump vectors at the active sites.
 
     Active sites are all memory sites plus the ``n_fresh`` leftmost fresh
-    candidates.  Each site's candidate openings form a signed uniform grid
+    candidates, at most ``MAX_ACTIVE_SITES`` of them.  Each site's candidate openings form a signed uniform grid
     enriched with the exact memory and saturation openings, ordered by
     magnitude so that ties resolve toward smaller jumps.  Slopes are the
     bulk-optimal constant for each candidate vector.
@@ -249,9 +250,9 @@ def brute_force_minimize(
     mem = sorted(crack.psi.items())
     fresh_sites = [s for s in domain.jump_sites() if s not in crack.psi][:n_fresh]
     sites = [s for s, _ in mem] + fresh_sites
-    if len(sites) > max_active_sites:
+    if len(sites) > MAX_ACTIVE_SITES:
         raise BudgetError(
-            f"{len(sites)} active sites exceed the limit of {max_active_sites}"
+            f"{len(sites)} active sites exceed the limit of {MAX_ACTIVE_SITES}"
         )
 
     L = domain.length

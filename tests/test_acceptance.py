@@ -127,13 +127,13 @@ def test_random_bars_never_beaten_by_oracle():
 
 
 def test_griffith_bar_trajectory_and_balance(griffith_run):
-    trace, program, elapsed = griffith_run
+    trace, _, elapsed = griffith_run
     delta = 0.01
     t_star = first_crack_time(trace)
     times = trace.times()
     off_step = np.abs(times - t_star) > delta
     traj_err = float(np.max(np.abs(trace.totals() - np.minimum(times**2, 1.0))[off_step]))
-    report = energy_balance_report(trace, program)
+    report = energy_balance_report(trace)
     balance_err = float(np.max(np.abs(report.griffith_deviation[off_step])))
     ok = (
         1.0 < t_star <= 1.0 + delta
@@ -266,7 +266,7 @@ def test_planar_solver_sanity():
     grid = Grid2D(16)
     for t in (0.1, 0.8, 2.5):
         for start in (None, np.full(17, 2.0 * t)):
-            res = alternate_minimize(grid, None, t, plain_laws(DUGDALE),
+            res = alternate_minimize(grid, t, plain_laws(DUGDALE),
                                      start_jumps=start)
             am_ok &= bool(np.all(np.diff(res.energies) <= 1e-9))
     elapsed = time.perf_counter() - t0

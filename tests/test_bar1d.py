@@ -51,17 +51,21 @@ class TestDomain:
             Domain1D.uniform(1.0, 4, crack=[(0.5, 0.0)])
 
 
-class TestCrackState:
-    def test_update_takes_maximum(self):
-        c = CrackState({2: 0.6})
-        c2 = c.updated({2: -0.3, 3: 0.1})
-        assert c2.value(2) == 0.6
-        assert c2.value(3) == 0.1
-        assert c2.extends(c)
+    @pytest.mark.parametrize("opening", [np.nan, np.inf])
+    def test_rejects_nonfinite_initial_opening(self, opening):
+        with pytest.raises(ValueError):
+            Domain1D.uniform(1.0, 4, crack=[(0.5, opening)])
 
+
+class TestCrackState:
     def test_zero_entries_dropped(self):
         c = CrackState({1: 0.0, 2: 0.5})
         assert c.sites == {2}
+
+    @pytest.mark.parametrize("value", [-0.5, np.nan, np.inf])
+    def test_rejects_negative_or_nonfinite_memory(self, value):
+        with pytest.raises(ValueError):
+            CrackState({1: 0.2, 2: value})
 
 
 class TestEnergy:

@@ -140,38 +140,38 @@ def test_bulk_derivative_is_clipped_gradient(xi, a):
 class TestRescale:
     def test_rejects_small_h_and_bad_alpha(self):
         with pytest.raises(ValueError):
-            rescale_laws(dugdale(), 2.0, 0.5, 0.5)
+            rescale_laws(dugdale(), 0.5, 0.5)
         for alpha in (0.0, -1.0, 2.0, 2.5):
             with pytest.raises(ValueError):
-                rescale_laws(dugdale(), 2.0, 4.0, alpha)
+                rescale_laws(dugdale(), 4.0, alpha)
 
     def test_identity_at_h_one(self):
-        rl = rescale_laws(exponential(2.0), 2.0, 1.0, 0.5)
+        rl = rescale_laws(exponential(2.0), 1.0, 0.5)
         s = np.linspace(0.0, 3.0, 50)
         np.testing.assert_allclose(rl.phi(s), exponential(2.0)(s), rtol=0, atol=1e-15)
         assert rl.bulk.a == 2.0
         assert (rl.bulk_weight, rl.surface_weight) == (1.0, 1.0)
 
     def test_pinned_values_half_exponent(self):
-        rl = rescale_laws(exponential(2.0), 2.0, 4.0, 0.5)
+        rl = rescale_laws(exponential(2.0), 4.0, 0.5)
         assert rl.phi(0.5) == pytest.approx(1.0 - math.exp(-2.0), abs=1e-15)
         assert rl.bulk(3.0) == pytest.approx(8.0, abs=1e-12)
         assert rl.bulk.threshold == 2.0
 
     def test_dugdale_large_h(self):
-        rl = rescale_laws(dugdale(2.0), 2.0, 100.0, 0.5)
+        rl = rescale_laws(dugdale(2.0), 100.0, 0.5)
         assert rl.phi(0.02) == pytest.approx(0.4, abs=1e-14)
         assert rl.phi(0.05) == 1.0
         assert rl.bulk.threshold == 10.0
 
     def test_regime_weights(self):
-        rl = rescale_laws(dugdale(2.0), 2.0, 16.0, 0.25)
+        rl = rescale_laws(dugdale(2.0), 16.0, 0.25)
         assert rl.bulk_weight == 1.0
         assert rl.surface_weight == pytest.approx(4.0)
-        rl = rescale_laws(dugdale(2.0), 2.0, 16.0, 0.75)
+        rl = rescale_laws(dugdale(2.0), 16.0, 0.75)
         assert rl.bulk_weight == pytest.approx(4.0)
         assert rl.surface_weight == 1.0
-        rl = rescale_laws(dugdale(2.0), 2.0, 9.0, 0.5)
+        rl = rescale_laws(dugdale(2.0), 9.0, 0.5)
         assert (rl.bulk_weight, rl.surface_weight) == (1.0, 1.0)
 
     @given(
@@ -184,7 +184,7 @@ class TestRescale:
     def test_phi_h_is_dilated_base_law(self, s, h, alpha, a):
         for kind in LawKind:
             law = CohesiveLaw(kind, a)
-            rl = rescale_laws(law, a, h, alpha)
+            rl = rescale_laws(law, h, alpha)
             assert rl.phi(s) == pytest.approx(law(h**alpha * s), rel=1e-12, abs=1e-12)
 
     def test_monotone_in_h_and_limits(self):
@@ -193,16 +193,16 @@ class TestRescale:
         law = dugdale(2.0)
         xi, s = 3.0, 0.7
         hs = [1.0, 2.0, 5.0, 9.0, 16.0, 100.0, 1e4]
-        fvals = [rescale_laws(law, 2.0, h, 0.5).bulk(xi) for h in hs]
+        fvals = [rescale_laws(law, h, 0.5).bulk(xi) for h in hs]
         assert all(b - a >= -1e-12 for a, b in zip(fvals, fvals[1:]))
         for h in hs:
-            rl = rescale_laws(law, 2.0, h, 0.5)
+            rl = rescale_laws(law, h, 0.5)
             if rl.bulk.threshold >= abs(xi):
                 assert abs(rl.bulk(xi) - xi**2) < 1e-6
             assert rl.bulk(xi) <= xi**2 + 1e-12
             if h**0.5 * s >= 1.0 / 2.0:
                 assert rl.phi(s) == 1.0
-        pvals = [rescale_laws(law, 2.0, h, 0.5).phi(s) for h in hs]
+        pvals = [rescale_laws(law, h, 0.5).phi(s) for h in hs]
         assert all(b - a >= -1e-12 for a, b in zip(pvals, pvals[1:]))
 
 

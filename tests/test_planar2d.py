@@ -98,7 +98,7 @@ def test_solve_elastic_matches_sparse_oracle():
 
 
 def test_jump_field_matches_sparse_oracle():
-    # the field of the alternate-minimization elastic half-step
+    # the field rebuilt from given nodal jumps, as for every AM result
     rng = np.random.default_rng(8)
     for n in (8, 16, 32, 64):
         for _ in range(6):
@@ -114,14 +114,14 @@ def test_jump_field_matches_sparse_oracle():
 def test_pattern_step_matches_sparse_oracle():
     rng = np.random.default_rng(9)
     for kind in LawKind:
-        laws = rescale_laws(CohesiveLaw(kind, 2.0), 2.0, 10.0, 0.75)  # bulk weight != 1
+        laws = rescale_laws(CohesiveLaw(kind, 2.0), 10.0, 0.75)  # bulk weight != 1
         for n in (8, 16, 32):
             for _ in range(4):
                 t = rng.uniform(0.05, 2.0)
                 jumps = rng.uniform(-1.0, 1.0, n + 1) * (rng.random(n + 1) < 0.6)
                 jumps[0] = 0.5
                 psi = rng.uniform(0.0, 0.3, n) * (rng.random(n) < 0.3)
-                new = _pattern_step(Grid2D(n), psi, laws, t, jumps)
+                new = _pattern_step(Grid2D(n, psi), laws, t, jumps)
                 lower, upper = _blocks(n, t, new)
                 # slope of the frozen surface branch, per lip node
                 opening = 0.5 * (np.abs(jumps[:-1]) + np.abs(jumps[1:]))
@@ -142,19 +142,19 @@ def test_pattern_step_matches_sparse_oracle():
 def test_reduced_energy_matches_rebuilt_field(kind):
     # 2 bw q.S.q plus the surface term against the five-point bulk of the field
     rng = np.random.default_rng(10 + list(LawKind).index(kind))
-    laws = rescale_laws(CohesiveLaw(kind, 2.0), 2.0, 10.0, 0.75)  # bulk weight != 1
+    laws = rescale_laws(CohesiveLaw(kind, 2.0), 10.0, 0.75)  # bulk weight != 1
     assert laws.bulk_weight != 1.0
     for n in (8, 16, 32):
-        grid = Grid2D(n)
         for _ in range(5):
             t = rng.uniform(0.05, 2.0)
             jumps = rng.uniform(-2.0 * t, 2.0 * t, n + 1) * (rng.random(n + 1) < 0.7)
             psi = rng.uniform(0.0, 0.3, n) * (rng.random(n) < 0.3)
+            grid = Grid2D(n, psi)
             opening = 0.5 * (np.abs(jumps[:-1]) + np.abs(jumps[1:]))
             surface = laws.surface_weight * float(np.sum(laws.phi(np.maximum(opening, psi)))) / n
             lower, upper = _blocks(n, t, jumps)
             want = laws.bulk_weight * Field2D(grid, lower, upper).edge_bulk() + surface
-            got = _lip_energy(grid, psi, laws, t, jumps)
+            got = _lip_energy(grid, laws, t, jumps)
             assert abs(got - want) <= 1e-12 * abs(want)
 
 
@@ -182,8 +182,19 @@ def test_grid_validation():
         Grid2D(6)
     with pytest.raises(ValueError):
         Grid2D(8, np.zeros(5))
-    with pytest.raises(ValueError):
-        Grid2D(8, -np.ones(8))
+    for value in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            Grid2D(8, np.where(np.arange(8) == 3, value, 0.0))
+
+
+def test_precracked_grid():
+    grid = Grid2D.precracked(8, 0.5, 0.1)
+    assert np.array_equal(grid.psi, [0.1] * 4 + [0.0] * 4)
+    assert np.array_equal(Grid2D.precracked(8, 1.0, 0.0).psi, np.zeros(8))
+    for length, gamma in ((-0.5, 0.1), (1.5, 0.1), (np.nan, 0.1),
+                          (0.5, -0.1), (0.5, np.nan), (0.5, np.inf)):
+        with pytest.raises(ValueError):
+            Grid2D.precracked(8, length, gamma)
 
 
 def test_tied_solve_is_linear_profile():
@@ -335,17 +346,16 @@ def test_lip_jump_never_beaten_by_grid(kind):
 def test_sweep_leaves_last_node_at_its_minimum(kind):
     # the last node of a pass sees every earlier update only through S.q
     rng = np.random.default_rng(20 + list(LawKind).index(kind))
-    laws = rescale_laws(CohesiveLaw(kind, 2.0), 2.0, 10.0, 0.75)  # bulk weight != 1
-    grid = Grid2D(16)
+    laws = rescale_laws(CohesiveLaw(kind, 2.0), 10.0, 0.75)  # bulk weight != 1
     for _ in range(5):
         t = rng.uniform(0.2, 1.0)
         jumps = rng.uniform(0.0, 2.0 * t, 17)
-        psi = rng.uniform(0.0, 0.3, 16) * (rng.random(16) < 0.3)
-        before = _lip_energy(grid, psi, laws, t, jumps)
-        _sweep_jumps(grid, psi, laws, t, jumps)
-        after = _lip_energy(grid, psi, laws, t, jumps)
+        grid = Grid2D(16, rng.uniform(0.0, 0.3, 16) * (rng.random(16) < 0.3))
+        before = _lip_energy(grid, laws, t, jumps)
+        _sweep_jumps(grid, laws, t, jumps)
+        after = _lip_energy(grid, laws, t, jumps)
         assert after <= before
-        grid_best = min(_lip_energy(grid, psi, laws, t, np.append(jumps[:-1], x))
+        grid_best = min(_lip_energy(grid, laws, t, np.append(jumps[:-1], x))
                         for x in np.linspace(-4.0 * t, 4.0 * t, 4001))
         assert after <= grid_best + 1e-12 * max(1.0, grid_best)
 
@@ -353,7 +363,7 @@ def test_sweep_leaves_last_node_at_its_minimum(kind):
 class TestAlternateMinimize:
     def test_small_load_matches_tied_elastic(self):
         grid = Grid2D(16)
-        res = alternate_minimize(grid, None, 0.05, plain_laws(DUGDALE))
+        res = alternate_minimize(grid, 0.05, plain_laws(DUGDALE))
         ref = solve_elastic(grid, [], 0.05)
         assert np.abs(res.field.lower - ref.lower).max() < 1e-8
         assert np.abs(res.field.upper - ref.upper).max() < 1e-8
@@ -362,26 +372,26 @@ class TestAlternateMinimize:
     def test_stays_at_full_tear(self):
         grid = Grid2D(16)
         t = 3.0
-        res = alternate_minimize(grid, None, t, plain_laws(DUGDALE),
+        res = alternate_minimize(grid, t, plain_laws(DUGDALE),
                                  start_jumps=np.full(17, 2.0 * t))
         assert res.field.edge_bulk() < 1e-12
         assert res.energies[-1] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("kind", list(LawKind))
     @pytest.mark.parametrize("alpha, h", [(0.25, 1.0), (0.75, 10.0), (0.75, 100.0)])
-    def test_energy_nonincreasing_per_half_step(self, kind, alpha, h):
+    def test_energy_trace_nonincreasing(self, kind, alpha, h):
         # alpha > 1/2 gives bulk weight h^(2 alpha - 1) != 1
-        laws = rescale_laws(CohesiveLaw(kind, 2.0), 2.0, h, alpha)
+        laws = rescale_laws(CohesiveLaw(kind, 2.0), h, alpha)
         psi = np.zeros(16)
         psi[:8] = 0.1
         t = 0.5
         for start in (None, np.full(17, 2.0 * t)):
-            res = alternate_minimize(Grid2D(16), psi, t, laws, start_jumps=start)
+            res = alternate_minimize(Grid2D(16, psi), t, laws, start_jumps=start)
             assert np.all(np.diff(res.energies) <= 1e-9)
 
     def test_nonconvergence_carries_last_energy(self):
         with pytest.raises(PlanarNonconvergence) as err:
-            alternate_minimize(Grid2D(16), None, 1.5, plain_laws(DUGDALE),
+            alternate_minimize(Grid2D(16), 1.5, plain_laws(DUGDALE),
                                start_jumps=np.linspace(0.0, 1.0, 17),
                                max_iters=1)
         assert err.value.last_energy > 0.0
@@ -389,9 +399,9 @@ class TestAlternateMinimize:
 
     def test_psi_validation(self):
         with pytest.raises(ValueError):
-            alternate_minimize(Grid2D(8), -np.ones(8), 0.1, plain_laws(DUGDALE))
+            alternate_minimize(Grid2D(8, -np.ones(8)), 0.1, plain_laws(DUGDALE))
         with pytest.raises(ValueError):
-            alternate_minimize(Grid2D(8), None, 0.1, plain_laws(DUGDALE),
+            alternate_minimize(Grid2D(8), 0.1, plain_laws(DUGDALE),
                                start_jumps=np.zeros(3))
 
 
@@ -409,6 +419,19 @@ class TestTearing:
                                   times=[0.3, 0.6])
         assert np.all(np.diff(gaps) <= 1e-6)
         assert gaps[-1] < 0.1
+
+    def test_gap_ladder_reference_opens_only_memory_edges(self):
+        # a precrack of zero memory is no crack: the same gaps as none at all
+        kw = dict(n=8, times=[0.3, 0.6])
+        none = tearing_gap_ladder(DUGDALE, 0.25, [1.0, 10.0], crack_length=0.0, gamma=0.1, **kw)
+        zero = tearing_gap_ladder(DUGDALE, 0.25, [1.0, 10.0], crack_length=0.5, gamma=0.0, **kw)
+        assert np.array_equal(none, zero)
+
+    def test_gap_ladder_rejects_a_negative_crack_length(self):
+        # a slice psi[:round(length * n)] would count it from the last edge
+        with pytest.raises(ValueError, match="crack length"):
+            tearing_gap_ladder(DUGDALE, 0.25, [1.0], n=8, crack_length=-0.5,
+                               gamma=0.1, times=[0.3])
 
 
 def test_field_text_roundtrip(tmp_path):

@@ -67,7 +67,7 @@ class TestBrittleSweep:
             assert row.max_tv <= c_second
 
     def test_surface_near_integer_at_large_h(self, brittle_report):
-        surface = np.array([r.energy.surface for r in brittle_report.rows[-1].trace.records])
+        surface = brittle_report.rows[-1].trace.surface
         assert np.max(np.abs(surface - np.round(surface))) <= 0.05
 
 

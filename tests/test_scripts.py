@@ -10,12 +10,16 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def _run(name, *args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def run_script(name, *args):
+    done = _run(name, *args)
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()
 
@@ -36,3 +40,10 @@ def test_tearing_script_dumps_the_field(tmp_path):
     lines = run_script("tearing_2d.py", "--n", "8", "--h", "1,10", "--dump-field", str(dump))
     assert f"final field written to {dump}" in lines
     assert dump.stat().st_size > 0
+
+
+@pytest.mark.parametrize("length", ["-0.5", "1.5"])
+def test_tearing_script_rejects_a_crack_off_the_interface(length):
+    done = _run("tearing_2d.py", "--n", "8", "--h", "1", "--crack-length", length)
+    assert done.returncode == 2
+    assert "crack length must lie in [0, 1]" in done.stderr

@@ -154,9 +154,8 @@ class TestExcessMinima:
             # independent slopes and weights, so that no piece is flat
             law = CohesiveLaw(kind, rng.uniform(0.5, 5.0))
             bw, sw = rng.uniform(0.2, 5.0, 2)
-            laws = RescaledLaws(h=1.0, alpha=0.5, base=law, phi=law,
-                                bulk=BulkDensity(rng.uniform(0.5, 5.0)), bulk_weight=bw,
-                                surface_weight=sw)
+            laws = RescaledLaws(phi=law, bulk=BulkDensity(rng.uniform(0.5, 5.0)),
+                                bulk_weight=bw, surface_weight=sw)
             phi = laws.phi
             L = rng.uniform(0.5, 2.0)
             c = rng.uniform(0.05, 3.0)
@@ -195,9 +194,8 @@ class TestOwnerRule:
         for _ in range(200):
             law = CohesiveLaw(kind, rng.uniform(0.5, 5.0))
             bw, sw = rng.uniform(0.2, 5.0, 2)
-            laws = RescaledLaws(h=1.0, alpha=0.5, base=law, phi=law,
-                                bulk=BulkDensity(rng.uniform(0.5, 5.0)), bulk_weight=bw,
-                                surface_weight=sw)
+            laws = RescaledLaws(phi=law, bulk=BulkDensity(rng.uniform(0.5, 5.0)),
+                                bulk_weight=bw, surface_weight=sw)
             phi = laws.phi
             L = rng.uniform(0.5, 2.0)
             n = int(rng.integers(2, 7))
