@@ -12,6 +12,7 @@ import argparse
 import numpy as np
 
 from cohesivefrac.bar1d import Domain1D
+from cohesivefrac.config import SweepSection
 from cohesivefrac.laws import CohesiveLaw, LawKind
 from cohesivefrac.scaling import BarProblem, classify_regime, size_effect_sweep
 
@@ -28,11 +29,18 @@ def main():
                         help="comma list of sizes, increasing")
     args = parser.parse_args()
 
-    law = CohesiveLaw(LawKind(args.kind), args.a)
-    base = BarProblem.tearing(Domain1D.uniform(1.0, args.elements), law, args.horizon)
-    h_list = [float(v) for v in args.h.split(",")]
+    # every input fails here, before any solve
+    try:
+        law = CohesiveLaw(LawKind(args.kind), args.a)
+        base = BarProblem.tearing(Domain1D.uniform(1.0, args.elements), law, args.horizon)
+        h_list = [float(v) for v in args.h.split(",")]
+        alphas = [float(v) for v in args.alphas.split(",")]
+        for alpha in alphas:
+            SweepSection(alpha, tuple(h_list), None)
+    except ValueError as err:
+        parser.error(str(err))
 
-    for alpha in (float(v) for v in args.alphas.split(",")):
+    for alpha in alphas:
         report = size_effect_sweep(base, alpha, h_list)
         verdict = classify_regime(report).value
         print(f"alpha = {alpha:g}  ->  {verdict}")

@@ -13,6 +13,7 @@ import argparse
 import numpy as np
 
 from cohesivefrac.bar1d import Domain1D
+from cohesivefrac.config import SweepSection
 from cohesivefrac.laws import CohesiveLaw, LawKind
 from cohesivefrac.scaling import (
     BarProblem,
@@ -32,15 +33,21 @@ def main():
     parser.add_argument("--h", default="1,16,256")
     args = parser.parse_args()
 
-    law = CohesiveLaw(LawKind(args.kind), args.a)
-    base = BarProblem(
-        Domain1D.uniform(1.0, args.elements, crack=((0.5, 1.0),)),
-        law,
-        lambda t: 0.0,
-        lambda t: 1.0 + t,
-        1.0,
-    )
-    report = size_effect_sweep(base, args.alpha, [float(v) for v in args.h.split(",")])
+    # every input fails here, before any solve
+    try:
+        law = CohesiveLaw(LawKind(args.kind), args.a)
+        base = BarProblem(
+            Domain1D.uniform(1.0, args.elements, crack=((0.5, 1.0),)),
+            law,
+            lambda t: 0.0,
+            lambda t: 1.0 + t,
+            1.0,
+        )
+        h_list = [float(v) for v in args.h.split(",")]
+        SweepSection(args.alpha, tuple(h_list), None)
+    except ValueError as err:
+        parser.error(str(err))
+    report = size_effect_sweep(base, args.alpha, h_list)
 
     print(f"verdict: {classify_regime(report).value}")
     print(f"{'h':>10} {'grad_l1':>12} {'bound':>12} {'slack':>12}")

@@ -34,10 +34,14 @@ def main():
     parser.add_argument("--dump-field", help="write the final field to this path")
     args = parser.parse_args()
 
-    law = CohesiveLaw(LawKind.DUGDALE, args.a)
-    times = [float(v) for v in args.times.split(",")]
+    # every input fails here, before any solve
     try:
+        law = CohesiveLaw(LawKind.DUGDALE, args.a)
+        times = [float(v) for v in args.times.split(",")]
         grid = Grid2D.precracked(args.n, args.crack_length, args.gamma)
+        h_list = [float(v) for v in args.h.split(",")]
+        for h in h_list:
+            rescale_laws(law, h, args.alpha)
     except ValueError as err:
         parser.error(str(err))
     laws = rescale_laws(law, 1.0, args.alpha)
@@ -53,8 +57,8 @@ def main():
         print(f"{step.time:>6g} {step.energy:>12.6g} {n_open:>12d} "
               f"{step.psi.max():>10.4g}")
 
-    gaps = tearing_gap_ladder(law, args.alpha, [float(v) for v in args.h.split(",")],
-                              args.n, args.crack_length, args.gamma, times)
+    gaps = tearing_gap_ladder(law, args.alpha, h_list, args.n, args.crack_length,
+                              args.gamma, times)
     print("elastic-limit gaps:", np.array2string(gaps, precision=4))
 
     if args.dump_field:

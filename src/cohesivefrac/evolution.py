@@ -254,8 +254,6 @@ class BalanceReport:
     """Discrete energy-inequality diagnostics for a completed trace."""
 
     slacks: np.ndarray
-    works: np.ndarray
-    remainders: np.ndarray
     cumulative_violation: float
     griffith_deviation: np.ndarray | None
 
@@ -295,8 +293,6 @@ def energy_balance_report(trace: EvolutionTrace) -> BalanceReport:
 
     return BalanceReport(
         slacks=trace.slack,
-        works=trace.work,
-        remainders=remainders,
         cumulative_violation=violation,
         griffith_deviation=deviation,
     )

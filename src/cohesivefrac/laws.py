@@ -138,6 +138,37 @@ class CohesiveLaw:
         # W_-1(0) = -inf: with no surface weight only the vertex is left
         return np.where(real & np.isfinite(x), x, np.nan)
 
+    # Float forms of ``__call__``, ``deriv`` and ``stationary_points`` for
+    # one opening, for kernels that would otherwise spend their time in
+    # numpy calls on 0-d and two-element arrays.  Dugdale values are
+    # bit-identical to the array forms.
+
+    def _value(self, s: float) -> float:
+        if s < 0.0:
+            raise ValueError("opening must be nonnegative")
+        if self.kind is LawKind.DUGDALE:
+            v = self.a * s
+            return 1.0 if v > 1.0 else v
+        return -math.expm1(-self.a * s)
+
+    def _slope(self, s: float) -> float:
+        if s < 0.0:
+            raise ValueError("opening must be nonnegative")
+        if self.kind is LawKind.DUGDALE:
+            return self.a if s < 1.0 / self.a else 0.0
+        return self.a * math.exp(-self.a * s)
+
+    def _stationary(self, kappa: float, d: float, weights, rate: float) -> list:
+        """:meth:`stationary_points` for each of ``weights``, flat, NaN where not real.
+
+        The Dugdale vertex is computed on floats; the exponential law
+        makes one array call, as a scalar Lambert W per point costs more.
+        """
+        if self.kind is LawKind.DUGDALE:
+            c = self.a * rate / (2.0 * kappa)
+            return [d - w * c for w in weights]
+        return self.stationary_points(kappa, d, weights, rate).ravel().tolist()
+
 
 @dataclass(frozen=True)
 class BulkDensity:

@@ -380,27 +380,35 @@ def prefix_crack_sweep(grid: Grid2D, t: float, laws: RescaledLaws, mode: str = "
 def _lip_jump(phi, kappa, d, w, j, psi):
     """Exact minimizer of ``kappa*(x - d)**2 + w*sum_k phi(max((|x| + j_k)/2, psi_k))``.
 
-    One term per crack edge at the node: ``j_k >= 0`` is the jump at the
-    edge's other node and ``psi_k`` its memory.  The surface part grows
-    with ``|x|``, so the minimizer has the sign of ``d`` and ``|x| <= |d|``.
-    In ``y = |x|`` the candidates are the ends, the openings where an edge
-    reaches its memory (convex kinks), and the stationary points for every
-    set of edges that may be smooth at once (each set is one law term in
-    ``y/2``, see :meth:`CohesiveLaw.stationary_points`).  Saturation is a
-    concave kink and never a minimizer.  Ties go to the smaller jump.
+    One term per crack edge at the node, one or two of them: ``j_k >= 0``
+    is the jump at the edge's other node and ``psi_k`` its memory, both
+    sequences of floats.  The surface part grows with ``|x|``, so the
+    minimizer has the sign of ``d`` and ``|x| <= |d|``.  In ``y = |x|`` the
+    candidates are the ends, the openings where an edge reaches its
+    memory (convex kinks), and the stationary points for every set of
+    edges that may be smooth at once (each set is one law term in ``y/2``,
+    see :meth:`CohesiveLaw.stationary_points`).  Saturation is a concave
+    kink and never a minimizer.  A candidate outside ``(0, |d|)``, or not
+    real, would be clamped onto an end, so it is dropped.  Everything is
+    priced on floats; ties go to the smaller jump.
     """
     end = abs(d)
-    half = 0.5 * j
-    slopes = (w / phi.a) * phi.deriv(half)
+    edges = list(zip(j, psi))
+    slopes = [(w / phi.a) * phi._slope(0.5 * jk) for jk in j]
     # every nonempty set of edges; with one edge the sets coincide
-    weights = np.array([slopes[0], slopes[-1], slopes.sum()])
-    cand = [(0.0, end), 2.0 * (psi - half)]
-    cand.extend(phi.stationary_points(kappa, end, weights, 0.5))
-    # fmin maps a point that is not real (NaN) to the right end
-    y = np.sort(np.maximum(np.fmin(np.concatenate(cand), end), 0.0))
-    opening = np.maximum(0.5 * (y[:, None] + j), psi)
-    energy = kappa * (y - end) ** 2 + w * phi(opening).sum(axis=1)
-    x = float(y[np.argmin(energy)])
+    weights = slopes if len(slopes) == 1 else [slopes[0], slopes[1], slopes[0] + slopes[1]]
+    cand = [2.0 * (pk - 0.5 * jk) for jk, pk in edges]
+    cand += phi._stationary(kappa, end, weights, 0.5)
+
+    # the lowest energy, then the smaller jump
+    x = e_min = None
+    for y in [0.0, end, *(y for y in cand if 0.0 < y < end)]:
+        surface = 0.0
+        for jk, pk in edges:
+            surface += phi._value(max(0.5 * (y + jk), pk))
+        e = kappa * ((y - end) * (y - end)) + w * surface
+        if x is None or e < e_min or (e == e_min and y < x):
+            x, e_min = y, e
     return x if d >= 0.0 else -x
 
 
@@ -412,24 +420,30 @@ def _sweep_jumps(grid, laws, t, jumps):
     constant in the jump ``x`` at node ``i``, with ``kappa = bw*S_ii/2`` and
     ``d = 2t + 2*(S_i.q - S_ii*q_i)/S_ii``; :func:`_lip_jump` minimizes it
     together with the surface term exactly, so no update raises the
-    energy.  ``S.q`` follows each update by a rank-one correction.
+    energy.  The diagonal of ``S``, the memory and the jumps are read as
+    floats once per pass; ``S.q`` follows each update by a rank-one
+    correction, the one array operation per node.  ``jumps`` is updated
+    in place.
     """
-    n, psi = grid.n, grid.psi
+    n = grid.n
     stiff = _lip_operator(n).stiffness
-    w = laws.surface_weight * grid.spacing
+    diag = stiff.diagonal().tolist()
+    psi = grid.psi.tolist()
+    phi, w, half_bw = laws.phi, laws.surface_weight * grid.spacing, 0.5 * laws.bulk_weight
     q = t - 0.5 * jumps
     sq = stiff @ q
+    q = q.tolist()
+    mags = np.abs(jumps).tolist()
     for i in range(n + 1):
-        s_ii = stiff[i, i]
-        d = 2.0 * t + 2.0 * (sq[i] - s_ii * q[i]) / s_ii
+        s_ii = diag[i]
+        d = 2.0 * t + 2.0 * (float(sq[i]) - s_ii * q[i]) / s_ii
         # crack edges i-1 and i, whose other nodes are i-1 and i+1
-        others = [k for k in (i - 1, i + 1) if 0 <= k <= n]
-        edges = psi[max(i - 1, 0):min(i + 1, n)]
-        x = _lip_jump(laws.phi, 0.5 * laws.bulk_weight * s_ii, d, w,
-                      np.abs(jumps[others]), edges)
+        others = [mags[k] for k in (i - 1, i + 1) if 0 <= k <= n]
+        x = _lip_jump(phi, half_bw * s_ii, d, w, others, psi[max(i - 1, 0):min(i + 1, n)])
         q_new = t - 0.5 * x
         sq += stiff[i] * (q_new - q[i])  # S is symmetric: row i is column i
         q[i] = q_new
+        mags[i] = abs(x)
         jumps[i] = x
 
 

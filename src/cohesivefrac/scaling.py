@@ -85,7 +85,6 @@ class RegimeRow:
     """One h of the sweep: the full trace plus its regime diagnostics."""
 
     h: float
-    delta: float
     trace: EvolutionTrace
     gap_sup: float
     bulk_gap_sup: float
@@ -105,8 +104,6 @@ class RegimeRow:
 class ScalingReport:
     alpha: float
     rows: tuple[RegimeRow, ...]
-    reference_times: np.ndarray
-    reference_totals: np.ndarray
     gap_monotone: bool
 
 
@@ -199,7 +196,6 @@ def size_effect_sweep(
         bound = (n_crack_sites + n_boundary_sites + 1) / (base.law.a * h**alpha)
         return RegimeRow(
             h=h,
-            delta=delta,
             trace=trace,
             gap_sup=gap_sup,
             bulk_gap_sup=bulk_gap_sup,
@@ -213,7 +209,7 @@ def size_effect_sweep(
 
     gaps = [r.gap_sup for r in rows]
     monotone = all(b <= a + 1e-6 for a, b in zip(gaps, gaps[1:]))
-    return ScalingReport(float(alpha), tuple(rows), ref_times, ref_totals, monotone)
+    return ScalingReport(float(alpha), tuple(rows), monotone)
 
 
 def classify_regime(report: ScalingReport) -> Regime:

@@ -37,6 +37,11 @@ def test_phi_rejects_negative_opening():
         dugdale()(-0.1)
     with pytest.raises(ValueError):
         exponential()(np.array([0.2, -1e-9]))
+    # the float forms keep the check
+    for law in (dugdale(), exponential()):
+        for form in (law._value, law._slope):
+            with pytest.raises(ValueError, match="nonnegative"):
+                form(-1e-9)
 
 
 def test_law_requires_positive_finite_slope():
@@ -112,6 +117,31 @@ def test_stationary_points_zero_the_derivative(kind):
     assert np.max(np.abs(grad[real])) <= 1e-12 * (1.0 + np.max(np.abs(x[real])))
     # no surface weight: only the vertex d is stationary
     assert law.stationary_points(kappa, 0.4, 0.0)[0] == pytest.approx(0.4, abs=0.0)
+
+
+@pytest.mark.parametrize("kind", list(LawKind))
+def test_float_forms_match_array_forms(kind):
+    law = CohesiveLaw(kind, 2.0)
+    rng = np.random.default_rng(4 + list(LawKind).index(kind))
+    # zero, the Dugdale kink 1/a, past saturation, and seeded random openings
+    s = np.concatenate([[0.0, 1.0 / law.a, 0.75, 3.0], rng.uniform(0.0, 2.0, 500)])
+    value = np.array([law._value(x) for x in s.tolist()])
+    slope = np.array([law._slope(x) for x in s.tolist()])
+    kappa, rate = 0.7, 0.5
+    d = rng.uniform(-2.0, 3.0, 3)
+    weights = rng.uniform(0.0, 3.0, 3)
+    points = [law._stationary(kappa, float(x), weights.tolist(), rate) for x in d]
+    want_points = law.stationary_points(kappa, d[:, None], weights, rate)
+    if kind is LawKind.DUGDALE:
+        assert np.array_equal(value, law(s)) and np.array_equal(slope, law.deriv(s))
+        assert law._slope(1.0 / law.a) == 0.0 and law._value(3.0) == 1.0
+        assert np.array_equal(np.array(points), want_points[0])
+    else:
+        assert np.allclose(value, law(s), rtol=1e-15, atol=0.0)
+        assert np.allclose(slope, law.deriv(s), rtol=1e-15, atol=0.0)
+        assert np.allclose(np.array(points), want_points.transpose(1, 0, 2).reshape(3, 6),
+                           rtol=0.0, atol=0.0, equal_nan=True)
+    assert type(law._value(0.5)) is float and type(law._slope(0.5)) is float
 
 
 @pytest.mark.parametrize("a", LAW_SLOPES)

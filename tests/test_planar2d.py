@@ -1,5 +1,7 @@
 """Planar tearing solver: elastic solves, prefix sweep, alternate minimization."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import spsolve
 
+from cohesivefrac import planar2d
 from cohesivefrac.laws import CohesiveLaw, LawKind, plain_laws, rescale_laws
 from cohesivefrac.planar2d import (
     AMResult,
@@ -74,6 +77,26 @@ def _sparse_oracle(n, t, tied, jumps=None, load=None):
     z = spsolve((pmat.T @ lap @ pmat).tocsc(), -pmat.T @ (lap @ u0 + 0.5 * lin))
     lower, upper = (pmat @ z + u0).reshape(2, m + 1, cols)
     return lower, upper
+
+
+def _lip_jump_oracle(phi, kappa, d, w, j, psi):
+    """Vectorized per-node jump: the same candidates as ``_lip_jump``, priced with numpy.
+
+    ``j`` and ``psi`` are arrays of one or two entries.  Every candidate
+    is clamped onto ``[0, |d|]`` (a point that is not real onto ``|d|``),
+    sorted, and the first of the lowest energies wins.
+    """
+    end = abs(d)
+    half = 0.5 * j
+    slopes = (w / phi.a) * phi.deriv(half)
+    weights = np.array([slopes[0], slopes[-1], slopes.sum()])
+    cand = [(0.0, end), 2.0 * (psi - half)]
+    cand.extend(phi.stationary_points(kappa, end, weights, 0.5))
+    y = np.sort(np.maximum(np.fmin(np.concatenate(cand), end), 0.0))
+    opening = np.maximum(0.5 * (y[:, None] + j), psi)
+    energy = kappa * (y - end) ** 2 + w * phi(opening).sum(axis=1)
+    x = float(y[np.argmin(energy)])
+    return x if d >= 0.0 else -x
 
 
 def _tied_nodes(n, open_edges):
@@ -319,7 +342,7 @@ def test_lip_jump_never_beaten_by_grid(kind):
             opening = np.maximum(0.5 * (np.abs(x)[:, None] + j), psi)
             return kappa * (x - d) ** 2 + w * phi(opening).sum(axis=1)
 
-        x = _lip_jump(phi, kappa, d, w, j, psi)
+        x = _lip_jump(phi, kappa, d, w, j.tolist(), psi.tolist())
         radius = abs(d) + 1.0
         want = float(energy(np.linspace(-radius, radius, 40_001)).min())
         assert float(energy(x)[0]) <= want + 1e-12 * max(1.0, abs(want))
@@ -340,6 +363,47 @@ def test_lip_jump_never_beaten_by_grid(kind):
             assert x == 0.0
     assert seen["memory"] and seen["zero"] and seen["pos"] and seen["neg"]
     assert seen["saturation" if kind is LawKind.DUGDALE else "two_stationary"]
+
+
+@pytest.mark.parametrize("kind", list(LawKind))
+def test_lip_jump_matches_vectorized_oracle(kind):
+    rng = np.random.default_rng(60 + list(LawKind).index(kind))
+    seen = dict.fromkeys(("one", "two", "memory", "saturation", "zero", "pos", "neg"), 0)
+    for trial in range(600):
+        phi = CohesiveLaw(kind, rng.uniform(0.5, 5.0))
+        kappa = rng.uniform(0.1, 2.0)
+        d = 0.0 if trial % 10 == 0 else rng.uniform(-3.0, 3.0)
+        w = rng.uniform(0.01, 2.0)
+        m = int(rng.choice([1, 2]))
+        j = rng.uniform(0.0, 2.0 / phi.a, m) * (rng.random(m) < 0.8)
+        psi = np.where(rng.random(m) < 0.3, 0.0, rng.uniform(0.0, 2.0 / phi.a, m))
+        x = _lip_jump(phi, kappa, d, w, j.tolist(), psi.tolist())
+        want = _lip_jump_oracle(phi, kappa, d, w, j, psi)
+        if kind is LawKind.DUGDALE:
+            assert x == want and np.signbit(x) == np.signbit(want)
+        else:
+            assert abs(x - want) <= 1e-14 * abs(want)
+        assert type(x) is float
+
+        inside = lambda y: (0.0 < y) & (y < abs(d))  # noqa: E731
+        seen["one" if m == 1 else "two"] += 1
+        seen["memory"] += int(inside(2.0 * psi - j).any())
+        if phi.saturation_opening is not None:
+            seen["saturation"] += int(inside(2.0 * phi.saturation_opening - j).any())
+        seen["zero" if d == 0.0 else "pos" if d > 0.0 else "neg"] += 1
+    if kind is not LawKind.DUGDALE:
+        del seen["saturation"]
+    assert min(seen.values()) >= 30, seen
+
+
+def test_lip_jump_tie_goes_to_the_smaller_jump():
+    # phi(s) = min(s, 1): the vertex 1.875 and the saturated end 2.125
+    # both cost exactly 1, and the end comes first among the candidates
+    phi = CohesiveLaw(LawKind.DUGDALE, 1.0)
+    for d in (2.125, -2.125):
+        x = _lip_jump(phi, 1.0, d, 1.0, [0.0], [0.0])
+        assert x == _lip_jump_oracle(phi, 1.0, d, 1.0, np.zeros(1), np.zeros(1))
+        assert x == math.copysign(1.875, d)
 
 
 @pytest.mark.parametrize("kind", list(LawKind))
@@ -419,6 +483,39 @@ class TestTearing:
                                   times=[0.3, 0.6])
         assert np.all(np.diff(gaps) <= 1e-6)
         assert gaps[-1] < 0.1
+
+    def test_benchmark_ladder_is_pinned(self, monkeypatch):
+        # the planar benchmark's tearing inputs at seed 0; the AM counts
+        # show that the per-node kernel changed no iterate
+        iterations, energies = [], []
+        am, tearing = planar2d.alternate_minimize, planar2d.evolve_tearing
+
+        def counting_am(*args, **kwargs):
+            try:
+                res = am(*args, **kwargs)
+            except PlanarNonconvergence:
+                iterations.append(None)
+                raise
+            iterations.append(res.iterations)
+            return res
+
+        def recording_tearing(*args, **kwargs):
+            steps = tearing(*args, **kwargs)
+            energies.extend(step.energy for step in steps)
+            return steps
+
+        monkeypatch.setattr(planar2d, "alternate_minimize", counting_am)
+        monkeypatch.setattr(planar2d, "evolve_tearing", recording_tearing)
+        gaps = tearing_gap_ladder(DUGDALE, 0.25, [1.0, 10.0, 100.0, 1000.0], n=32,
+                                  crack_length=0.5, gamma=0.1,
+                                  times=[0.2, 0.4, 0.6, 0.8, 1.0])
+        assert gaps == pytest.approx(
+            [2.848729332353215, 2.848729332353215, 0.9683646839084288, 2.220446049250313e-16],
+            rel=1e-12, abs=1e-15)
+        assert len(energies) == 20
+        assert sum(energies) == pytest.approx(123.25944345952092, rel=1e-12)
+        assert None not in iterations
+        assert (len(iterations), sum(iterations)) == (76, 151)
 
     def test_gap_ladder_reference_opens_only_memory_edges(self):
         # a precrack of zero memory is no crack: the same gaps as none at all

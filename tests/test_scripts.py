@@ -47,3 +47,18 @@ def test_tearing_script_rejects_a_crack_off_the_interface(length):
     done = _run("tearing_2d.py", "--n", "8", "--h", "1", "--crack-length", length)
     assert done.returncode == 2
     assert "crack length must lie in [0, 1]" in done.stderr
+
+
+@pytest.mark.parametrize(
+    "name, args, message",
+    [
+        ("brittle_sweep.py", ["--h", "10,1"], "[sweep] h must be a nonempty increasing list"),
+        ("rupture_check.py", ["--h", "1,0.5"], "[sweep] h must be a nonempty increasing list"),
+        ("tearing_2d.py", ["--n", "8", "--h", "0.5"], "size ratio must satisfy h >= 1"),
+    ],
+)
+def test_script_rejects_a_bad_size_ladder_before_solving(name, args, message):
+    done = _run(name, *args)
+    assert done.returncode == 2
+    assert message in done.stderr
+    assert "Traceback" not in done.stderr and done.stdout == ""
