@@ -99,35 +99,57 @@ class CohesiveLaw:
             out = self.a * np.exp(-self.a * arr)
         return out if out.ndim else float(out)
 
-    def stationary_points(self, kappa: float, d, weight, rate: float = 1.0) -> np.ndarray:
-        """Stationary points of ``kappa*(x - d)**2 + weight*phi(rate*x)``.
+    # Float forms of ``__call__`` and ``deriv`` for one opening, and the
+    # stationary points of one law term, for kernels that would otherwise
+    # spend their time in numpy calls on 0-d and two-element arrays.
+    # Values are bit-identical to the array forms: the exponential law
+    # takes numpy's exp on a float, as ``math.exp`` rounds differently
+    # in about one opening in twenty.
 
-        ``kappa > 0``, ``rate > 0`` and ``weight >= 0``; ``d`` and ``weight``
-        broadcast, and the result has shape ``(k, *broadcast shape)``:
-        ``k`` points per instance, NaN where a point is not real.  Only the
-        unsaturated piece of phi counts; on a saturated piece the point is
-        ``d``.
+    def _value(self, s: float) -> float:
+        if s < 0.0:
+            raise ValueError("opening must be nonnegative")
+        if self.kind is LawKind.DUGDALE:
+            v = self.a * s
+            return 1.0 if v > 1.0 else v
+        return -float(np.expm1(-self.a * s))
 
-        Dugdale (``k = 1``): the vertex ``d - weight*a*rate/(2*kappa)``.
-        Exponential (``k = 2``): with ``b = a*rate``, ``x = d + W(z)/b``
-        for ``z = -weight*b**2*exp(-b*d)/(2*kappa)`` on the two real
-        Lambert-W branches, which exist for ``z >= -1/e``; ``W_0`` is a
-        local minimum (the second derivative is ``2*kappa*(1 + W)``) and
-        ``W_-1`` a local maximum.
+    def _slope(self, s: float) -> float:
+        if s < 0.0:
+            raise ValueError("opening must be nonnegative")
+        if self.kind is LawKind.DUGDALE:
+            return self.a if s < 1.0 / self.a else 0.0
+        return self.a * float(np.exp(-self.a * s))
+
+    def _stationary(self, kappa: float, d: float, weights, rate: float) -> list:
+        """Stationary points of ``kappa*(x - d)**2 + w*phi(rate*x)`` for every weight ``w``.
+
+        ``kappa > 0``, ``rate > 0`` and every ``w >= 0``.  Returns a flat
+        list of floats, NaN where a point is not real.  Only the
+        unsaturated piece of phi counts; on a saturated piece the point
+        is ``d``.
+
+        Dugdale: the vertex ``d - w*a*rate/(2*kappa)``, on floats.
+        Exponential: with ``b = a*rate``, ``x = d + W(z)/b`` for
+        ``z = -w*b**2*exp(-b*d)/(2*kappa)`` on the two real Lambert-W
+        branches, which exist for ``z >= -1/e``: first the ``W_0`` point
+        of every weight, a local minimum (the second derivative is
+        ``2*kappa*(1 + W)``), then the ``W_-1`` ones, local maxima.  This
+        is one array call, as a scalar Lambert W per point costs more.
 
         A sum ``sum_k w_k*phi(rate*x + s_k)`` of terms on their unsaturated
         piece is ``W*phi(rate*x)`` plus a constant, with
-        ``W = sum_k w_k*phi'(s_k)/a`` (see :meth:`deriv`), so one call
-        covers any number of shifted copies of the law.
+        ``W = sum_k w_k*phi'(s_k)/a``, so one weight covers any number of
+        shifted copies of the law.
         """
-        d = np.asarray(d, dtype=float)
-        weight = np.asarray(weight, dtype=float)
         if self.kind is LawKind.DUGDALE:
-            return (d - weight * (self.a * rate / (2.0 * kappa)))[None]
+            c = self.a * rate / (2.0 * kappa)
+            return [d - w * c for w in weights]
         # scipy.special costs memory and start-up time, so only
         # exponential laws load it
         from scipy.special import lambertw
 
+        weight = np.asarray(weights, dtype=float)
         b = self.a * rate
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             # in logs, so that a zero weight gives z = 0 however large -b*d
@@ -136,38 +158,7 @@ class CohesiveLaw:
             zr = np.where(real, z, 0.0)
             x = d + np.stack([lambertw(zr, 0).real, lambertw(zr, -1).real]) / b
         # W_-1(0) = -inf: with no surface weight only the vertex is left
-        return np.where(real & np.isfinite(x), x, np.nan)
-
-    # Float forms of ``__call__``, ``deriv`` and ``stationary_points`` for
-    # one opening, for kernels that would otherwise spend their time in
-    # numpy calls on 0-d and two-element arrays.  Dugdale values are
-    # bit-identical to the array forms.
-
-    def _value(self, s: float) -> float:
-        if s < 0.0:
-            raise ValueError("opening must be nonnegative")
-        if self.kind is LawKind.DUGDALE:
-            v = self.a * s
-            return 1.0 if v > 1.0 else v
-        return -math.expm1(-self.a * s)
-
-    def _slope(self, s: float) -> float:
-        if s < 0.0:
-            raise ValueError("opening must be nonnegative")
-        if self.kind is LawKind.DUGDALE:
-            return self.a if s < 1.0 / self.a else 0.0
-        return self.a * math.exp(-self.a * s)
-
-    def _stationary(self, kappa: float, d: float, weights, rate: float) -> list:
-        """:meth:`stationary_points` for each of ``weights``, flat, NaN where not real.
-
-        The Dugdale vertex is computed on floats; the exponential law
-        makes one array call, as a scalar Lambert W per point costs more.
-        """
-        if self.kind is LawKind.DUGDALE:
-            c = self.a * rate / (2.0 * kappa)
-            return [d - w * c for w in weights]
-        return self.stationary_points(kappa, d, weights, rate).ravel().tolist()
+        return np.where(real & np.isfinite(x), x, np.nan).ravel().tolist()
 
 
 @dataclass(frozen=True)
@@ -189,6 +180,12 @@ class BulkDensity:
         thr = self.threshold
         out = np.where(arr <= thr, arr * arr, thr * thr + self.a * (arr - thr))
         return out if out.ndim else float(out)
+
+    def _value(self, xi: float) -> float:
+        """``__call__`` for one strain, on floats and bit-identical to it."""
+        x = abs(xi)
+        thr = self.threshold
+        return x * x if x <= thr else thr * thr + self.a * (x - thr)
 
     def deriv(self, xi):
         """f'(xi); the two branches match at the threshold, so f is C1."""

@@ -278,11 +278,15 @@ def _lip_bulk(n: int, t: float, jumps: np.ndarray) -> float:
     return 2.0 * float(q @ _lip_operator(n).stiffness @ q)
 
 
+def _edge_openings(jumps: np.ndarray) -> np.ndarray:
+    """Opening of each crack edge: the mean jump magnitude at its two nodes."""
+    return 0.5 * (np.abs(jumps[:-1]) + np.abs(jumps[1:]))
+
+
 def _lip_energy(grid: Grid2D, laws: RescaledLaws, t: float, jumps) -> float:
     """Reduced energy of nodal jumps: weighted lip bulk plus the cohesive surface."""
-    opening = 0.5 * (np.abs(jumps[:-1]) + np.abs(jumps[1:]))
     surface = laws.surface_weight * grid.spacing * float(
-        np.sum(laws.phi(np.maximum(opening, grid.psi)))
+        np.sum(laws.phi(np.maximum(_edge_openings(jumps), grid.psi)))
     )
     return laws.bulk_weight * _lip_bulk(grid.n, t, jumps) + surface
 
@@ -357,10 +361,9 @@ def prefix_crack_sweep(grid: Grid2D, t: float, laws: RescaledLaws, mode: str = "
             fresh = int(np.sum(grid.psi[:k] == 0.0))
             surface[k] = laws.surface_weight * delta * fresh
         else:
-            opening = np.zeros(n)
-            opening[:k] = np.abs(0.5 * (jumps[:k] + jumps[1:k + 1]))
+            # nodes past the prefix are tied, so their edges open by 0
             surface[k] = laws.surface_weight * delta * float(
-                np.sum(laws.phi(np.maximum(opening, grid.psi)))
+                np.sum(laws.phi(np.maximum(_edge_openings(jumps), grid.psi)))
             )
     total = bulk + surface
     best = 0
@@ -387,7 +390,7 @@ def _lip_jump(phi, kappa, d, w, j, psi):
     candidates are the ends, the openings where an edge reaches its
     memory (convex kinks), and the stationary points for every set of
     edges that may be smooth at once (each set is one law term in ``y/2``,
-    see :meth:`CohesiveLaw.stationary_points`).  Saturation is a concave
+    see :meth:`CohesiveLaw._stationary`).  Saturation is a concave
     kink and never a minimizer.  A candidate outside ``(0, |d|)``, or not
     real, would be clamped onto an end, so it is dropped.  Everything is
     priced on floats; ties go to the smaller jump.
@@ -462,7 +465,7 @@ def _pattern_step(grid, laws, t, jumps):
     tied = sign == 0.0
     if tied.all():
         return None
-    opening = 0.5 * (np.abs(jumps[:-1]) + np.abs(jumps[1:]))
+    opening = _edge_openings(jumps)
     slopes = np.where(opening > grid.psi, laws.phi.deriv(opening), 0.0)
     g = np.zeros(grid.n + 1)
     g[:-1] += 0.5 * slopes
@@ -588,8 +591,7 @@ def evolve_tearing(grid: Grid2D, times, laws: RescaledLaws) -> list[TearingStep]
         if best is None:
             raise stalled
         jn = best.nodal_jumps
-        opening = 0.5 * (np.abs(jn[:-1]) + np.abs(jn[1:]))
-        psi = np.maximum(psi, opening)
+        psi = np.maximum(psi, _edge_openings(jn))
         prev = jn
         steps.append(TearingStep(time=float(t), field=best.field, jumps=best.jumps,
                                  psi=psi, energy=float(best.energies[-1])))

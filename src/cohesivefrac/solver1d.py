@@ -15,12 +15,14 @@ Two routes are provided and kept deliberately independent:
   excess ``e`` the site of largest memory is never beaten as the owner:
   a step prices that one branch, a 1d problem solved exactly, whose
   minimum lies at an end of its interval or at a closed-form stationary
-  point of a smooth piece.  A step is therefore a function of the bar
-  length, the signed datum difference and the memory vector over the
-  jump sites, and returns one slope and one oriented jump per site:
-  :func:`_cohesive_step` and :func:`_griffith_step` work on those floats
-  alone, and :func:`incremental_minimize` and :func:`griffith_minimize`
-  wrap them in displacement objects for library callers.
+  point of a smooth piece, with the float forms of the laws that the
+  planar node update uses: a Dugdale step makes no numpy call.  A step
+  is therefore a function of the bar length, the signed datum
+  difference and the memory vector over the jump sites, and returns one
+  slope and one oriented jump per site: :func:`_cohesive_step` and
+  :func:`_griffith_step` work on those floats alone, and
+  :func:`incremental_minimize` and :func:`griffith_minimize` wrap them
+  in displacement objects for library callers.
 
 * :func:`brute_force_minimize` quantizes jump vectors over the active
   sites and enumerates them exhaustively.  It knows nothing about the
@@ -89,7 +91,7 @@ def _delta(domain: Domain1D, g) -> float | None:
 
 
 def _excess_minimum(laws, L, c, p):
-    """Exact minimum of the excess branch of an owner with memory ``p``.
+    """The excess at the exact minimum of the branch of an owner with memory ``p``.
 
     The branch minimizes ``bw*L*f((c - e)/L) + sw*(phi(p + e) - phi(p))``
     over the excess ``e`` in ``[0, c]``, where ``c`` is the datum
@@ -97,24 +99,22 @@ def _excess_minimum(laws, L, c, p):
     ``c - L*threshold`` the bulk is affine and the branch concave, so it
     has no interior minimum there; above, the bulk is ``(bw/L)*(c - e)**2``
     and the candidates are the stationary points of
-    :meth:`CohesiveLaw.stationary_points`.  The bulk threshold is a C1
-    join and the Dugdale saturation a concave kink, so neither holds a
-    minimum that is not already a candidate: the ends and the stationary
-    points suffice.  ``e = 0``, the plain refill, wins whenever it is
-    within ``TIE_TOL`` of the minimum; other ties go to the smaller
-    excess.  Returns ``(e, energy)``.
+    :meth:`CohesiveLaw._stationary` inside ``(0, c)``.  The bulk
+    threshold is a C1 join and the Dugdale saturation a concave kink, so
+    neither holds a minimum that is not already a candidate: the ends and
+    the stationary points suffice.  Every candidate is priced on floats.
+    ``e = 0``, the plain refill, wins whenever it is within ``TIE_TOL`` of
+    the minimum; other ties go to the smaller excess.
     """
-    phi, sw = laws.phi, laws.surface_weight
-    stationary = phi.stationary_points(laws.bulk_weight / L, c, sw * phi.deriv(p) / phi.a)
-    # fmin maps a point that is not real (NaN) to the right end
-    e = np.sort(np.maximum(np.fmin(np.concatenate([[0.0, c], stationary]), c), 0.0))
-    # e[0] is 0, so cost[0] is phi(p)
-    cost = phi(p + e)
-    energy = laws.bulk_weight * L * laws.bulk((c - e) / L) + sw * (cost - cost[0])
-    best = int(np.argmin(energy))
-    if energy[0] <= energy[best] + TIE_TOL:
-        best = 0
-    return float(e[best]), float(energy[best])
+    phi, bulk, bw, sw = laws.phi, laws.bulk, laws.bulk_weight, laws.surface_weight
+    base = phi._value(p)
+    stationary = phi._stationary(bw / L, c, [sw * phi._slope(p) / phi.a], 1.0)
+    excess = [0.0, c, *(e for e in stationary if 0.0 < e < c)]
+    energy = [bw * L * bulk._value((c - e) / L) + sw * (phi._value(p + e) - base)
+              for e in excess]
+    # the lowest energy, then the smaller excess
+    low, e = min(zip(energy, excess))
+    return 0.0 if energy[0] <= low + TIE_TOL else e
 
 
 def _memory_refill(psi: list, amount: float) -> list:
@@ -151,7 +151,7 @@ def _cohesive_step(laws: RescaledLaws, L: float, delta: float, psi: list) -> tup
     jumps = _memory_refill(psi, total_jump)
     if D > psi_total:
         owner = max(range(len(psi)), key=psi.__getitem__)
-        excess, _ = _excess_minimum(laws, L, D - psi_total, psi[owner])
+        excess = _excess_minimum(laws, L, D - psi_total, psi[owner])
         jumps[owner] += excess
         total_jump += excess
     return sigma * (D - total_jump) / L, [sigma * j if j != 0.0 else 0.0 for j in jumps]

@@ -177,6 +177,22 @@ class TestMain:
         assert lines[0] == ",".join(SWEEP_HEADER)
         assert {row.split(",")[0] for row in lines[1:]} == {"1", "10"}
 
+    @pytest.mark.parametrize("kind, total", [("dugdale", 1485.9355954574141),
+                                             ("exponential", 1485.838837026886)])
+    def test_benchmark_ladder_is_pinned(self, kind, total, config_path, tmp_path, capsys):
+        # the bar benchmark's brittle ladder at seed 0; the Dugdale sum is
+        # the benchmark's reference objective
+        cfg = config_path(f"[domain]\nelements = 4\n\n[law]\nkind = {kind}\na = 2.0\n\n"
+                          "[program]\nhorizon = 2.0\n\n[sweep]\n")
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", cfg, "--alpha", "0.5", "--h", "1,10,100,1000",
+                     "--check", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.split() == ["regime=brittle_limit"]
+        col = SWEEP_HEADER.index("total")
+        totals = [float(row.split(",")[col]) for row in out.read_text().splitlines()[1:]]
+        assert len(totals) == 2230
+        assert sum(totals) == pytest.approx(total, rel=1e-12)
+
     def test_planar_sweep_full_tear_optimal(self, config_path, tmp_path, capsys):
         cfg = config_path(FULL_CONFIG)
         out = tmp_path / "planar.csv"
@@ -342,13 +358,37 @@ class TestBarRanges:
         assert "energy-balance violation 3e-07" in capsys.readouterr().err
 
 
+def _loads_scipy(code: str) -> bool:
+    """Whether running ``code`` in a fresh interpreter leaves a scipy module loaded."""
+    src = str(Path(cohesivefrac.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code += "\nimport sys; sys.exit(3 * any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    returncode = subprocess.run([sys.executable, "-c", code], env=env).returncode
+    assert returncode in (0, 3), f"the code failed with exit code {returncode}"
+    return returncode == 3
+
+
 def test_cli_import_leaves_scipy_special_unloaded():
     # scipy costs resident memory and start-up time, so the CLI loads no
     # part of it: only the exponential law's closed forms use
     # scipy.special, on first use
-    src = str(Path(cohesivefrac.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    code = ("import sys, cohesivefrac.cli; "
-            "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert not _loads_scipy("import cohesivefrac.cli")
+
+
+def test_dugdale_runs_leave_scipy_unloaded():
+    # the Lambert-W import is the exponential law's alone: a Dugdale
+    # exceed step, evolution and tearing step load no part of scipy
+    code = "\n".join((
+        "from cohesivefrac import *",
+        "from cohesivefrac.solver1d import _cohesive_step",
+        "laws = plain_laws(CohesiveLaw(LawKind.DUGDALE, 2.0))",
+        "_cohesive_step(laws, 1.0, 1.5, [0.0, 0.2, 0.0])  # 1.5 exceeds the memory",
+        "trace = evolve(Domain1D.uniform(1.0, 4), CrackState(),",
+        "               LoadProgram.linear_ramp(2.0, 0.1), laws)",
+        "assert trace.jumps.any()",
+        "evolve_tearing(Grid2D.precracked(8, 0.5, 0.1), [0.5], laws)",
+    ))
+    assert not _loads_scipy(code)
+    # the guard sees the lazy import when it does happen
+    assert _loads_scipy(code.replace("DUGDALE", "EXPONENTIAL"))

@@ -13,6 +13,7 @@ from cohesivefrac.laws import (
     relax_bulk_oracle,
     rescale_laws,
 )
+from stationary_oracle import stationary_points
 
 LAW_SLOPES = [0.5, 2.0, 10.0]
 
@@ -96,7 +97,8 @@ def test_stationary_points_zero_the_derivative(kind):
     kappa, rate = 0.7, 0.5
     d = rng.uniform(-2.0, 3.0, 400)
     weight = rng.uniform(0.0, 3.0, 400)
-    x = law.stationary_points(kappa, d, weight, rate)
+    x = np.array([law._stationary(kappa, di, [wi], rate)
+                  for di, wi in zip(d.tolist(), weight.tolist())]).T
     b = law.a * rate
     if kind is LawKind.DUGDALE:
         assert x.shape == (1, 400)
@@ -116,7 +118,7 @@ def test_stationary_points_zero_the_derivative(kind):
     real = np.isfinite(x)
     assert np.max(np.abs(grad[real])) <= 1e-12 * (1.0 + np.max(np.abs(x[real])))
     # no surface weight: only the vertex d is stationary
-    assert law.stationary_points(kappa, 0.4, 0.0)[0] == pytest.approx(0.4, abs=0.0)
+    assert law._stationary(kappa, 0.4, [0.0], 1.0)[0] == 0.4
 
 
 @pytest.mark.parametrize("kind", list(LawKind))
@@ -127,21 +129,29 @@ def test_float_forms_match_array_forms(kind):
     s = np.concatenate([[0.0, 1.0 / law.a, 0.75, 3.0], rng.uniform(0.0, 2.0, 500)])
     value = np.array([law._value(x) for x in s.tolist()])
     slope = np.array([law._slope(x) for x in s.tolist()])
+    assert np.array_equal(value, law(s)) and np.array_equal(slope, law.deriv(s))
     kappa, rate = 0.7, 0.5
     d = rng.uniform(-2.0, 3.0, 3)
     weights = rng.uniform(0.0, 3.0, 3)
     points = [law._stationary(kappa, float(x), weights.tolist(), rate) for x in d]
-    want_points = law.stationary_points(kappa, d[:, None], weights, rate)
+    want_points = stationary_points(law, kappa, d[:, None], weights, rate)
+    assert np.array_equal(np.array(points), want_points.transpose(1, 0, 2).reshape(3, -1),
+                          equal_nan=True)
     if kind is LawKind.DUGDALE:
-        assert np.array_equal(value, law(s)) and np.array_equal(slope, law.deriv(s))
         assert law._slope(1.0 / law.a) == 0.0 and law._value(3.0) == 1.0
-        assert np.array_equal(np.array(points), want_points[0])
     else:
-        assert np.allclose(value, law(s), rtol=1e-15, atol=0.0)
-        assert np.allclose(slope, law.deriv(s), rtol=1e-15, atol=0.0)
-        assert np.allclose(np.array(points), want_points.transpose(1, 0, 2).reshape(3, 6),
-                           rtol=0.0, atol=0.0, equal_nan=True)
+        # the W_-1 points, which follow the W_0 ones, are real for some draws
+        assert np.isfinite(np.array(points)[:, 3:]).any()
     assert type(law._value(0.5)) is float and type(law._slope(0.5)) is float
+
+    # the bulk density: inside, at and beyond the threshold, both signs
+    f = BulkDensity(law.a)
+    xi = np.concatenate([[0.0, f.threshold, -f.threshold, 10.0 * f.threshold],
+                         rng.uniform(-3.0 * f.threshold, 3.0 * f.threshold, 500)])
+    bulk = np.array([f._value(x) for x in xi.tolist()])
+    assert np.array_equal(bulk, f(xi))
+    assert (xi < -f.threshold).any() and (np.abs(xi) < f.threshold).any()
+    assert type(f._value(-0.3)) is float
 
 
 @pytest.mark.parametrize("a", LAW_SLOPES)

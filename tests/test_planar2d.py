@@ -30,6 +30,7 @@ from cohesivefrac.planar2d import (
     tearing_gap_ladder,
     write_field,
 )
+from stationary_oracle import stationary_points
 
 DUGDALE = CohesiveLaw(LawKind.DUGDALE, 2.0)
 
@@ -91,7 +92,7 @@ def _lip_jump_oracle(phi, kappa, d, w, j, psi):
     slopes = (w / phi.a) * phi.deriv(half)
     weights = np.array([slopes[0], slopes[-1], slopes.sum()])
     cand = [(0.0, end), 2.0 * (psi - half)]
-    cand.extend(phi.stationary_points(kappa, end, weights, 0.5))
+    cand.extend(stationary_points(phi, kappa, end, weights, 0.5))
     y = np.sort(np.maximum(np.fmin(np.concatenate(cand), end), 0.0))
     opening = np.maximum(0.5 * (y[:, None] + j), psi)
     energy = kappa * (y - end) ** 2 + w * phi(opening).sum(axis=1)
@@ -355,7 +356,7 @@ def test_lip_jump_never_beaten_by_grid(kind):
         if phi.saturation_opening is not None:
             seen["saturation"] += int(inside(2.0 * phi.saturation_opening - j).sum())
         weights = w * phi.deriv(0.5 * j) / phi.a
-        points = phi.stationary_points(kappa, end, np.append(weights, weights.sum()), 0.5)
+        points = stationary_points(phi, kappa, end, np.append(weights, weights.sum()), 0.5)
         if points.shape[0] == 2:
             seen["two_stationary"] += int(inside(points).all(axis=0).sum())
         seen["zero" if d == 0.0 else "pos" if d > 0.0 else "neg"] += 1

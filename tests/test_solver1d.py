@@ -11,6 +11,7 @@ from cohesivefrac.bar1d import (
 )
 from cohesivefrac.laws import BulkDensity, CohesiveLaw, LawKind, RescaledLaws, plain_laws
 from cohesivefrac.solver1d import (
+    TIE_TOL,
     BudgetError,
     NonconvergenceError,
     _cohesive_step,
@@ -20,6 +21,7 @@ from cohesivefrac.solver1d import (
     griffith_minimize,
     incremental_minimize,
 )
+from stationary_oracle import stationary_points
 
 DUGDALE2 = plain_laws(CohesiveLaw(LawKind.DUGDALE, 2.0))
 EXPONENTIAL2 = plain_laws(CohesiveLaw(LawKind.EXPONENTIAL, 2.0))
@@ -36,6 +38,25 @@ def bar(elements=4, crack=()):
 
 def energy_of(u, domain, crack, g, laws):
     return total_energy(u, crack, g, laws, domain).total
+
+
+def _excess_minimum_oracle(laws, L, c, p):
+    """``_excess_minimum`` with its candidates priced as one numpy array.
+
+    Every candidate is clamped onto ``[0, c]`` (a point that is not real
+    onto ``c``), sorted, and the first of the lowest energies wins unless
+    the refill ``e = 0`` is within ``TIE_TOL`` of it.
+    """
+    phi, sw = laws.phi, laws.surface_weight
+    stationary = stationary_points(phi, laws.bulk_weight / L, c, sw * phi.deriv(p) / phi.a)
+    e = np.sort(np.maximum(np.fmin(np.concatenate([[0.0, c], stationary]), c), 0.0))
+    # e[0] is 0, so cost[0] is phi(p)
+    cost = phi(p + e)
+    energy = laws.bulk_weight * L * laws.bulk((c - e) / L) + sw * (cost - cost[0])
+    best = int(np.argmin(energy))
+    if energy[0] <= energy[best] + TIE_TOL:
+        best = 0
+    return float(e[best])
 
 
 class TestStructured:
@@ -165,17 +186,17 @@ class TestExcessMinima:
             def energy(e):
                 return bw * L * laws.bulk((c - e) / L) + sw * (phi(shifts + e) - phi(shifts))
 
-            e_star, got = np.array([_excess_minimum(laws, L, c, p) for p in shifts]).T
+            e_star = np.array([_excess_minimum(laws, L, c, p) for p in shifts])
+            got = energy(e_star[None, :])[0]
             want = energy(c * grid).min(axis=0)
             assert np.all((0.0 <= e_star) & (e_star <= c))
-            assert np.array_equal(got, energy(e_star[None, :])[0])
             assert np.all(got <= want + 1e-12 * np.maximum(1.0, np.abs(want)))
 
             inside = lambda x: (0.0 < x) & (x < c)  # noqa: E731
             if phi.saturation_opening is not None:
                 seen["saturation"] += int(inside(phi.saturation_opening - shifts).sum())
             seen["threshold"] += int(inside(c - L * laws.bulk.threshold))
-            points = phi.stationary_points(bw / L, c, sw * phi.deriv(shifts) / phi.a)
+            points = stationary_points(phi, bw / L, c, sw * phi.deriv(shifts) / phi.a)
             if points.shape[0] == 2:
                 seen["two_stationary"] += int(inside(points).all(axis=0).sum())
         assert seen["threshold"] > 0
@@ -183,6 +204,39 @@ class TestExcessMinima:
             assert seen["saturation"] > 0
         else:
             assert seen["two_stationary"] > 0
+
+    @pytest.mark.parametrize("kind", list(LawKind))
+    def test_matches_vectorized_oracle(self, kind):
+        rng = np.random.default_rng(30 + list(LawKind).index(kind))
+        seen = dict.fromkeys(("saturation", "threshold", "two_stationary", "tie", "excess"), 0)
+        for trial in range(600):
+            law = CohesiveLaw(kind, rng.uniform(0.5, 5.0))
+            bw, sw = rng.uniform(0.2, 5.0, 2).tolist()
+            laws = RescaledLaws(phi=law, bulk=BulkDensity(rng.uniform(0.5, 5.0)),
+                                bulk_weight=bw, surface_weight=sw)
+            phi = laws.phi
+            L = rng.uniform(0.5, 2.0)
+            # a datum just past the memory, where the refill ties any excess
+            c = 10.0 ** rng.uniform(-9.0, -6.0) if trial % 3 == 0 else rng.uniform(0.05, 3.0)
+            # a fresh site, a partly open one, or one whose law is (nearly) flat
+            p = float(rng.choice([0.0, rng.uniform(0.0, 1.5 / phi.a), 2.0 / phi.a, 30.0 / phi.a]))
+
+            got = _excess_minimum(laws, L, c, p)
+            assert got == _excess_minimum_oracle(laws, L, c, p) and type(got) is float
+
+            def energy(e):
+                return bw * L * laws.bulk((c - e) / L) + sw * (phi(p + e) - phi(p))
+
+            inside = lambda x: (0.0 < x) & (x < c)  # noqa: E731
+            if phi.saturation_opening is not None:
+                seen["saturation"] += int(inside(phi.saturation_opening - p))
+            seen["threshold"] += int(inside(c - L * laws.bulk.threshold))
+            points = stationary_points(phi, bw / L, c, sw * phi.deriv(p) / phi.a)
+            seen["two_stationary"] += int(points.shape[0] == 2 and inside(points).all())
+            seen["tie"] += int(got == 0.0 and energy(c) < energy(0.0))
+            seen["excess"] += int(got > 0.0)
+        del seen["two_stationary" if kind is LawKind.DUGDALE else "saturation"]
+        assert min(seen.values()) >= 30, seen
 
 
 class TestOwnerRule:
@@ -214,7 +268,12 @@ class TestOwnerRule:
             )
             sunk = sw * sum(phi(p) for p in psi)
             c = abs(delta) - sum(psi)
-            want = min(sunk + _excess_minimum(laws, L, c, p)[1] for p in psi)
+
+            def branch(p):
+                e = _excess_minimum(laws, L, c, p)
+                return bw * L * laws.bulk((c - e) / L) + sw * (phi(p + e) - phi(p))
+
+            want = min(sunk + branch(p) for p in psi)
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
