@@ -50,7 +50,7 @@ class LawKind(enum.Enum):
 
 def _as_checked_opening(s):
     arr = np.asarray(s, dtype=float)
-    if np.any(arr < 0.0):
+    if (arr < 0.0).any():
         raise ValueError("opening must be nonnegative")
     return arr
 

@@ -31,18 +31,23 @@ Three operations are exposed.  ``solve_elastic`` minimizes the quadratic
 form with a prescribed set of open crack edges (a closed edge ties the
 lip values at both its endpoints).  ``prefix_crack_sweep`` scans the
 crack lengths ``l = k/n`` and returns the energy-optimal prefix, the
-global check for monotone patterns.  ``alternate_minimize`` minimizes the
-reduced lip energy ``2 bw q.S.q + w sum phi(opening v psi)`` over the
-nodal jumps alone, by coordinate descent: each node update is exact (the
-bulk is minimized out for every trial jump), so the energy trace is
-nonincreasing, but the stationary point is a local statement and is not
-certified global.  Fields are rebuilt only for the results.
+global check for monotone patterns; a prefix crack opens a leading block
+of lip nodes, so one Cholesky factor of ``S`` per mesh size solves every
+prefix.  ``alternate_minimize`` minimizes the reduced lip energy
+``2 bw q.S.q + w sum phi(opening v psi)`` over the nodal jumps alone, by
+coordinate descent: each node update is exact (the bulk is minimized out
+for every trial jump), so the energy trace is nonincreasing.  Its end
+point is not certified global, and need not even be stationary: where an
+edge sits exactly at its memory the surface term couples two nodes, and
+single-node updates can stall there (Tseng, J. Optim. Theory Appl. 109,
+2001).  Fields are built only for the results that are read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -242,24 +247,52 @@ def _solve_jumps(n: int, t: float, tied: np.ndarray, load: np.ndarray | None = N
     The open nodes take one dense solve, whose residual must come out
     below ``RESIDUAL_TOL``.
     """
-    stiff = _lip_operator(n).stiffness
-    free = np.flatnonzero(~tied)
+    free = ~tied
     jumps = np.zeros(n + 1)
-    if free.size == 0:
+    if not free.any():
         return jumps
-    rhs = -stiff[free] @ np.where(tied, t, 0.0)
+    rows = _lip_operator(n).stiffness[free]
+    rhs = -rows @ np.where(tied, t, 0.0)
     if load is not None:
         rhs += load[free]
-    a = stiff[np.ix_(free, free)]
+    a = rows[:, free]
     q = np.linalg.solve(a, rhs)
     residual = float(np.abs(rhs - a @ q).max())
-    scale = max(1.0, abs(t), float(np.abs(rhs).max()))
+    _check_residual(residual, max(1.0, abs(t), float(np.abs(rhs).max())))
+    jumps[free] = 2.0 * (t - q)
+    return jumps
+
+
+def _check_residual(residual: float, scale: float) -> None:
     if not residual <= RESIDUAL_TOL * scale:
         raise PlanarNumericError(
             f"linear solve residual {residual:.3g} exceeds {RESIDUAL_TOL:g}"
         )
-    jumps[free] = 2.0 * (t - q)
-    return jumps
+
+
+@lru_cache(maxsize=8)
+def _prefix_jumps(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(c, x)``: the unit load and unit jumps of every prefix crack, from one Cholesky factor.
+
+    A prefix crack opens the lip nodes ``0..m-1``, so its system is the
+    leading block ``S_oo`` of ``S``: with the tied nodes at ``q = t`` the
+    open jumps are ``2t x`` for ``S_oo x = c_o``, ``c = S 1``.  With
+    ``S = L L^T`` every leading block shares the factor, so for
+    ``y = L^-1 c`` the solution is ``x = L_oo^-T y_o``: row ``m - 1`` of
+    ``x`` holds it, and zeros past it.  The last row is the full tear,
+    solved exactly by ``x = 1``.  The rows of ``S`` sum to far less than
+    their entries, so ``c`` is summed with a single rounding
+    (``math.fsum``).
+    """
+    stiff = _lip_operator(n).stiffness
+    c = np.array([math.fsum(row) for row in stiff.tolist()])
+    linv = np.linalg.inv(np.linalg.cholesky(stiff))
+    # x[m - 1, i] = sum_{j < m} linv[j, i] y_j, a running sum over the rows
+    x = np.cumsum(linv * (linv @ c)[:, None], axis=0)
+    x[n] = 1.0
+    for arr in (c, x):
+        arr.setflags(write=False)  # shared by every caller through the cache
+    return c, x
 
 
 def _tied(n: int, open_edges) -> np.ndarray:
@@ -286,7 +319,7 @@ def _edge_openings(jumps: np.ndarray) -> np.ndarray:
 def _lip_energy(grid: Grid2D, laws: RescaledLaws, t: float, jumps) -> float:
     """Reduced energy of nodal jumps: weighted lip bulk plus the cohesive surface."""
     surface = laws.surface_weight * grid.spacing * float(
-        np.sum(laws.phi(np.maximum(_edge_openings(jumps), grid.psi)))
+        laws.phi(np.maximum(_edge_openings(jumps), grid.psi)).sum()
     )
     return laws.bulk_weight * _lip_bulk(grid.n, t, jumps) + surface
 
@@ -343,9 +376,14 @@ def prefix_crack_sweep(grid: Grid2D, t: float, laws: RescaledLaws, mode: str = "
     """Scan prefix cracks ``l = k/n`` and return the optimal one.
 
     For each length the bulk is the tied elastic optimum, so it is
-    exactly nonincreasing in ``l`` (open sets nest).  Griffith surface
-    counts fresh edge length only; the cohesive one pays
-    ``phi(opening v psi)`` per edge.  Ties resolve to the smaller crack.
+    exactly nonincreasing in ``l`` (open sets nest).  Prefix ``k`` opens
+    the lip nodes ``0..k-1`` (all of them at ``k = n``), whose jumps come
+    from one Cholesky factor of the lip operator per mesh size (see
+    :func:`_prefix_jumps`); each solve's residual must come out below
+    ``RESIDUAL_TOL``, and the full tear has jumps ``2t`` and bulk 0
+    exactly.  Griffith surface counts fresh edge length only; the
+    cohesive one pays ``phi(opening v psi)`` per edge.  Ties resolve to
+    the smaller crack.
     """
     if mode not in ("cohesive", "griffith"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -354,8 +392,17 @@ def prefix_crack_sweep(grid: Grid2D, t: float, laws: RescaledLaws, mode: str = "
     lengths = np.arange(n + 1) * delta
     bulk = np.empty(n + 1)
     surface = np.empty(n + 1)
+    stiff = _lip_operator(n).stiffness
+    c, unit = _prefix_jumps(n)
+    jumps = np.zeros(n + 1)  # k = 0 ties every node
     for k in range(n + 1):
-        jumps = _solve_jumps(n, t, _tied(n, range(k)))
+        if k:
+            m = k if k < n else n + 1
+            x = unit[m - 1]
+            # the residual of S_oo (t x) = t c_o
+            residual = abs(t) * float(np.abs(c[:m] - stiff[:m, :m] @ x[:m]).max())
+            _check_residual(residual, max(1.0, abs(t), abs(t) * float(np.abs(c[:m]).max())))
+            jumps = 2.0 * t * x
         bulk[k] = laws.bulk_weight * _lip_bulk(n, t, jumps)
         if mode == "griffith":
             fresh = int(np.sum(grid.psi[:k] == 0.0))
@@ -363,7 +410,7 @@ def prefix_crack_sweep(grid: Grid2D, t: float, laws: RescaledLaws, mode: str = "
         else:
             # nodes past the prefix are tied, so their edges open by 0
             surface[k] = laws.surface_weight * delta * float(
-                np.sum(laws.phi(np.maximum(_edge_openings(jumps), grid.psi)))
+                laws.phi(np.maximum(_edge_openings(jumps), grid.psi)).sum()
             )
     total = bulk + surface
     best = 0
@@ -396,19 +443,32 @@ def _lip_jump(phi, kappa, d, w, j, psi):
     priced on floats; ties go to the smaller jump.
     """
     end = abs(d)
-    edges = list(zip(j, psi))
-    slopes = [(w / phi.a) * phi._slope(0.5 * jk) for jk in j]
-    # every nonempty set of edges; with one edge the sets coincide
-    weights = slopes if len(slopes) == 1 else [slopes[0], slopes[1], slopes[0] + slopes[1]]
-    cand = [2.0 * (pk - 0.5 * jk) for jk, pk in edges]
+    scale = w / phi.a
+    slope, value = phi._slope, phi._value
+    j0, p0 = j[0], psi[0]
+    two = len(j) == 2
+    if two:
+        j1, p1 = j[1], psi[1]
+        s0, s1 = scale * slope(0.5 * j0), scale * slope(0.5 * j1)
+        # every nonempty set of edges
+        weights = [s0, s1, s0 + s1]
+        cand = [2.0 * (p0 - 0.5 * j0), 2.0 * (p1 - 0.5 * j1)]
+    else:
+        weights = [scale * slope(0.5 * j0)]
+        cand = [2.0 * (p0 - 0.5 * j0)]
     cand += phi._stationary(kappa, end, weights, 0.5)
 
     # the lowest energy, then the smaller jump
     x = e_min = None
-    for y in [0.0, end, *(y for y in cand if 0.0 < y < end)]:
-        surface = 0.0
-        for jk, pk in edges:
-            surface += phi._value(max(0.5 * (y + jk), pk))
+    for y in (0.0, end, *cand):
+        if not 0.0 <= y <= end:
+            continue
+        # max(opening, memory), as a conditional: a builtin call per edge costs more
+        s = 0.5 * (y + j0)
+        surface = value(p0 if p0 > s else s)
+        if two:
+            s = 0.5 * (y + j1)
+            surface += value(p1 if p1 > s else s)
         e = kappa * ((y - end) * (y - end)) + w * surface
         if x is None or e < e_min or (e == e_min and y < x):
             x, e_min = y, e
@@ -425,8 +485,8 @@ def _sweep_jumps(grid, laws, t, jumps):
     together with the surface term exactly, so no update raises the
     energy.  The diagonal of ``S``, the memory and the jumps are read as
     floats once per pass; ``S.q`` follows each update by a rank-one
-    correction, the one array operation per node.  ``jumps`` is updated
-    in place.
+    correction, the one array operation per node.  ``jumps`` is written
+    in place, once, at the end of the pass.
     """
     n = grid.n
     stiff = _lip_operator(n).stiffness
@@ -437,17 +497,24 @@ def _sweep_jumps(grid, laws, t, jumps):
     sq = stiff @ q
     q = q.tolist()
     mags = np.abs(jumps).tolist()
+    new = jumps.tolist()
     for i in range(n + 1):
         s_ii = diag[i]
-        d = 2.0 * t + 2.0 * (float(sq[i]) - s_ii * q[i]) / s_ii
+        d = 2.0 * t + 2.0 * (sq.item(i) - s_ii * q[i]) / s_ii
         # crack edges i-1 and i, whose other nodes are i-1 and i+1
-        others = [mags[k] for k in (i - 1, i + 1) if 0 <= k <= n]
-        x = _lip_jump(phi, half_bw * s_ii, d, w, others, psi[max(i - 1, 0):min(i + 1, n)])
+        if i == 0:
+            j, p = (mags[1],), (psi[0],)
+        elif i == n:
+            j, p = (mags[n - 1],), (psi[n - 1],)
+        else:
+            j, p = (mags[i - 1], mags[i + 1]), (psi[i - 1], psi[i])
+        x = _lip_jump(phi, half_bw * s_ii, d, w, j, p)
         q_new = t - 0.5 * x
         sq += stiff[i] * (q_new - q[i])  # S is symmetric: row i is column i
         q[i] = q_new
         mags[i] = abs(x)
-        jumps[i] = x
+        new[i] = x
+    jumps[:] = new
 
 
 def _pattern_step(grid, laws, t, jumps):
@@ -476,11 +543,18 @@ def _pattern_step(grid, laws, t, jumps):
 
 @dataclass(frozen=True, eq=False)
 class AMResult:
-    field: Field2D
+    grid: Grid2D
+    t: float
     jumps: np.ndarray          # signed per-edge (midpoint) jumps
-    nodal_jumps: np.ndarray
+    nodal_jumps: np.ndarray    # read-only: the field is built from it
     energies: np.ndarray       # start, each sweep, each accepted pattern step; nonincreasing
     iterations: int
+
+    @cached_property
+    def field(self) -> Field2D:
+        """The elastic field with these nodal jumps, built on first use."""
+        lower, upper = _blocks(self.grid.n, self.t, self.nodal_jumps)
+        return Field2D(grid=self.grid, lower=lower, upper=upper)
 
 
 def alternate_minimize(
@@ -499,10 +573,19 @@ def alternate_minimize(
     ``grid``), then a pattern step that is kept only when it lowers the
     energy; it stops once an iteration gains less than ``AM_TOL``.  The
     energy is recorded at the start, after every pass and after every
-    accepted pattern step, so the trace is nonincreasing.  The field is rebuilt once, for the
-    result.  The result is stationary but not certified global; use the
-    prefix sweep as an independent check when the expected pattern is
-    monotone.  ``target_energy`` lets a caller that already holds a
+    accepted pattern step, so the trace is nonincreasing.  The field is
+    built only when ``AMResult.field`` is first read.
+
+    The result is a point that no single-node update and no pattern step
+    improves, which need not be stationary, let alone global: an edge
+    held exactly at its memory couples its two nodes through
+    ``max((|J_i| + |J_i+1|)/2, psi)``, which no single-node update can
+    move along and the pattern step prices as flat, so the descent can
+    stop short of the step minimum there, the known failure of
+    coordinate descent on a nonseparable nonsmooth term (Tseng, J.
+    Optim. Theory Appl. 109, 2001).  Use the prefix sweep as an
+    independent check when the expected pattern is monotone.
+    ``target_energy`` lets a caller that already holds a
     competitor value stop a descent early once it is matched; crack
     fronts advance one node per sweep, so runs racing a known optimum
     would otherwise burn hundreds of sweeps.
@@ -529,9 +612,10 @@ def alternate_minimize(
             e <= target_energy + max(10.0 * AM_TOL, 1e-8 * (1.0 + abs(target_energy)))
         )
         if prev - e < AM_TOL or matched:
-            lower, upper = _blocks(n, t, jumps)
+            jumps.setflags(write=False)
             return AMResult(
-                field=Field2D(grid=grid, lower=lower, upper=upper),
+                grid=grid,
+                t=t,
                 jumps=0.5 * (jumps[:-1] + jumps[1:]),
                 nodal_jumps=jumps,
                 energies=np.asarray(energies),

@@ -1,5 +1,6 @@
 """Config parsing strictness and end-to-end CLI exit codes / CSV output."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -203,6 +204,24 @@ class TestMain:
         assert len(lines) == 1 + 8 + 1  # one row per prefix length 0..n
         bulk = np.array([float(r.split(",")[1]) for r in lines[1:]])
         assert np.all(np.diff(bulk) <= 1e-12)
+
+    @pytest.mark.parametrize("config, ell, digest", [
+        # the planar benchmark's prefix inputs at seed 0
+        ("[law]\nkind = dugdale\na = 2.0\n\n[planar]\nn = 64\nload = 0.3\nmode = cohesive\n"
+         "crack_length = 0.5\ngamma = 0.1\nh = 1\n",
+         "0.09375", "e24c24c29d69fdb41510ec1b047a00936b97092f6181e358741ae5d6036667f9"),
+        # the README config
+        ("[domain]\nelements = 8\n\n[law]\nkind = dugdale\na = 2.0\n\n[program]\n"
+         "horizon = 2.0\ndelta = 0.01\n\n[sweep]\nalpha = 0.5\nh = 1, 10, 100\n\n"
+         "[planar]\nn = 16\nload = 0.3\n",
+         "0", "16d7886b313b84f4a7c6826519551d1a31e928f79a3806da029105a283c8f1f0"),
+    ])
+    def test_planar_csv_is_pinned(self, config, ell, digest, config_path, tmp_path, capsys):
+        out = tmp_path / "planar.csv"
+        assert main(["planar", "--config", config_path(config), "--out", str(out),
+                     "--check"]) == 0
+        assert capsys.readouterr().out.split() == [f"ell={ell}"]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_planar_rejects_h_list(self, config_path, capsys):
         cfg = config_path(FULL_CONFIG + "h = 1, 10\n")

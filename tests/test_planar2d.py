@@ -16,11 +16,13 @@ from cohesivefrac.planar2d import (
     Field2D,
     Grid2D,
     PlanarNonconvergence,
+    PlanarNumericError,
     _blocks,
     _lip_energy,
     _lip_jump,
     _lip_operator,
     _pattern_step,
+    _solve_jumps,
     _sweep_jumps,
     alternate_minimize,
     cellwise_bulk,
@@ -107,6 +109,28 @@ def _tied_nodes(n, open_edges):
     tied[:-1] |= closed
     tied[1:] |= closed
     return tied
+
+
+def _prefix_sweep_oracle(grid, t, laws, mode):
+    """``(bulk, surface, total, best)`` of the prefix sweep, one dense solve per prefix."""
+    n = grid.n
+    bulk, surface = np.empty(n + 1), np.empty(n + 1)
+    for k in range(n + 1):
+        jumps = _solve_jumps(n, t, _tied_nodes(n, range(k)))
+        q = t - 0.5 * jumps
+        bulk[k] = laws.bulk_weight * 2.0 * float(q @ _lip_operator(n).stiffness @ q)
+        if mode == "griffith":
+            surface[k] = laws.surface_weight * int(np.sum(grid.psi[:k] == 0.0)) / n
+        else:
+            opening = 0.5 * (np.abs(jumps[:-1]) + np.abs(jumps[1:]))
+            surface[k] = laws.surface_weight * float(
+                np.sum(laws.phi(np.maximum(opening, grid.psi)))) / n
+    total = bulk + surface
+    best = 0
+    for k in range(1, n + 1):
+        if total[k] < total[best] - 1e-12:
+            best = k
+    return bulk, surface, total, best
 
 
 def test_solve_elastic_matches_sparse_oracle():
@@ -323,6 +347,26 @@ class TestSweep:
         with pytest.raises(ValueError):
             prefix_crack_sweep(Grid2D(8), 0.1, plain_laws(DUGDALE), mode="both")
 
+    @pytest.mark.parametrize("n", [8, 16, 64, 128])
+    @pytest.mark.parametrize("mode", ["cohesive", "griffith"])
+    def test_matches_per_prefix_solves(self, n, mode):
+        # the shared Cholesky factor against one dense solve per prefix
+        laws = rescale_laws(DUGDALE, 10.0, 0.75)  # bulk weight != 1
+        for grid in (Grid2D(n), Grid2D.precracked(n, 0.25, 0.05)):
+            for t in (0.0, 0.3, 0.9, 3.0, -0.5):
+                res = prefix_crack_sweep(grid, t, laws, mode=mode)
+                bulk, surface, total, best = _prefix_sweep_oracle(grid, t, laws, mode)
+                np.testing.assert_allclose(res.bulk, bulk, rtol=1e-12, atol=0.0)
+                np.testing.assert_allclose(res.surface, surface, rtol=1e-12, atol=0.0)
+                np.testing.assert_allclose(res.total, total, rtol=1e-12, atol=0.0)
+                assert res.best_index == best
+                assert res.bulk[-1] == 0.0
+
+    def test_residual_check_is_live(self, monkeypatch):
+        monkeypatch.setattr(planar2d, "RESIDUAL_TOL", 0.0)
+        with pytest.raises(PlanarNumericError):
+            prefix_crack_sweep(Grid2D(16), 0.3, plain_laws(DUGDALE))
+
 
 @pytest.mark.parametrize("kind", list(LawKind))
 def test_lip_jump_never_beaten_by_grid(kind):
@@ -453,6 +497,18 @@ class TestAlternateMinimize:
         for start in (None, np.full(17, 2.0 * t)):
             res = alternate_minimize(Grid2D(16, psi), t, laws, start_jumps=start)
             assert np.all(np.diff(res.energies) <= 1e-9)
+
+    def test_field_is_built_on_first_read(self):
+        grid = Grid2D.precracked(16, 0.5, 0.1)
+        res = alternate_minimize(grid, 0.5, plain_laws(DUGDALE))
+        assert "field" not in vars(res)
+        lower, upper = _blocks(16, 0.5, res.nodal_jumps)
+        assert np.array_equal(res.field.lower, lower)
+        assert np.array_equal(res.field.upper, upper)
+        assert res.field is res.field and res.field.grid is grid
+        # the field is built from the jumps, so they cannot change under it
+        with pytest.raises(ValueError):
+            res.nodal_jumps[0] = 1.0
 
     def test_nonconvergence_carries_last_energy(self):
         with pytest.raises(PlanarNonconvergence) as err:
