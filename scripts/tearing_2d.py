@@ -9,6 +9,7 @@ Optionally dumps the final displacement field as a plain-text matrix.
 """
 
 import argparse
+import math
 
 import numpy as np
 
@@ -38,6 +39,8 @@ def main():
     try:
         law = CohesiveLaw(LawKind.DUGDALE, args.a)
         times = [float(v) for v in args.times.split(",")]
+        if not all(map(math.isfinite, times)):
+            raise ValueError(f"load times must be finite, got {args.times}")
         grid = Grid2D.precracked(args.n, args.crack_length, args.gamma)
         h_list = [float(v) for v in args.h.split(",")]
         for h in h_list:

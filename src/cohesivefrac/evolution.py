@@ -85,8 +85,8 @@ class LoadProgram:
     @staticmethod
     def sampled(g_left, g_right, horizon: float, delta: float) -> "LoadProgram":
         """Sample callables on the uniform grid with max step strictly below delta."""
-        if horizon <= 0.0 or delta <= 0.0:
-            raise ValueError("horizon and delta must be positive")
+        if not (0.0 < horizon < math.inf and 0.0 < delta < math.inf):
+            raise ValueError("horizon and delta must be positive and finite")
         n = math.ceil(horizon / delta)
         if horizon / n >= delta:
             n += 1

@@ -100,11 +100,11 @@ class CohesiveLaw:
         return out if out.ndim else float(out)
 
     # Float forms of ``__call__`` and ``deriv`` for one opening, and the
-    # stationary points of one law term, for kernels that would otherwise
-    # spend their time in numpy calls on 0-d and two-element arrays.
-    # Values are bit-identical to the array forms: the exponential law
-    # takes numpy's exp on a float, as ``math.exp`` rounds differently
-    # in about one opening in twenty.
+    # local minimum of one law term against a parabola, for kernels that
+    # would otherwise spend their time in numpy calls on 0-d and
+    # two-element arrays.  Values are bit-identical to the array forms:
+    # the exponential law takes numpy's exp on a float, as ``math.exp``
+    # rounds differently in about one opening in twenty.
 
     def _value(self, s: float) -> float:
         if s < 0.0:
@@ -122,20 +122,19 @@ class CohesiveLaw:
         return self.a * float(np.exp(-self.a * s))
 
     def _stationary(self, kappa: float, d: float, weights, rate: float) -> list:
-        """Stationary points of ``kappa*(x - d)**2 + w*phi(rate*x)`` for every weight ``w``.
+        """Local minimum of ``kappa*(x - d)**2 + w*phi(rate*x)`` for every weight ``w``.
 
-        ``kappa > 0``, ``rate > 0`` and every ``w >= 0``.  Returns a flat
-        list of floats, NaN where a point is not real.  Only the
+        ``kappa > 0``, ``rate > 0`` and every ``w >= 0``.  Returns one
+        float per weight, NaN where the point is not real.  Only the
         unsaturated piece of phi counts; on a saturated piece the point
         is ``d``.
 
         Dugdale: the vertex ``d - w*a*rate/(2*kappa)``, on floats.
-        Exponential: with ``b = a*rate``, ``x = d + W(z)/b`` for
-        ``z = -w*b**2*exp(-b*d)/(2*kappa)`` on the two real Lambert-W
-        branches, which exist for ``z >= -1/e``: first the ``W_0`` point
-        of every weight, a local minimum (the second derivative is
-        ``2*kappa*(1 + W)``), then the ``W_-1`` ones, local maxima.  This
-        is one array call, as a scalar Lambert W per point costs more.
+        Exponential: with ``b = a*rate``, ``x = d + W_0(z)/b`` for
+        ``z = -w*b**2*exp(-b*d)/(2*kappa)``, real for ``z >= -1/e``.  The
+        second derivative there is ``2*kappa*(1 + W) >= 0``; the ``W_-1``
+        branch gives local maxima, which never beat an interval's ends.
+        One array call, as a scalar Lambert W per point costs more.
 
         A sum ``sum_k w_k*phi(rate*x + s_k)`` of terms on their unsaturated
         piece is ``W*phi(rate*x)`` plus a constant, with
@@ -154,11 +153,8 @@ class CohesiveLaw:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             # in logs, so that a zero weight gives z = 0 however large -b*d
             z = -np.exp(np.log(weight * (b * b / (2.0 * kappa))) - b * d)
-            real = z >= -math.exp(-1.0)
-            zr = np.where(real, z, 0.0)
-            x = d + np.stack([lambertw(zr, 0).real, lambertw(zr, -1).real]) / b
-        # W_-1(0) = -inf: with no surface weight only the vertex is left
-        return np.where(real & np.isfinite(x), x, np.nan).ravel().tolist()
+            x = np.where(z >= -math.exp(-1.0), d + lambertw(z, 0).real / b, np.nan)
+        return x.tolist()
 
 
 @dataclass(frozen=True)

@@ -74,8 +74,8 @@ RESIDUAL_TOL = 1e-10
 # an alternate minimization has settled once an iteration lowers the
 # energy by less than this
 AM_TOL = 1e-10
-# iteration budget of each alternate minimization in a tearing step
-TEARING_MAX_ITERS = 400
+# iteration budget of each alternate minimization
+AM_MAX_ITERS = 400
 
 
 class PlanarNumericError(RuntimeError):
@@ -83,7 +83,7 @@ class PlanarNumericError(RuntimeError):
 
 
 class PlanarNonconvergence(RuntimeError):
-    """Alternate minimization hit ``max_iters``; carries the last energy."""
+    """Alternate minimization hit ``AM_MAX_ITERS``; carries the last energy."""
 
     def __init__(self, last_energy: float, iterations: int):
         super().__init__(
@@ -435,9 +435,9 @@ def _lip_jump(phi, kappa, d, w, j, psi):
     sequences of floats.  The surface part grows with ``|x|``, so the
     minimizer has the sign of ``d`` and ``|x| <= |d|``.  In ``y = |x|`` the
     candidates are the ends, the openings where an edge reaches its
-    memory (convex kinks), and the stationary points for every set of
-    edges that may be smooth at once (each set is one law term in ``y/2``,
-    see :meth:`CohesiveLaw._stationary`).  Saturation is a concave
+    memory (convex kinks), and the local minimum for every set of edges
+    that may be smooth at once (each set is one law term in ``y/2``, see
+    :meth:`CohesiveLaw._stationary`).  Saturation is a concave
     kink and never a minimizer.  A candidate outside ``(0, |d|)``, or not
     real, would be clamped onto an end, so it is dropped.  Everything is
     priced on floats; ties go to the smaller jump.
@@ -562,7 +562,6 @@ def alternate_minimize(
     t: float,
     laws: RescaledLaws,
     start_jumps: np.ndarray | None = None,
-    max_iters: int = 200,
     target_energy: float | None = None,
 ) -> AMResult:
     """Minimize the reduced lip energy over the nodal jumps until it settles.
@@ -571,10 +570,10 @@ def alternate_minimize(
     updates on ``2 bw q.S.q + w sum phi(opening v psi)`` (the elastic
     field minimized out for every trial jump, ``psi`` the memory of
     ``grid``), then a pattern step that is kept only when it lowers the
-    energy; it stops once an iteration gains less than ``AM_TOL``.  The
-    energy is recorded at the start, after every pass and after every
-    accepted pattern step, so the trace is nonincreasing.  The field is
-    built only when ``AMResult.field`` is first read.
+    energy; it stops once an iteration gains less than ``AM_TOL``, or
+    raises after ``AM_MAX_ITERS``.  The energy is recorded at the start,
+    after every pass and after every accepted pattern step, so the trace
+    is nonincreasing.  ``AMResult.field`` is built on first read.
 
     The result is a point that no single-node update and no pattern step
     improves, which need not be stationary, let alone global: an edge
@@ -597,7 +596,7 @@ def alternate_minimize(
 
     energies = [_lip_energy(grid, laws, t, jumps)]
     prev = np.inf
-    for it in range(max_iters):
+    for it in range(AM_MAX_ITERS):
         _sweep_jumps(grid, laws, t, jumps)
         e = _lip_energy(grid, laws, t, jumps)
         energies.append(e)
@@ -622,7 +621,7 @@ def alternate_minimize(
                 iterations=it + 1,
             )
         prev = e
-    raise PlanarNonconvergence(last_energy=energies[-1], iterations=max_iters)
+    raise PlanarNonconvergence(last_energy=energies[-1], iterations=AM_MAX_ITERS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -642,11 +641,16 @@ def evolve_tearing(grid: Grid2D, times, laws: RescaledLaws) -> list[TearingStep]
     open, from the previous jumps, and from zero, keeping the lowest
     energy; the memory then absorbs the new edge openings.  This is the
     honest local scheme: no global certificate, but competing starts
-    catch the coarse branch switches.  A start that stalls against the
-    sweep budget (``TEARING_MAX_ITERS``) is dropped as long as another
-    one converged: crack fronts move one node per sweep, so a run racing
-    an already-found optimum can legitimately time out.
+    catch the coarse branch switches.  A start that stalls against
+    ``AM_MAX_ITERS`` is dropped as long as another one converged: crack
+    fronts move one node per sweep, so a run racing an already-found
+    optimum can legitimately time out.  A time that is not finite raises
+    ``ValueError`` before any solve.
     """
+    times = [float(t) for t in times]
+    for t in times:
+        if not math.isfinite(t):
+            raise ValueError(f"load times must be finite, got {t}")
     psi = grid.psi
     prev = None
     steps: list[TearingStep] = []
@@ -665,7 +669,6 @@ def evolve_tearing(grid: Grid2D, times, laws: RescaledLaws) -> list[TearingStep]
             tgt = None if best is None else float(best.energies[-1])
             try:
                 res = alternate_minimize(step_grid, t, laws, start_jumps=s,
-                                         max_iters=TEARING_MAX_ITERS,
                                          target_energy=tgt)
             except PlanarNonconvergence as exc:
                 stalled = exc
@@ -677,7 +680,7 @@ def evolve_tearing(grid: Grid2D, times, laws: RescaledLaws) -> list[TearingStep]
         jn = best.nodal_jumps
         psi = np.maximum(psi, _edge_openings(jn))
         prev = jn
-        steps.append(TearingStep(time=float(t), field=best.field, jumps=best.jumps,
+        steps.append(TearingStep(time=t, field=best.field, jumps=best.jumps,
                                  psi=psi, energy=float(best.energies[-1])))
     return steps
 

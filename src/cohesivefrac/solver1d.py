@@ -14,8 +14,8 @@ Two routes are provided and kept deliberately independent:
   ``phi(p + e) - phi(p)`` nonincreasing in the memory ``p``, so at every
   excess ``e`` the site of largest memory is never beaten as the owner:
   a step prices that one branch, a 1d problem solved exactly, whose
-  minimum lies at an end of its interval or at a closed-form stationary
-  point of a smooth piece, with the float forms of the laws that the
+  minimum lies at an end of its interval or at a closed-form local
+  minimum of a smooth piece, with the float forms of the laws that the
   planar node update uses: a Dugdale step makes no numpy call.  A step
   is therefore a function of the bar length, the signed datum
   difference and the memory vector over the jump sites, and returns one
@@ -98,18 +98,18 @@ def _excess_minimum(laws, L, c, p):
     difference left over once every memory site is refilled.  Below
     ``c - L*threshold`` the bulk is affine and the branch concave, so it
     has no interior minimum there; above, the bulk is ``(bw/L)*(c - e)**2``
-    and the candidates are the stationary points of
-    :meth:`CohesiveLaw._stationary` inside ``(0, c)``.  The bulk
-    threshold is a C1 join and the Dugdale saturation a concave kink, so
-    neither holds a minimum that is not already a candidate: the ends and
-    the stationary points suffice.  Every candidate is priced on floats.
+    and the candidate is the local minimum of
+    :meth:`CohesiveLaw._stationary`, if it lies inside ``(0, c)``.  The
+    bulk threshold is a C1 join and the Dugdale saturation a concave
+    kink, so neither holds a minimum that is not already a candidate: the
+    ends and the local minimum suffice.  Every candidate is priced on floats.
     ``e = 0``, the plain refill, wins whenever it is within ``TIE_TOL`` of
     the minimum; other ties go to the smaller excess.
     """
     phi, bulk, bw, sw = laws.phi, laws.bulk, laws.bulk_weight, laws.surface_weight
     base = phi._value(p)
-    stationary = phi._stationary(bw / L, c, [sw * phi._slope(p) / phi.a], 1.0)
-    excess = [0.0, c, *(e for e in stationary if 0.0 < e < c)]
+    [inner] = phi._stationary(bw / L, c, [sw * phi._slope(p) / phi.a], 1.0)
+    excess = [0.0, c, inner] if 0.0 < inner < c else [0.0, c]
     energy = [bw * L * bulk._value((c - e) / L) + sw * (phi._value(p + e) - base)
               for e in excess]
     # the lowest energy, then the smaller excess

@@ -1,7 +1,9 @@
 """Array stationary points of one cohesive law term, independent of ``laws``.
 
-A reference for ``CohesiveLaw._stationary`` and a candidate source for
-the array oracles of the bar and plate kernels.
+The first row (the local minima) is the reference for
+``CohesiveLaw._stationary``.  Both rows are candidates of the array
+oracles of the bar and plate kernels, so those oracles also price the
+exponential law's ``W_-1`` local maxima that the kernels leave out.
 """
 
 import math

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,6 +57,12 @@ class TestLoadProgram:
             LoadProgram(np.array([0.0, 0.5]), np.array([0.0, np.inf]), np.zeros(2))
         with pytest.raises(ValueError):
             LoadProgram.linear_ramp(2.0, 0.0)
+
+    @pytest.mark.parametrize("horizon, delta", [(math.nan, 0.01), (math.inf, 0.01),
+                                                (2.0, math.nan), (2.0, math.inf)])
+    def test_sampled_rejects_a_nonfinite_horizon_or_step(self, horizon, delta):
+        with pytest.raises(ValueError, match="horizon and delta must be positive and finite"):
+            LoadProgram.sampled(lambda t: 0.0, lambda t: t, horizon, delta)
 
 
 class TestMemoryUpdate:

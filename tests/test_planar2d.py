@@ -510,11 +510,11 @@ class TestAlternateMinimize:
         with pytest.raises(ValueError):
             res.nodal_jumps[0] = 1.0
 
-    def test_nonconvergence_carries_last_energy(self):
+    def test_nonconvergence_carries_last_energy(self, monkeypatch):
+        monkeypatch.setattr(planar2d, "AM_MAX_ITERS", 1)
         with pytest.raises(PlanarNonconvergence) as err:
             alternate_minimize(Grid2D(16), 1.5, plain_laws(DUGDALE),
-                               start_jumps=np.linspace(0.0, 1.0, 17),
-                               max_iters=1)
+                               start_jumps=np.linspace(0.0, 1.0, 17))
         assert err.value.last_energy > 0.0
         assert err.value.iterations == 1
 
@@ -573,6 +573,49 @@ class TestTearing:
         assert sum(energies) == pytest.approx(123.25944345952092, rel=1e-12)
         assert None not in iterations
         assert (len(iterations), sum(iterations)) == (76, 151)
+
+    def test_exponential_ladder_is_pinned(self, monkeypatch):
+        # the same inputs with the exponential law, whose node update
+        # takes its local minima from the Lambert W_0 branch
+        iterations, energies = [], []
+        am, tearing = planar2d.alternate_minimize, planar2d.evolve_tearing
+
+        def counting_am(*args, **kwargs):
+            try:
+                res = am(*args, **kwargs)
+            except PlanarNonconvergence:
+                iterations.append(None)
+                raise
+            iterations.append(res.iterations)
+            return res
+
+        def recording_tearing(*args, **kwargs):
+            steps = tearing(*args, **kwargs)
+            energies.extend(step.energy for step in steps)
+            return steps
+
+        monkeypatch.setattr(planar2d, "alternate_minimize", counting_am)
+        monkeypatch.setattr(planar2d, "evolve_tearing", recording_tearing)
+        gaps = tearing_gap_ladder(CohesiveLaw(LawKind.EXPONENTIAL, 2.0), 0.25,
+                                  [1.0, 10.0, 100.0, 1000.0], n=32, crack_length=0.5,
+                                  gamma=0.1, times=[0.2, 0.4, 0.6, 0.8, 1.0])
+        assert gaps == pytest.approx(
+            [2.8483673441796964, 2.8487076550956325, 0.9675974595446641, 0.9675974595446641],
+            rel=1e-12)
+        assert len(energies) == 20
+        assert sum(energies) == pytest.approx(94.8757882763694, rel=1e-12)
+        assert None not in iterations
+        assert (len(iterations), sum(iterations)) == (76, 430)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_a_nonfinite_time_before_solving(self, bad, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the times were checked")
+
+        monkeypatch.setattr(planar2d, "alternate_minimize", no_solve)
+        monkeypatch.setattr(planar2d, "_solve_jumps", no_solve)
+        with pytest.raises(ValueError, match=f"load times must be finite, got {bad}"):
+            evolve_tearing(Grid2D.precracked(8, 0.5, 0.1), [0.2, bad, 0.4], plain_laws(DUGDALE))
 
     def test_gap_ladder_reference_opens_only_memory_edges(self):
         # a precrack of zero memory is no crack: the same gaps as none at all

@@ -32,6 +32,11 @@ class TestBarProblem:
         with pytest.raises(ValueError):
             BarProblem.tearing(Domain1D.uniform(1.0, 4), DUGDALE, 0.0)
 
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf])
+    def test_rejects_a_nonfinite_horizon(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            BarProblem.tearing(Domain1D.uniform(1.0, 4), DUGDALE, horizon)
+
 
 @pytest.fixture(scope="module")
 def brittle_report():
