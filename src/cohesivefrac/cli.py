@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from cohesivefrac.config import ConfigError, load_config
+from cohesivefrac.config import ConfigError, load_config, read_value
 from cohesivefrac.evolution import (
     EvolutionTrace,
     LoadProgram,
@@ -114,7 +114,7 @@ def _run_sweep(args) -> int:
     if args.alpha is not None:
         sweep = dataclasses.replace(sweep, alpha=args.alpha)
     if args.h:
-        sweep = dataclasses.replace(sweep, h=_parse_h(args.h))
+        sweep = dataclasses.replace(sweep, h=read_value("sweep", "h", args.h))
     domain = cfg.domain.build()
     law = cfg.law.build()
     rate = cfg.program.rate
@@ -176,13 +176,6 @@ def _run_relax_check(args) -> int:
     err = float(np.max(np.abs(approx - f(xi))))
     print(f"max_error={err:.12g}")
     return 0 if err < 1e-3 else 4
-
-
-def _parse_h(raw: str):
-    try:
-        return tuple(float(p) for p in raw.split(",") if p.strip())
-    except ValueError as err:
-        raise ConfigError(f"--h expects a comma-separated float list, got {raw!r}") from err
 
 
 def main(argv=None) -> int:

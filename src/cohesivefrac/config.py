@@ -8,6 +8,13 @@ value is range-checked when its section is built (so a command-line
 override, applied with ``dataclasses.replace``, is checked too), and
 each subcommand checks that the sections it needs are present.
 
+The section dataclasses and the ``_SCHEMA`` table are the schema: a
+key is one field with its typed default, one range entry in its
+section's ``__post_init__`` and one table entry naming its reader and
+what a readable value looks like.  A value its reader rejects fails as
+``[section] key must be <what>, got <raw>``, the same form as a range
+error; an absent key takes its default.
+
 Example::
 
     [domain]
@@ -42,15 +49,8 @@ __all__ = [
     "PlanarSection",
     "RunConfig",
     "load_config",
+    "read_value",
 ]
-
-_ALLOWED_KEYS = {
-    "domain": {"elements", "length", "dirichlet", "crack"},
-    "law": {"kind", "a"},
-    "program": {"horizon", "delta", "rate"},
-    "sweep": {"alpha", "h", "delta"},
-    "planar": {"n", "load", "mode", "crack_length", "gamma", "alpha", "h"},
-}
 
 
 class ConfigError(ValueError):
@@ -69,15 +69,17 @@ def _check_ranges(section: str, ranges) -> None:
 
 @dataclass(frozen=True)
 class DomainSection:
-    elements: int
-    length: float
-    dirichlet: tuple
-    crack: tuple  # (coordinate, opening) pairs
+    elements: int = 1
+    length: float = 1.0
+    dirichlet: tuple = (LEFT, RIGHT)
+    crack: tuple = ()  # (coordinate, opening) pairs
 
     def __post_init__(self):
         _check_ranges("domain", (
             ("elements", self.elements, self.elements >= 1, "an integer >= 1"),
             ("length", self.length, 0.0 < self.length < math.inf, "finite and > 0"),
+            ("dirichlet", self.dirichlet, set(self.dirichlet) <= {LEFT, RIGHT},
+             "left/right sides"),
             ("crack", self.crack,
              all(0.0 <= x <= self.length and 0.0 < v < math.inf for x, v in self.crack),
              "position:opening pairs with the position on the bar and a finite opening > 0"),
@@ -92,8 +94,8 @@ class DomainSection:
 
 @dataclass(frozen=True)
 class LawSection:
-    kind: LawKind
-    a: float
+    kind: LawKind = LawKind.DUGDALE
+    a: float = 1.0
 
     def __post_init__(self):
         _check_ranges("law", (("a", self.a, 0.0 < self.a < math.inf, "finite and > 0"),))
@@ -104,9 +106,9 @@ class LawSection:
 
 @dataclass(frozen=True)
 class ProgramSection:
-    horizon: float
-    delta: float
-    rate: float
+    horizon: float = 1.0
+    delta: float = 0.01
+    rate: float = 1.0
 
     def __post_init__(self):
         _check_ranges("program", (
@@ -118,9 +120,9 @@ class ProgramSection:
 
 @dataclass(frozen=True)
 class SweepSection:
-    alpha: float
-    h: tuple
-    delta: tuple | None
+    alpha: float = 0.5
+    h: tuple = (1.0,)
+    delta: tuple | None = None
 
     def __post_init__(self):
         h, delta = self.h, self.delta
@@ -137,18 +139,19 @@ class SweepSection:
 
 @dataclass(frozen=True)
 class PlanarSection:
-    n: int
-    load: float
-    mode: str
-    crack_length: float
-    gamma: float
-    alpha: float
-    h: float
+    n: int = 16
+    load: float = 0.3
+    mode: str = "cohesive"
+    crack_length: float = 0.0
+    gamma: float = 0.0
+    alpha: float = 0.25
+    h: float = 1.0
 
     def __post_init__(self):
         _check_ranges("planar", (
             ("n", self.n, self.n >= 8 and self.n % 2 == 0, "an even integer >= 8"),
             ("load", self.load, math.isfinite(self.load), "finite"),
+            ("mode", self.mode, self.mode in ("cohesive", "griffith"), "cohesive or griffith"),
             ("crack_length", self.crack_length, 0.0 <= self.crack_length <= 1.0, "in [0, 1]"),
             ("gamma", self.gamma, 0.0 <= self.gamma < math.inf, "finite and >= 0"),
             ("alpha", self.alpha, 0.0 < self.alpha < 2.0, "in (0, 2)"),
@@ -158,11 +161,11 @@ class PlanarSection:
 
 @dataclass(frozen=True)
 class RunConfig:
-    domain: DomainSection | None
-    law: LawSection | None
-    program: ProgramSection | None
-    sweep: SweepSection | None
-    planar: PlanarSection | None
+    domain: DomainSection | None = None
+    law: LawSection | None = None
+    program: ProgramSection | None = None
+    sweep: SweepSection | None = None
+    planar: PlanarSection | None = None
 
     def require(self, *sections: str):
         missing = [s for s in sections if getattr(self, s) is None]
@@ -170,106 +173,59 @@ class RunConfig:
             raise ConfigError(f"missing required section(s): {', '.join(missing)}")
 
 
+def _items(raw: str) -> tuple:
+    """The nonblank entries of a comma-separated list."""
+    return tuple(part.strip() for part in raw.split(",") if part.strip())
+
+
 def _floats(raw: str) -> tuple:
-    try:
-        return tuple(float(part) for part in raw.split(",") if part.strip())
-    except ValueError as err:
-        raise ConfigError(f"expected a comma-separated float list, got {raw!r}") from err
-
-
-def _float(section: str, key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError as err:
-        raise ConfigError(f"[{section}] {key} must be a number, got {raw!r}") from err
-
-
-def _int(section: str, key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError as err:
-        raise ConfigError(f"[{section}] {key} must be an integer, got {raw!r}") from err
+    return tuple(map(float, _items(raw)))
 
 
 def _crack_pairs(raw: str) -> tuple:
-    pairs = []
-    for chunk in raw.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            pos, val = chunk.split(":")
-            pairs.append((float(pos), float(val)))
-        except ValueError as err:
-            raise ConfigError(
-                f"crack entries must look like position:opening, got {chunk!r}"
-            ) from err
-    return tuple(pairs)
+    return tuple((float(x), float(v)) for x, v in (item.split(":") for item in _items(raw)))
 
 
-def _domain(sec) -> DomainSection:
-    dirichlet_names = {"left": LEFT, "right": RIGHT}
-    raw = sec.get("dirichlet", "left,right")
-    try:
-        dirichlet = tuple(dirichlet_names[p.strip()] for p in raw.split(",") if p.strip())
-    except KeyError as err:
-        raise ConfigError(f"dirichlet entries must be left/right, got {raw!r}") from err
-    return DomainSection(
-        elements=_int("domain", "elements", sec.get("elements", "1")),
-        length=_float("domain", "length", sec.get("length", "1.0")),
-        dirichlet=dirichlet,
-        crack=_crack_pairs(sec.get("crack", "")),
-    )
+_NUMBER = (float, "a number")
 
-
-def _law(sec) -> LawSection:
-    raw_kind = sec.get("kind", "dugdale").strip().lower()
-    try:
-        kind = LawKind[raw_kind.upper()]
-    except KeyError as err:
-        raise ConfigError(f"unknown law kind {raw_kind!r}") from err
-    return LawSection(kind=kind, a=_float("law", "a", sec.get("a", "1.0")))
-
-
-def _program(sec) -> ProgramSection:
-    return ProgramSection(
-        horizon=_float("program", "horizon", sec.get("horizon", "1.0")),
-        delta=_float("program", "delta", sec.get("delta", "0.01")),
-        rate=_float("program", "rate", sec.get("rate", "1.0")),
-    )
-
-
-def _sweep(sec) -> SweepSection:
-    raw_delta = sec.get("delta", "").strip()
-    return SweepSection(
-        alpha=_float("sweep", "alpha", sec.get("alpha", "0.5")),
-        h=_floats(sec.get("h", "1")),
-        delta=_floats(raw_delta) if raw_delta else None,
-    )
-
-
-def _planar(sec) -> PlanarSection:
-    mode = sec.get("mode", "cohesive").strip().lower()
-    if mode not in ("cohesive", "griffith"):
-        raise ConfigError(f"[planar] mode must be cohesive or griffith, got {mode!r}")
-    return PlanarSection(
-        n=_int("planar", "n", sec.get("n", "16")),
-        load=_float("planar", "load", sec.get("load", "0.3")),
-        mode=mode,
-        crack_length=_float("planar", "crack_length", sec.get("crack_length", "0.0")),
-        gamma=_float("planar", "gamma", sec.get("gamma", "0.0")),
-        alpha=_float("planar", "alpha", sec.get("alpha", "0.25")),
-        h=_float("planar", "h", sec.get("h", "1")),
-    )
-
-
-_BUILDERS = {
-    "domain": _domain,
-    "law": _law,
-    "program": _program,
-    "sweep": _sweep,
-    "planar": _planar,
+# section -> (class, {key: (reader, what a readable value looks like)})
+_SCHEMA = {
+    "domain": (DomainSection, {
+        "elements": (int, "an integer"),
+        "length": _NUMBER,
+        "dirichlet": (_items, "left/right sides"),
+        "crack": (_crack_pairs, "position:opening pairs"),
+    }),
+    "law": (LawSection, {
+        "kind": (lambda raw: LawKind(raw.lower()), "a law kind (dugdale or exponential)"),
+        "a": _NUMBER,
+    }),
+    "program": (ProgramSection, {"horizon": _NUMBER, "delta": _NUMBER, "rate": _NUMBER}),
+    "sweep": (SweepSection, {
+        "alpha": _NUMBER,
+        "h": (_floats, "a comma-separated float list"),
+        # blank: the default, one step 1/h per size
+        "delta": (lambda raw: _floats(raw) or None, "a comma-separated float list"),
+    }),
+    "planar": (PlanarSection, {
+        "n": (int, "an integer"),
+        "load": _NUMBER,
+        "mode": (str.lower, "cohesive or griffith"),
+        "crack_length": _NUMBER,
+        "gamma": _NUMBER,
+        "alpha": _NUMBER,
+        "h": _NUMBER,
+    }),
 }
+
+
+def read_value(section: str, key: str, raw: str):
+    """Read one raw value of ``[section] key``; an unreadable one is a ``ConfigError``."""
+    reader, what = _SCHEMA[section][1][key]
+    try:
+        return reader(raw)
+    except (ValueError, KeyError) as err:
+        raise ConfigError(f"[{section}] {key} must be {what}, got {raw!r}") from err
 
 
 def load_config(path) -> RunConfig:
@@ -282,21 +238,17 @@ def load_config(path) -> RunConfig:
     except configparser.Error as err:
         raise ConfigError(f"malformed config {path}: {err}") from err
 
-    parsed = {}
+    sections = {}
     for section in parser.sections():
-        if section not in _ALLOWED_KEYS:
+        if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}]")
-        unknown = set(parser[section]) - _ALLOWED_KEYS[section]
+        cls, keys = _SCHEMA[section]
+        unknown = set(parser[section]) - keys.keys()
         if unknown:
             raise ConfigError(
                 f"unknown key(s) in [{section}]: {', '.join(sorted(unknown))}"
             )
-        parsed[section] = _BUILDERS[section](parser[section])
-
-    return RunConfig(
-        domain=parsed.get("domain"),
-        law=parsed.get("law"),
-        program=parsed.get("program"),
-        sweep=parsed.get("sweep"),
-        planar=parsed.get("planar"),
-    )
+        sections[section] = cls(**{
+            key: read_value(section, key, raw) for key, raw in parser[section].items()
+        })
+    return RunConfig(**sections)

@@ -15,9 +15,10 @@ evolutions approach:
 
 Classification never asserts beyond tolerances: convergence holds in
 the limit, with no rate, so gaps are checked for monotonicity within
-noise plus a final-gap threshold (``GAP_TOL`` for the brittle gap,
-``BULK_TOL`` for the elastic bulk gap, ``BOUND_SLACK`` above the
-rupture bound), fixed for every sweep.
+noise (``MONOTONE_TOL``, by :func:`nonincreasing`) plus a final-gap
+threshold (``GAP_TOL`` for the brittle gap, ``BULK_TOL`` for the
+elastic bulk gap, ``BOUND_SLACK`` above the rupture bound), fixed for
+every sweep.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from cohesivefrac.bar1d import LEFT, RIGHT, Domain1D
 from cohesivefrac.evolution import EvolutionTrace, LoadProgram, evolve
-from cohesivefrac.laws import CohesiveLaw, plain_laws, rescale_laws
+from cohesivefrac.laws import CohesiveLaw, LawKind, plain_laws, rescale_laws
 
 __all__ = [
     "BarProblem",
@@ -40,6 +41,7 @@ __all__ = [
     "Regime",
     "size_effect_sweep",
     "classify_regime",
+    "nonincreasing",
     "half_saturation_opening",
     "uniform_bound_constant",
     "total_variation_constant",
@@ -50,6 +52,8 @@ __all__ = [
 # last brittle gap and last elastic bulk gap below which the limit is reached
 GAP_TOL = 0.05
 BULK_TOL = 0.1
+# noise allowed when a gap grows from one size to the next
+MONOTONE_TOL = 1e-6
 # rounding allowed above the hard rupture bound on the initial gradient
 BOUND_SLACK = 1e-9
 # smallest opening counted as a jump
@@ -104,7 +108,6 @@ class RegimeRow:
 class ScalingReport:
     alpha: float
     rows: tuple[RegimeRow, ...]
-    gap_monotone: bool
 
 
 class Regime(enum.Enum):
@@ -163,17 +166,12 @@ def size_effect_sweep(
     )
     ref_times = reference.times()
     ref_totals = reference.totals()
+    ref_deltas = reference.program.deltas()
 
     # free openings on the saturated initial crack drain the elastic
     # limit completely; without one the datum stretches the whole bar
     cracked = bool(initial.sites)
     L = base.domain.length
-
-    def elastic_reference(times: np.ndarray) -> np.ndarray:
-        if cracked:
-            return np.zeros_like(times)
-        deltas = np.array([base.g_right(t) - base.g_left(t) for t in times])
-        return deltas**2 / L
 
     n_boundary_sites = len(base.domain.dirichlet)
     n_crack_sites = len(initial.sites)
@@ -189,9 +187,8 @@ def size_effect_sweep(
         gap_sup = float(
             np.max(np.abs(_pc_interp(times, totals, both) - _pc_interp(ref_times, ref_totals, both)))
         )
-        bulk_gap_sup = float(
-            np.max(np.abs(_pc_interp(times, trace.bulk, both) - elastic_reference(both)))
-        )
+        elastic = 0.0 if cracked else np.concatenate((trace.program.deltas(), ref_deltas)) ** 2 / L
+        bulk_gap_sup = float(np.max(np.abs(_pc_interp(times, trace.bulk, both) - elastic)))
         grad_l1 = L * abs(float(trace.slope[0]))
         bound = (n_crack_sites + n_boundary_sites + 1) / (base.law.a * h**alpha)
         return RegimeRow(
@@ -206,10 +203,12 @@ def size_effect_sweep(
         )
 
     rows = [one_row(p) for p in zip(h_list, delta_list)]
+    return ScalingReport(float(alpha), tuple(rows))
 
-    gaps = [r.gap_sup for r in rows]
-    monotone = all(b <= a + 1e-6 for a, b in zip(gaps, gaps[1:]))
-    return ScalingReport(float(alpha), tuple(rows), monotone)
+
+def nonincreasing(values) -> bool:
+    """Whether no value exceeds its predecessor by more than ``MONOTONE_TOL``."""
+    return all(b <= a + MONOTONE_TOL for a, b in zip(values, values[1:]))
 
 
 def classify_regime(report: ScalingReport) -> Regime:
@@ -218,14 +217,11 @@ def classify_regime(report: ScalingReport) -> Regime:
         return Regime.INCONCLUSIVE
     last = report.rows[-1]
     if report.alpha == 0.5:
-        if last.gap_sup < GAP_TOL:
+        if last.gap_sup < GAP_TOL and nonincreasing([r.gap_sup for r in report.rows]):
             return Regime.BRITTLE_LIMIT
         return Regime.INCONCLUSIVE
     if report.alpha < 0.5:
-        bulk_gaps = [r.bulk_gap_sup for r in report.rows]
-        if last.bulk_gap_sup < BULK_TOL and all(
-            b <= a + 1e-6 for a, b in zip(bulk_gaps, bulk_gaps[1:])
-        ):
+        if last.bulk_gap_sup < BULK_TOL and nonincreasing([r.bulk_gap_sup for r in report.rows]):
             return Regime.ELASTIC_LIMIT
         return Regime.INCONCLUSIVE
     if all(r.initial_grad_l1 <= r.rupture_bound + BOUND_SLACK for r in report.rows):
@@ -234,18 +230,10 @@ def classify_regime(report: ScalingReport) -> Regime:
 
 
 def half_saturation_opening(law: CohesiveLaw) -> float:
-    """Opening where the surface density crosses 1/2, by bisection."""
-    hi = 1.0 / law.a
-    while float(law(hi)) < 0.5:
-        hi *= 2.0
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if float(law(mid)) < 0.5:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    """Opening where the surface density crosses 1/2: 1/(2a) for Dugdale, ln 2/a otherwise."""
+    if law.kind is LawKind.DUGDALE:
+        return 0.5 / law.a
+    return math.log(2.0) / law.a
 
 
 def uniform_bound_constant(base: BarProblem) -> float:
@@ -283,13 +271,11 @@ def total_variation_constant(base: BarProblem) -> float:
 def piecewise_constant_minimum(domain: Domain1D, g) -> int:
     """Fewest jump sites over piecewise-constant states matching the data.
 
-    None when the data agree (or only one end is held); otherwise one
+    0 when the data agree (or only one end is held); otherwise one
     jump at any site absorbs the whole datum difference.
     """
     if not (LEFT in domain.dirichlet and RIGHT in domain.dirichlet):
         return 0
     if float(g[1]) - float(g[0]) == 0.0:
         return 0
-    if not domain.jump_sites():
-        raise ValueError("no representable partition matches the data")
     return 1

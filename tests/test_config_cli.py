@@ -1,5 +1,6 @@
 """Config parsing strictness and end-to-end CLI exit codes / CSV output."""
 
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 
 import cohesivefrac
 from cohesivefrac.cli import PLANAR_HEADER, SWEEP_HEADER, TRACE_HEADER, emit_csv, main
-from cohesivefrac.config import ConfigError, load_config
+from cohesivefrac.config import ConfigError, RunConfig, load_config
 from cohesivefrac.laws import LawKind
 from cohesivefrac.planar2d import PlanarNumericError
 
@@ -113,6 +114,16 @@ class TestLoadConfig:
         assert load_config(config_path("[planar]\nh = 10\n")).planar.h == 10.0
         with pytest.raises(ConfigError, match="\\[planar\\] h must be a number"):
             load_config(config_path("[planar]\nh = 1, 10\n"))
+
+    def test_schema_cannot_drift(self, config_path):
+        # the section classes and the reader table declare the same keys,
+        # and a class's defaults are what an empty section parses to
+        from cohesivefrac.config import _SCHEMA
+
+        assert [f.name for f in dataclasses.fields(RunConfig)] == list(_SCHEMA)
+        for name, (cls, readers) in _SCHEMA.items():
+            assert [f.name for f in dataclasses.fields(cls)] == list(readers)
+            assert getattr(load_config(config_path(f"[{name}]\n")), name) == cls()
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -344,6 +355,22 @@ class TestBarRanges:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: [{section}] {key} must be"), err
 
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("evolve", "domain", "elements", "1.5"),
+        ("evolve", "program", "horizon", "soon"),
+        ("sweep", "sweep", "h", "1, x"),
+        ("evolve", "domain", "crack", "0.5"),
+        ("evolve", "domain", "dirichlet", "top"),
+        ("evolve", "law", "kind", "cubic"),
+    ])
+    def test_rejects_unreadable(self, command, section, key, value, config_path,
+                                no_bar_solve, capsys):
+        # one value per reader kind, reported in the form of a range error
+        cfg = _bar_config(config_path, section, key, value)
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: [{section}] {key} must be"), err
+
     def test_crack_at_free_end_rejected(self, config_path, no_bar_solve, capsys):
         cfg = config_path(FULL_CONFIG.replace("crack = 0.5:0.3", "crack = 0.0:0.3")
                           .replace("dirichlet = left,right", "dirichlet = right"))
@@ -356,6 +383,11 @@ class TestBarRanges:
         assert main(["sweep", "--config", _bar_config(config_path), flag, value]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: [sweep] {flag[2:]} must be"), err
+
+    def test_sweep_h_override_read_as_the_key(self, config_path, no_bar_solve, capsys):
+        assert main(["sweep", "--config", _bar_config(config_path), "--h", "1,x"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: [sweep] h must be a comma-separated float list, got '1,x'\n")
 
     def test_delta_override_range_checked(self, config_path, no_bar_solve, capsys):
         assert main(["evolve", "--config", _bar_config(config_path), "--delta", "0"]) == 2
