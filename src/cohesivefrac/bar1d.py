@@ -1,13 +1,13 @@
 """Piecewise affine displacements on a 1d bar with point cracks.
 
 The bar occupies ``(0, L)``.  A displacement is stored as one slope per
-mesh element plus a sparse map of signed jumps keyed by node index.  Jump
-slots exist at every interior node and, when the corresponding end is a
-Dirichlet end, at the boundary nodes; a boundary "jump" is the mismatch
-between the displacement trace and the boundary datum.  Every jump is
-stored oriented, as the increment of the function extended by the data
-crossing its site left to right: datum to trace at the left end, trace to
-datum at the right end.  Only magnitudes enter the energy.
+mesh element plus a sparse map of signed jumps keyed by node index.  Both
+ends are held at prescribed displacements, so jump slots exist at every
+node; a boundary "jump" is the mismatch between the displacement trace
+and the boundary datum.  Every jump is stored oriented, as the increment
+of the function extended by the data crossing its site left to right:
+datum to trace at the left end, trace to datum at the right end.  Only
+magnitudes enter the energy.
 
 The crack history is a map from node index to the largest opening ever
 reached there.  A site with positive memory contributes its cohesive
@@ -29,8 +29,6 @@ import numpy as np
 from cohesivefrac.laws import RescaledLaws
 
 __all__ = [
-    "LEFT",
-    "RIGHT",
     "Domain1D",
     "CrackState",
     "Displacement1D",
@@ -41,29 +39,23 @@ __all__ = [
     "make_displacement",
 ]
 
-LEFT = "left"
-RIGHT = "right"
-
-
 @dataclass(frozen=True)
 class Domain1D:
-    """Meshed bar with Dirichlet flags and a preexisting crack.
+    """Meshed bar, held at both ends, with a preexisting crack.
 
     ``nodes`` are the M+1 mesh nodes, strictly increasing from 0 to the bar
     length.  ``preexisting_crack`` pairs a node index with the initial
-    opening memory at that site; sites must be interior nodes or Dirichlet
-    endpoints, and the initial opening must be positive and finite (zero
-    memory means the site simply is not part of the initial crack).
+    opening memory at that site; sites must be nodes, and the initial
+    opening must be positive and finite (zero memory means the site simply
+    is not part of the initial crack).
     """
 
     nodes: np.ndarray
-    dirichlet: frozenset = frozenset({LEFT, RIGHT})
     preexisting_crack: tuple = ()
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "dirichlet", frozenset(self.dirichlet))
         object.__setattr__(
             self,
             "preexisting_crack",
@@ -73,8 +65,6 @@ class Domain1D:
             raise ValueError("mesh needs at least two nodes")
         if nodes[0] != 0.0 or np.any(np.diff(nodes) <= 0.0):
             raise ValueError("mesh nodes must increase strictly from 0")
-        if not self.dirichlet <= {LEFT, RIGHT}:
-            raise ValueError(f"unknown Dirichlet sites: {set(self.dirichlet)}")
         for site, gamma in self.preexisting_crack:
             if not self.is_jump_site(site):
                 raise ValueError(f"crack site {site} is not a valid jump site")
@@ -82,13 +72,13 @@ class Domain1D:
                 raise ValueError(f"preexisting opening must be positive and finite, got {gamma}")
 
     @staticmethod
-    def uniform(length: float, elements: int, dirichlet=(LEFT, RIGHT), crack=()):
+    def uniform(length: float, elements: int, crack=()):
         """Uniform mesh; ``crack`` pairs are (coordinate, opening), snapped to nodes."""
         if length <= 0.0 or elements < 1:
             raise ValueError("need positive length and at least one element")
         nodes = np.linspace(0.0, length, elements + 1)
         snapped = tuple((int(np.argmin(np.abs(nodes - x))), float(v)) for x, v in crack)
-        return Domain1D(nodes, frozenset(dirichlet), snapped)
+        return Domain1D(nodes, snapped)
 
     @property
     def length(self) -> float:
@@ -103,18 +93,11 @@ class Domain1D:
         return np.diff(self.nodes)
 
     def is_jump_site(self, site: int) -> bool:
-        last = self.n_elements
-        if 0 < site < last:
-            return True
-        if site == 0:
-            return LEFT in self.dirichlet
-        if site == last:
-            return RIGHT in self.dirichlet
-        return False
+        return 0 <= site <= self.n_elements
 
     def jump_sites(self) -> list[int]:
-        """All candidate crack sites, left to right."""
-        return [s for s in range(self.n_elements + 1) if self.is_jump_site(s)]
+        """All candidate crack sites, left to right: every node."""
+        return list(range(self.n_elements + 1))
 
     def initial_crack_state(self) -> "CrackState":
         return CrackState(dict(self.preexisting_crack))
@@ -179,12 +162,10 @@ class EnergyBreakdown:
         return self.bulk + self.surface
 
 
-def _check_boundary_data(domain: Domain1D, g) -> tuple:
+def _check_boundary_data(g) -> tuple:
     gl, gr = g
-    if LEFT in domain.dirichlet and gl is None:
-        raise ValueError("left end is Dirichlet but no datum given")
-    if RIGHT in domain.dirichlet and gr is None:
-        raise ValueError("right end is Dirichlet but no datum given")
+    if gl is None or gr is None:
+        raise ValueError("both ends are held: a datum is needed at each")
     return gl, gr
 
 
@@ -204,7 +185,7 @@ def total_energy(
     mismatches are stored on the displacement itself.
     """
     u.validate(domain)
-    _check_boundary_data(domain, g)
+    _check_boundary_data(g)
     surface = 0.0
     for site in sorted(set(u.jumps) | crack.sites):
         opening = max(abs(u.jumps.get(site, 0.0)), crack.value(site))
@@ -243,12 +224,9 @@ def consistency_residual(u: Displacement1D, domain: Domain1D, g) -> float:
 
     Zero iff the oriented jumps, boundary mismatches included, and the
     slopes carry the left datum to the right one,
-    ``g_left + sum(jumps) + sum(slope*len) = g_right``, when both ends
-    are Dirichlet.
+    ``g_left + sum(jumps) + sum(slope*len) = g_right``.
     """
-    gl, gr = _check_boundary_data(domain, g)
-    if not (LEFT in domain.dirichlet and RIGHT in domain.dirichlet):
-        raise ValueError("consistency check requires Dirichlet conditions at both ends")
+    gl, gr = _check_boundary_data(g)
     walk = gl + sum(u.jumps.values()) + float(np.sum(domain.element_lengths * u.slopes))
     return walk - gr
 
@@ -262,15 +240,13 @@ def make_displacement(
     """Build a displacement from oriented jumps and check it against the data.
 
     ``jumps`` are increments of the extended function crossing each site
-    left to right (boundary slots included).  When both ends are Dirichlet
-    the closure identity is enforced to 1e-9.
+    left to right (boundary slots included).  The closure identity is
+    enforced to 1e-9.
     """
-    _check_boundary_data(domain, g)
     u = Displacement1D(np.asarray(slopes, dtype=float), jumps or {})
     u.validate(domain)
-    if LEFT in domain.dirichlet and RIGHT in domain.dirichlet:
-        res = consistency_residual(u, domain, g)
-        scale = 1.0 + abs(g[0]) + abs(g[1])
-        if abs(res) > 1e-9 * scale:
-            raise ValueError(f"jumps and slopes do not close the boundary data: {res}")
+    res = consistency_residual(u, domain, g)
+    scale = 1.0 + abs(g[0]) + abs(g[1])
+    if abs(res) > 1e-9 * scale:
+        raise ValueError(f"jumps and slopes do not close the boundary data: {res}")
     return u

@@ -45,20 +45,17 @@ SWEEP_HEADER = (
 PLANAR_HEADER = ("ell", "bulk", "surface", "total")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.12g}"
-
-
 def emit_csv(header, rows, path) -> None:
-    """Write rows deterministically; an empty run yields a header-only file."""
+    """Write rows deterministically; an empty run yields a header-only file.
+
+    Strings go out as they are and numbers at 12 significant digits.  That
+    one format serves numpy and Python floats alike and writes integers
+    below 10**12, such as the ``n_jumps`` column, exactly.
+    """
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(v if isinstance(v, str) else f"{v:.12g}" for v in row) + "\n")
 
 
 def trace_rows(trace: EvolutionTrace):

@@ -37,7 +37,7 @@ import configparser
 import math
 from dataclasses import dataclass
 
-from cohesivefrac.bar1d import LEFT, RIGHT, Domain1D
+from cohesivefrac.bar1d import Domain1D
 from cohesivefrac.laws import CohesiveLaw, LawKind
 
 __all__ = [
@@ -71,25 +71,20 @@ def _check_ranges(section: str, ranges) -> None:
 class DomainSection:
     elements: int = 1
     length: float = 1.0
-    dirichlet: tuple = (LEFT, RIGHT)
     crack: tuple = ()  # (coordinate, opening) pairs
 
     def __post_init__(self):
         _check_ranges("domain", (
             ("elements", self.elements, self.elements >= 1, "an integer >= 1"),
             ("length", self.length, 0.0 < self.length < math.inf, "finite and > 0"),
-            ("dirichlet", self.dirichlet, set(self.dirichlet) <= {LEFT, RIGHT},
-             "left/right sides"),
             ("crack", self.crack,
              all(0.0 <= x <= self.length and 0.0 < v < math.inf for x, v in self.crack),
              "position:opening pairs with the position on the bar and a finite opening > 0"),
         ))
 
     def build(self) -> Domain1D:
-        try:
-            return Domain1D.uniform(self.length, self.elements, self.dirichlet, self.crack)
-        except ValueError as err:  # a crack snapped to an end that is not held
-            raise ConfigError(f"[domain] {err}") from err
+        # every node is a jump site, so a crack on the bar always snaps to one
+        return Domain1D.uniform(self.length, self.elements, self.crack)
 
 
 @dataclass(frozen=True)
@@ -193,7 +188,6 @@ _SCHEMA = {
     "domain": (DomainSection, {
         "elements": (int, "an integer"),
         "length": _NUMBER,
-        "dirichlet": (_items, "left/right sides"),
         "crack": (_crack_pairs, "position:opening pairs"),
     }),
     "law": (LawSection, {
@@ -229,7 +223,8 @@ def read_value(section: str, key: str, raw: str):
 
 
 def load_config(path) -> RunConfig:
-    parser = configparser.ConfigParser(interpolation=None)
+    # no section header is empty, so [DEFAULT] is an ordinary, unknown section
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(path) as fh:
             parser.read_file(fh)

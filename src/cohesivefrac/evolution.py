@@ -32,8 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from cohesivefrac.bar1d import (
-    LEFT,
-    RIGHT,
     CrackState,
     Displacement1D,
     Domain1D,
@@ -153,9 +151,6 @@ class EvolutionTrace:
     slack: np.ndarray
     work: np.ndarray
 
-    def __len__(self) -> int:
-        return self.slope.size
-
     def times(self) -> np.ndarray:
         return self.program.times
 
@@ -209,13 +204,12 @@ def evolve(
     step = _cohesive_step if mode == "cohesive" else _griffith_step
     L = domain.length
     sites = domain.jump_sites()
-    held = LEFT in domain.dirichlet and RIGHT in domain.dirichlet
     deltas = program.deltas()
 
     psi = [initial_crack.value(s) for s in sites]
     slopes, jump_rows, memory = [], [], [psi]
     for delta in deltas.tolist():
-        slope, jumps = step(laws, L, delta if held else 0.0, psi)
+        slope, jumps = step(laws, L, delta, psi)
         psi = [max(p, abs(j)) for p, j in zip(psi, jumps)]
         slopes.append(slope)
         jump_rows.append(jumps)

@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from cohesivefrac.bar1d import LEFT, RIGHT, Domain1D
+from cohesivefrac.bar1d import Domain1D
 from cohesivefrac.evolution import EvolutionTrace, LoadProgram, evolve
 from cohesivefrac.laws import CohesiveLaw, LawKind, plain_laws, rescale_laws
 
@@ -173,7 +173,6 @@ def size_effect_sweep(
     cracked = bool(initial.sites)
     L = base.domain.length
 
-    n_boundary_sites = len(base.domain.dirichlet)
     n_crack_sites = len(initial.sites)
 
     def one_row(pair) -> RegimeRow:
@@ -190,7 +189,8 @@ def size_effect_sweep(
         elastic = 0.0 if cracked else np.concatenate((trace.program.deltas(), ref_deltas)) ** 2 / L
         bulk_gap_sup = float(np.max(np.abs(_pc_interp(times, trace.bulk, both) - elastic)))
         grad_l1 = L * abs(float(trace.slope[0]))
-        bound = (n_crack_sites + n_boundary_sites + 1) / (base.law.a * h**alpha)
+        # one piece per crack site, one per held end, plus one
+        bound = (n_crack_sites + 3) / (base.law.a * h**alpha)
         return RegimeRow(
             h=h,
             trace=trace,
@@ -271,11 +271,9 @@ def total_variation_constant(base: BarProblem) -> float:
 def piecewise_constant_minimum(domain: Domain1D, g) -> int:
     """Fewest jump sites over piecewise-constant states matching the data.
 
-    0 when the data agree (or only one end is held); otherwise one
-    jump at any site absorbs the whole datum difference.
+    0 when the data agree; otherwise one jump at any site absorbs the
+    whole datum difference.
     """
-    if not (LEFT in domain.dirichlet and RIGHT in domain.dirichlet):
-        return 0
     if float(g[1]) - float(g[0]) == 0.0:
         return 0
     return 1

@@ -41,8 +41,6 @@ import math
 import numpy as np
 
 from cohesivefrac.bar1d import (
-    LEFT,
-    RIGHT,
     CrackState,
     Displacement1D,
     Domain1D,
@@ -81,13 +79,6 @@ class NonconvergenceError(RuntimeError):
 
 class BudgetError(RuntimeError):
     """The requested brute-force enumeration exceeds the search budget."""
-
-
-def _delta(domain: Domain1D, g) -> float | None:
-    """Net datum difference when both ends are Dirichlet, else None."""
-    if LEFT in domain.dirichlet and RIGHT in domain.dirichlet:
-        return float(g[1]) - float(g[0])
-    return None
 
 
 def _excess_minimum(laws, L, c, p):
@@ -135,11 +126,11 @@ def _cohesive_step(laws: RescaledLaws, L: float, delta: float, psi: list) -> tup
     """One cohesive step on floats: ``(slope, oriented jumps)``.
 
     ``psi`` is the opening memory per jump site, in site order, and
-    ``delta`` the signed datum difference (0 when an end is free).  The
-    memory refills leftmost-first up to ``min(sum psi, |delta|)``; past
-    the free capacity the whole excess goes to the owner, the site of
-    largest memory (the leftmost of those, the leftmost site when there
-    is no memory).  The jumps carry the sign of ``delta``.
+    ``delta`` the signed datum difference.  The memory refills
+    leftmost-first up to ``min(sum psi, |delta|)``; past the free
+    capacity the whole excess goes to the owner, the site of largest
+    memory (the leftmost of those, the leftmost site when there is no
+    memory).  The jumps carry the sign of ``delta``.
     """
     if delta == 0.0:
         return 0.0, [0.0] * len(psi)
@@ -192,8 +183,7 @@ def incremental_minimize(
     memory sites plus at most one fresh site.
     """
     psi = [crack.value(s) for s in domain.jump_sites()]
-    delta = _delta(domain, g)
-    step = _cohesive_step(laws, domain.length, 0.0 if delta is None else delta, psi)
+    step = _cohesive_step(laws, domain.length, float(g[1]) - float(g[0]), psi)
     return _displacement(domain, g, step)
 
 
@@ -206,8 +196,7 @@ def griffith_minimize(domain: Domain1D, crack_sites, g, laws: RescaledLaws) -> D
     """
     cracked = set(crack_sites)
     psi = [float(s in cracked) for s in domain.jump_sites()]
-    delta = _delta(domain, g)
-    step = _griffith_step(laws, domain.length, 0.0 if delta is None else delta, psi)
+    step = _griffith_step(laws, domain.length, float(g[1]) - float(g[0]), psi)
     return _displacement(domain, g, step)
 
 
@@ -243,10 +232,7 @@ def brute_force_minimize(
     """
     if jump_grid_step < 1e-5:
         raise BudgetError(f"grid step {jump_grid_step} below the supported budget")
-    delta = _delta(domain, g)
-    if delta is None:
-        return Displacement1D(np.zeros(domain.n_elements))
-
+    delta = float(g[1]) - float(g[0])
     mem = sorted(crack.psi.items())
     fresh_sites = [s for s in domain.jump_sites() if s not in crack.psi][:n_fresh]
     sites = [s for s, _ in mem] + fresh_sites

@@ -40,11 +40,15 @@ class TestDomain:
         with pytest.raises(ValueError):
             Domain1D(np.array([0.1, 0.5, 1.0]))
 
-    def test_boundary_site_needs_dirichlet(self):
-        d = Domain1D.uniform(1.0, 4, dirichlet=("right",))
-        assert d.jump_sites() == [1, 2, 3, 4]
-        with pytest.raises(ValueError):
-            Domain1D.uniform(1.0, 4, dirichlet=("right",), crack=[(0.0, 0.5)])
+    @pytest.mark.parametrize("site", [-1, 5])
+    def test_sites_are_the_nodes(self, site):
+        # both ends are held, so the jump sites are the nodes 0..M and no other
+        nodes = np.linspace(0.0, 1.0, 5)
+        Domain1D(nodes, ((0, 0.5), (4, 0.5)))
+        with pytest.raises(ValueError, match="not a valid jump site"):
+            Domain1D(nodes, ((site, 0.5),))
+        with pytest.raises(ValueError, match="invalid site"):
+            Displacement1D(np.zeros(4), {site: 0.1}).validate(bar(4))
 
     def test_rejects_nonpositive_initial_opening(self):
         with pytest.raises(ValueError):

@@ -21,7 +21,6 @@ FULL_CONFIG = """
 [domain]
 elements = 8
 length = 1.0
-dirichlet = left,right
 crack = 0.5:0.3
 
 [law]
@@ -42,6 +41,10 @@ n = 8
 load = 3.0
 mode = griffith
 """
+
+# the README config's bar sections
+README_BAR = ("[domain]\nelements = 8\n\n[law]\nkind = dugdale\na = 2.0\n\n[program]\n"
+              "horizon = 2.0\ndelta = 0.01\n\n[sweep]\nalpha = 0.5\nh = 1, 10, 100\n")
 
 
 @pytest.fixture
@@ -90,6 +93,15 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="key"):
             load_config(config_path("[domain]\nelments = 4\n"))
 
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\nfoo = 1\n",
+        # a default would otherwise leak into every section
+        "[DEFAULT]\nelements = 4\n\n[domain]\nlength = 1.0\n",
+    ])
+    def test_default_section_rejected(self, text, config_path, capsys):
+        assert main(["evolve", "--config", config_path(text)]) == 2
+        assert capsys.readouterr().err == "config error: unknown section [DEFAULT]\n"
+
     def test_bad_number_rejected(self, config_path):
         with pytest.raises(ConfigError, match="number"):
             load_config(config_path("[law]\na = soft\n"))
@@ -97,10 +109,6 @@ class TestLoadConfig:
     def test_bad_crack_entry_rejected(self, config_path):
         with pytest.raises(ConfigError, match="position:opening"):
             load_config(config_path("[domain]\ncrack = 0.5\n"))
-
-    def test_bad_dirichlet_rejected(self, config_path):
-        with pytest.raises(ConfigError, match="left/right"):
-            load_config(config_path("[domain]\ndirichlet = top\n"))
 
     def test_bad_law_kind_rejected(self, config_path):
         with pytest.raises(ConfigError, match="law kind"):
@@ -222,9 +230,7 @@ class TestMain:
          "crack_length = 0.5\ngamma = 0.1\nh = 1\n",
          "0.09375", "e24c24c29d69fdb41510ec1b047a00936b97092f6181e358741ae5d6036667f9"),
         # the README config
-        ("[domain]\nelements = 8\n\n[law]\nkind = dugdale\na = 2.0\n\n[program]\n"
-         "horizon = 2.0\ndelta = 0.01\n\n[sweep]\nalpha = 0.5\nh = 1, 10, 100\n\n"
-         "[planar]\nn = 16\nload = 0.3\n",
+        (README_BAR + "\n[planar]\nn = 16\nload = 0.3\n",
          "0", "16d7886b313b84f4a7c6826519551d1a31e928f79a3806da029105a283c8f1f0"),
     ])
     def test_planar_csv_is_pinned(self, config, ell, digest, config_path, tmp_path, capsys):
@@ -233,6 +239,26 @@ class TestMain:
                      "--check"]) == 0
         assert capsys.readouterr().out.split() == [f"ell={ell}"]
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("config, digests", [
+        # the README config
+        (README_BAR, ("36f54928e253a32de76f4874a3b2a82721b57eb1ed8f555556590bf9522baaa7",
+                      "a0ee63201667684717d653710e31dd8ea1b02f3e63825d7a071a08206ac0d6ff",
+                      "30f13f159b667e9d539afb37d2f313d7d010bcbf1e560233188e483ec712f3ae")),
+        # the exponential law with memory on both end nodes
+        (README_BAR.replace("dugdale", "exponential")
+         .replace("elements = 8\n", "elements = 8\ncrack = 0.0:0.2, 1.0:0.4\n"),
+         ("9ecd8cdb2396c890c4128a265b381ab92917f59c009a959a098cc402483367cc",
+          "0dd2ac8afec3553eab69a5fcd4714a4ebd8db3618717ac11b37577a7791f4a02",
+          "26377e431e430836f9bec949e75cbccdefdf66f38749a73b08607ed60330932e")),
+    ])
+    def test_bar_csvs_are_pinned(self, config, digests, config_path, tmp_path, capsys):
+        cfg = config_path(config)
+        for command, digest in zip(("evolve", "griffith", "sweep"), digests):
+            out = tmp_path / f"{command}.csv"
+            assert main([command, "--config", cfg, "--out", str(out), "--check"]) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, command
+        assert capsys.readouterr().out.split() == ["regime=brittle_limit"]
 
     def test_planar_rejects_h_list(self, config_path, capsys):
         cfg = config_path(FULL_CONFIG + "h = 1, 10\n")
@@ -360,7 +386,6 @@ class TestBarRanges:
         ("evolve", "program", "horizon", "soon"),
         ("sweep", "sweep", "h", "1, x"),
         ("evolve", "domain", "crack", "0.5"),
-        ("evolve", "domain", "dirichlet", "top"),
         ("evolve", "law", "kind", "cubic"),
     ])
     def test_rejects_unreadable(self, command, section, key, value, config_path,
@@ -371,11 +396,12 @@ class TestBarRanges:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: [{section}] {key} must be"), err
 
-    def test_crack_at_free_end_rejected(self, config_path, no_bar_solve, capsys):
-        cfg = config_path(FULL_CONFIG.replace("crack = 0.5:0.3", "crack = 0.0:0.3")
-                          .replace("dirichlet = left,right", "dirichlet = right"))
+    def test_dirichlet_is_an_unknown_key(self, config_path, no_bar_solve, capsys):
+        # both ends of the bar are always held
+        cfg = _bar_config(config_path, "domain", "dirichlet", "left,right")
         assert main(["evolve", "--config", cfg]) == 2
-        assert capsys.readouterr().err.startswith("config error: [domain] crack site 0")
+        assert capsys.readouterr().err == (
+            "config error: unknown key(s) in [domain]: dirichlet\n")
 
     @pytest.mark.parametrize("flag, value", [("--alpha", "3"), ("--h", "0.5")])
     def test_sweep_override_range_checked(self, flag, value, config_path, no_bar_solve,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cohesivefrac.bar1d import LEFT, CrackState, Domain1D
+from cohesivefrac.bar1d import CrackState, Domain1D
 from cohesivefrac.evolution import LoadProgram, evolve
 from cohesivefrac.laws import CohesiveLaw, LawKind, plain_laws
 from cohesivefrac.scaling import (
@@ -179,5 +179,3 @@ class TestBoundHelpers:
         domain = Domain1D.uniform(1.0, 4)
         assert piecewise_constant_minimum(domain, (0.0, 2.0)) == 1
         assert piecewise_constant_minimum(domain, (0.5, -0.5)) == 1
-        # one held end: the free end absorbs any datum
-        assert piecewise_constant_minimum(Domain1D.uniform(1.0, 4, (LEFT,)), (0.0, 2.0)) == 0

@@ -132,12 +132,6 @@ class TestStructured:
         u = incremental_minimize(domain, CrackState(), (0.0, -2.0), DUGDALE2)
         assert list(u.jumps.values())[0] == pytest.approx(-2.0, abs=1e-9)
 
-    def test_single_dirichlet_end_relaxes_completely(self):
-        domain = Domain1D.uniform(1.0, 4, dirichlet=("left",))
-        u = incremental_minimize(domain, CrackState(), (0.3, 0.0), DUGDALE2)
-        assert u.jumps == {}
-        assert np.allclose(u.slopes, 0.0)
-
     def test_returned_state_is_consistent(self):
         domain = bar(crack=((0.5, 0.4),))
         crack = domain.initial_crack_state()
