@@ -34,7 +34,7 @@ def main():
         h_list = [float(v) for v in args.h.split(",")]
         alphas = [float(v) for v in args.alphas.split(",")]
         for alpha in alphas:
-            SweepSection(alpha, tuple(h_list), None)
+            SweepSection(alpha, tuple(h_list))
     except ValueError as err:
         parser.error(str(err))
 

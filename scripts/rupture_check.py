@@ -44,7 +44,7 @@ def main():
             1.0,
         )
         h_list = [float(v) for v in args.h.split(",")]
-        SweepSection(args.alpha, tuple(h_list), None)
+        SweepSection(args.alpha, tuple(h_list))
     except ValueError as err:
         parser.error(str(err))
     report = size_effect_sweep(base, args.alpha, h_list)
@@ -56,7 +56,7 @@ def main():
         print(f"{row.h:>10g} {row.initial_grad_l1:>12.4g} "
               f"{row.rupture_bound:>12.4g} {slack:>12.4g}")
 
-    pieces = piecewise_constant_minimum(base.domain, (0.0, 2.0))
+    pieces = piecewise_constant_minimum((0.0, 2.0))
     counts = trace_jump_counts(report.rows[-1].trace)
     print(f"datum needs {pieces} jump(s); largest size uses "
           f"{np.min(counts)}..{np.max(counts)} along the ramp")

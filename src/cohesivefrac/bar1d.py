@@ -1,13 +1,14 @@
 """Piecewise affine displacements on a 1d bar with point cracks.
 
-The bar occupies ``(0, L)``.  A displacement is stored as one slope per
-mesh element plus a sparse map of signed jumps keyed by node index.  Both
-ends are held at prescribed displacements, so jump slots exist at every
-node; a boundary "jump" is the mismatch between the displacement trace
-and the boundary datum.  Every jump is stored oriented, as the increment
-of the function extended by the data crossing its site left to right:
-datum to trace at the left end, trace to datum at the right end.  Only
-magnitudes enter the energy.
+The bar occupies ``(0, L)``.  A displacement is stored as one slope over
+the whole bar plus a sparse map of signed jumps keyed by node index: the
+bulk density is convex, so for any jumps a constant slope is optimal
+(Jensen).  Both ends are held at prescribed displacements, so jump slots
+exist at every node; a boundary "jump" is the mismatch between the
+displacement trace and the boundary datum.  Every jump is stored
+oriented, as the increment of the function extended by the data crossing
+its site left to right: datum to trace at the left end, trace to datum
+at the right end.  Only magnitudes enter the energy.
 
 The crack history is a map from node index to the largest opening ever
 reached there.  A site with positive memory contributes its cohesive
@@ -45,9 +46,9 @@ class Domain1D:
 
     ``nodes`` are the M+1 mesh nodes, strictly increasing from 0 to the bar
     length.  ``preexisting_crack`` pairs a node index with the initial
-    opening memory at that site; sites must be nodes, and the initial
-    opening must be positive and finite (zero memory means the site simply
-    is not part of the initial crack).
+    opening memory at that site; sites must be distinct nodes, and the
+    initial opening must be positive and finite (zero memory means the
+    site simply is not part of the initial crack).
     """
 
     nodes: np.ndarray
@@ -65,9 +66,12 @@ class Domain1D:
             raise ValueError("mesh needs at least two nodes")
         if nodes[0] != 0.0 or np.any(np.diff(nodes) <= 0.0):
             raise ValueError("mesh nodes must increase strictly from 0")
+        sites = [site for site, _ in self.preexisting_crack]
         for site, gamma in self.preexisting_crack:
             if not self.is_jump_site(site):
                 raise ValueError(f"crack site {site} is not a valid jump site")
+            if sites.count(site) > 1:
+                raise ValueError(f"two entries on crack site {site} (x = {nodes[site]:g})")
             if not (gamma > 0.0 and math.isfinite(gamma)):
                 raise ValueError(f"preexisting opening must be positive and finite, got {gamma}")
 
@@ -87,10 +91,6 @@ class Domain1D:
     @property
     def n_elements(self) -> int:
         return self.nodes.size - 1
-
-    @property
-    def element_lengths(self) -> np.ndarray:
-        return np.diff(self.nodes)
 
     def is_jump_site(self, site: int) -> bool:
         return 0 <= site <= self.n_elements
@@ -126,27 +126,23 @@ class CrackState:
 
 @dataclass(frozen=True)
 class Displacement1D:
-    """Slopes per element plus sparse signed jumps keyed by node index.
+    """One slope over the bar plus sparse signed jumps keyed by node index.
 
     Entries are oriented increments: ``u(x+) - u(x-)`` at interior nodes,
     trace minus datum at the left end and datum minus trace at the right
     end.
     """
 
-    slopes: np.ndarray
+    slope: float
     jumps: Mapping[int, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "slopes", np.asarray(self.slopes, dtype=float))
+        object.__setattr__(self, "slope", float(self.slope))
         object.__setattr__(
             self, "jumps", {int(s): float(v) for s, v in dict(self.jumps).items() if v != 0.0}
         )
 
     def validate(self, domain: Domain1D) -> None:
-        if self.slopes.shape != (domain.n_elements,):
-            raise ValueError(
-                f"expected {domain.n_elements} slopes, got shape {self.slopes.shape}"
-            )
         for site in self.jumps:
             if not domain.is_jump_site(site):
                 raise ValueError(f"jump at invalid site {site}")
@@ -172,27 +168,25 @@ def _check_boundary_data(g) -> tuple:
 def total_energy(
     u: Displacement1D,
     crack: CrackState,
-    g,
     laws: RescaledLaws,
     domain: Domain1D,
 ) -> EnergyBreakdown:
     """Cohesive energy of ``u`` given the opening memory ``crack``.
 
-    bulk    = bulk_weight * sum_e len_e * f(slope_e)
+    bulk    = bulk_weight * (L * f(slope))
     surface = surface_weight * sum over {psi > 0} u {jump != 0} of phi(|jump| v psi)
 
-    ``g = (g_left, g_right)`` enters only through validation: boundary
-    mismatches are stored on the displacement itself.
+    Boundary mismatches are stored on the displacement itself, so the
+    data are not needed.  The bulk is the expression of the
+    :func:`~cohesivefrac.evolution.evolve` column.
     """
     u.validate(domain)
-    _check_boundary_data(g)
     surface = 0.0
     for site in sorted(set(u.jumps) | crack.sites):
         opening = max(abs(u.jumps.get(site, 0.0)), crack.value(site))
         surface += float(laws.phi(opening))
-    bulk = float(np.sum(domain.element_lengths * laws.bulk(u.slopes)))
     return EnergyBreakdown(
-        bulk=laws.bulk_weight * bulk,
+        bulk=laws.bulk_weight * (domain.length * laws.bulk(u.slope)),
         surface=laws.surface_weight * surface,
     )
 
@@ -214,7 +208,7 @@ def griffith_energy(
     bw = laws.bulk_weight if laws is not None else 1.0
     sw = laws.surface_weight if laws is not None else 1.0
     existing = set(crack_sites)
-    bulk = bw * float(np.sum(domain.element_lengths * u.slopes**2))
+    bulk = bw * (domain.length * u.slope**2)
     fresh = sum(1 for s in u.jumps if s not in existing)
     return EnergyBreakdown(bulk=bulk, surface=sw * float(len(existing) + fresh))
 
@@ -223,18 +217,18 @@ def consistency_residual(u: Displacement1D, domain: Domain1D, g) -> float:
     """Defect of the closed walk datum -> trace -> ... -> trace -> datum.
 
     Zero iff the oriented jumps, boundary mismatches included, and the
-    slopes carry the left datum to the right one,
-    ``g_left + sum(jumps) + sum(slope*len) = g_right``.
+    slope carry the left datum to the right one,
+    ``g_left + sum(jumps) + slope*L = g_right``.
     """
     gl, gr = _check_boundary_data(g)
-    walk = gl + sum(u.jumps.values()) + float(np.sum(domain.element_lengths * u.slopes))
+    walk = gl + sum(u.jumps.values()) + u.slope * domain.length
     return walk - gr
 
 
 def make_displacement(
     domain: Domain1D,
     g,
-    slopes,
+    slope: float,
     jumps: Mapping[int, float] | None = None,
 ) -> Displacement1D:
     """Build a displacement from oriented jumps and check it against the data.
@@ -243,10 +237,10 @@ def make_displacement(
     left to right (boundary slots included).  The closure identity is
     enforced to 1e-9.
     """
-    u = Displacement1D(np.asarray(slopes, dtype=float), jumps or {})
+    u = Displacement1D(slope, jumps or {})
     u.validate(domain)
     res = consistency_residual(u, domain, g)
     scale = 1.0 + abs(g[0]) + abs(g[1])
     if abs(res) > 1e-9 * scale:
-        raise ValueError(f"jumps and slopes do not close the boundary data: {res}")
+        raise ValueError(f"jumps and slope do not close the boundary data: {res}")
     return u

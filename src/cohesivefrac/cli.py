@@ -116,7 +116,7 @@ def _run_sweep(args) -> int:
     law = cfg.law.build()
     rate = cfg.program.rate
     base = BarProblem(domain, law, lambda t: 0.0, lambda t: rate * t, cfg.program.horizon)
-    report = size_effect_sweep(base, sweep.alpha, sweep.h, sweep.delta)
+    report = size_effect_sweep(base, sweep.alpha, sweep.h)
     regime = classify_regime(report)
     if args.out:
         rows = []

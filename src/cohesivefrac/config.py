@@ -83,8 +83,12 @@ class DomainSection:
         ))
 
     def build(self) -> Domain1D:
-        # every node is a jump site, so a crack on the bar always snaps to one
-        return Domain1D.uniform(self.length, self.elements, self.crack)
+        # every node is a jump site, so a crack on the bar always snaps to
+        # one; two entries may still snap to the same node
+        try:
+            return Domain1D.uniform(self.length, self.elements, self.crack)
+        except ValueError as err:
+            raise ConfigError(f"[domain] crack: {err}") from err
 
 
 @dataclass(frozen=True)
@@ -117,18 +121,14 @@ class ProgramSection:
 class SweepSection:
     alpha: float = 0.5
     h: tuple = (1.0,)
-    delta: tuple | None = None
 
     def __post_init__(self):
-        h, delta = self.h, self.delta
+        h = self.h
         _check_ranges("sweep", (
             ("alpha", self.alpha, 0.0 < self.alpha < 2.0, "in (0, 2)"),
             ("h", h, len(h) > 0 and all(1.0 <= x < math.inf for x in h)
              and all(b > a for a, b in zip(h, h[1:])),
              "a nonempty increasing list of finite sizes >= 1"),
-            ("delta", delta, delta is None or (
-                len(delta) == len(h) and all(0.0 < d < math.inf for d in delta)),
-             "one finite step > 0 per size in h"),
         ))
 
 
@@ -195,12 +195,7 @@ _SCHEMA = {
         "a": _NUMBER,
     }),
     "program": (ProgramSection, {"horizon": _NUMBER, "delta": _NUMBER, "rate": _NUMBER}),
-    "sweep": (SweepSection, {
-        "alpha": _NUMBER,
-        "h": (_floats, "a comma-separated float list"),
-        # blank: the default, one step 1/h per size
-        "delta": (lambda raw: _floats(raw) or None, "a comma-separated float list"),
-    }),
+    "sweep": (SweepSection, {"alpha": _NUMBER, "h": (_floats, "a comma-separated float list")}),
     "planar": (PlanarSection, {
         "n": (int, "an integer"),
         "load": _NUMBER,

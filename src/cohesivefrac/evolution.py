@@ -168,10 +168,11 @@ class EvolutionTrace:
         rows = []
         for i, t in enumerate(self.times().tolist()):
             oriented = {s: j for s, j in zip(sites, self.jumps[i].tolist()) if j != 0.0}
-            slopes = np.full(self.domain.n_elements, self.slope[i])
             rows.append(StepRecord(
                 time=t,
-                displacement=make_displacement(self.domain, self.program.pair(i), slopes, oriented),
+                displacement=make_displacement(
+                    self.domain, self.program.pair(i), self.slope[i], oriented
+                ),
                 crack=CrackState(dict(zip(sites, self.psi[i].tolist()))),
                 energy=EnergyBreakdown(float(self.bulk[i]), float(self.surface[i])),
                 slack=float(self.slack[i]),
@@ -245,15 +246,13 @@ def evolve(
 
 @dataclass(frozen=True)
 class BalanceReport:
-    """Discrete energy-inequality diagnostics for a completed trace."""
+    """Discrete energy-inequality diagnostics for a completed trace.
 
-    slacks: np.ndarray
+    The per-step minimality slack is the trace's own ``slack`` column.
+    """
+
     cumulative_violation: float
     griffith_deviation: np.ndarray | None
-
-    @property
-    def min_slack(self) -> float:
-        return float(np.min(self.slacks))
 
 
 def energy_balance_report(trace: EvolutionTrace) -> BalanceReport:
@@ -285,11 +284,7 @@ def energy_balance_report(trace: EvolutionTrace) -> BalanceReport:
     if trace.mode == "griffith":
         deviation = totals - totals[0] - np.cumsum(trace.work)
 
-    return BalanceReport(
-        slacks=trace.slack,
-        cumulative_violation=violation,
-        griffith_deviation=deviation,
-    )
+    return BalanceReport(cumulative_violation=violation, griffith_deviation=deviation)
 
 
 def first_crack_time(trace: EvolutionTrace) -> float | None:

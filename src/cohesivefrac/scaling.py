@@ -268,11 +268,11 @@ def total_variation_constant(base: BarProblem) -> float:
     return (c_prime + L) + (a_bar + 4.0 * c_g) * c_prime + c_prime / base.law.a
 
 
-def piecewise_constant_minimum(domain: Domain1D, g) -> int:
+def piecewise_constant_minimum(g) -> int:
     """Fewest jump sites over piecewise-constant states matching the data.
 
-    0 when the data agree; otherwise one jump at any site absorbs the
-    whole datum difference.
+    0 when the data agree; otherwise one jump at any site of any bar
+    absorbs the whole datum difference.
     """
     if float(g[1]) - float(g[0]) == 0.0:
         return 0

@@ -171,13 +171,13 @@ def _griffith_step(laws: RescaledLaws, L: float, delta: float, psi: list) -> tup
 def _displacement(domain: Domain1D, g, step) -> Displacement1D:
     slope, jumps = step
     oriented = {s: j for s, j in zip(domain.jump_sites(), jumps) if j != 0.0}
-    return make_displacement(domain, g, np.full(domain.n_elements, slope), oriented)
+    return make_displacement(domain, g, slope, oriented)
 
 
 def incremental_minimize(
     domain: Domain1D, crack: CrackState, g, laws: RescaledLaws
 ) -> Displacement1D:
-    """Minimize the one-step cohesive energy over slopes and jump sites.
+    """Minimize the one-step cohesive energy over the slope and jump sites.
 
     The returned displacement carries a constant slope and jumps only at
     memory sites plus at most one fresh site.
@@ -289,9 +289,7 @@ def brute_force_minimize(
 
     oriented = {s: v for s, v in zip(sites, best_vec) if v != 0.0}
     slope = (delta - sum(oriented.values())) / L
-    return make_displacement(
-        domain, (float(g[0]), float(g[1])), np.full(domain.n_elements, slope), oriented
-    )
+    return make_displacement(domain, (float(g[0]), float(g[1])), slope, oriented)
 
 
 def certify_minimality(
@@ -308,9 +306,9 @@ def certify_minimality(
     :class:`NonconvergenceError` when the oracle, on a jump grid of step
     ``jump_grid_step``, wins by more than ``CERTIFICATION_TOL``.
     """
-    e_struct = total_energy(u, crack, g, laws, domain).total
+    e_struct = total_energy(u, crack, laws, domain).total
     v = brute_force_minimize(domain, crack, g, laws, jump_grid_step)
-    e_oracle = total_energy(v, crack, g, laws, domain).total
+    e_oracle = total_energy(v, crack, laws, domain).total
     if e_struct > e_oracle + CERTIFICATION_TOL:
         raise NonconvergenceError(e_struct, e_oracle)
     return e_struct, e_oracle

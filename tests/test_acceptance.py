@@ -114,8 +114,8 @@ def test_random_bars_never_beaten_by_oracle():
         step = 4e-3 if crack.psi else 1e-3
         u = incremental_minimize(domain, crack, g, laws)
         v = brute_force_minimize(domain, crack, g, laws, step)
-        e_u = total_energy(u, crack, g, laws, domain).total
-        e_v = total_energy(v, crack, g, laws, domain).total
+        e_u = total_energy(u, crack, laws, domain).total
+        e_v = total_energy(v, crack, laws, domain).total
         worst_above = max(worst_above, e_u - e_v)
         assert e_u >= e_v - 2.0 * a * step
     elapsed = time.perf_counter() - t0
@@ -215,7 +215,7 @@ def test_rupture_gradient_bound_and_partition(rupture_run):
         expected = 4.0 / (2.0 * row.h**0.75)
         bound_ok &= row.rupture_bound == pytest.approx(expected, rel=1e-12)
         bound_ok &= row.initial_grad_l1 <= row.rupture_bound + 1e-9
-    pieces = piecewise_constant_minimum(base.domain, (0.0, 2.0))
+    pieces = piecewise_constant_minimum((0.0, 2.0))
     counts = trace_jump_counts(report.rows[-1].trace)
     ok = (
         bool(bound_ok)

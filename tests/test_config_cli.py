@@ -64,7 +64,7 @@ class TestLoadConfig:
         assert cfg.domain.crack == ((0.5, 0.3),)
         assert cfg.law.kind is LawKind.DUGDALE and cfg.law.a == 2.0
         assert cfg.program.horizon == 1.2
-        assert cfg.sweep.h == (1.0, 10.0) and cfg.sweep.delta is None
+        assert cfg.sweep.h == (1.0, 10.0)
         assert cfg.planar.mode == "griffith" and cfg.planar.n == 8
         domain = cfg.domain.build()
         assert domain.nodes.size == 9
@@ -366,7 +366,6 @@ class TestBarRanges:
         ("sweep", "sweep", "h", "0.5"),
         ("sweep", "sweep", "h", "nan"),
         ("sweep", "sweep", "h", "10, 1"),
-        ("sweep", "sweep", "delta", "0.1"),
         ("evolve", "program", "delta", "0"),
         ("evolve", "program", "delta", "-0.1"),
         ("evolve", "program", "horizon", "0"),
@@ -402,6 +401,21 @@ class TestBarRanges:
         assert main(["evolve", "--config", cfg]) == 2
         assert capsys.readouterr().err == (
             "config error: unknown key(s) in [domain]: dirichlet\n")
+
+    def test_sweep_delta_is_an_unknown_key(self, config_path, no_bar_solve, capsys):
+        # size h always steps at 1/h
+        cfg = _bar_config(config_path, "sweep", "delta", "0.1")
+        assert main(["sweep", "--config", cfg]) == 2
+        assert capsys.readouterr().err == "config error: unknown key(s) in [sweep]: delta\n"
+
+    @pytest.mark.parametrize("command", ["evolve", "griffith", "sweep"])
+    def test_two_cracks_on_one_node_rejected(self, command, config_path, no_bar_solve,
+                                             capsys):
+        # on 8 elements both positions snap to the node at 0.5
+        cfg = _bar_config(config_path, "domain", "crack", "0.5:0.3, 0.55:0.9")
+        assert main([command, "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            "config error: [domain] crack: two entries on crack site 4 (x = 0.5)\n")
 
     @pytest.mark.parametrize("flag, value", [("--alpha", "3"), ("--h", "0.5")])
     def test_sweep_override_range_checked(self, flag, value, config_path, no_bar_solve,
