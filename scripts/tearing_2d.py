@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from cohesivefrac.config import SweepSection
 from cohesivefrac.laws import CohesiveLaw, LawKind, rescale_laws
 from cohesivefrac.planar2d import (
     Grid2D,
@@ -43,8 +44,7 @@ def main():
             raise ValueError(f"load times must be finite, got {args.times}")
         grid = Grid2D.precracked(args.n, args.crack_length, args.gamma)
         h_list = [float(v) for v in args.h.split(",")]
-        for h in h_list:
-            rescale_laws(law, h, args.alpha)
+        SweepSection(args.alpha, tuple(h_list))
     except ValueError as err:
         parser.error(str(err))
     laws = rescale_laws(law, 1.0, args.alpha)
@@ -56,7 +56,8 @@ def main():
     steps = evolve_tearing(grid, times, laws)
     print(f"{'t':>6} {'energy':>12} {'open edges':>12} {'max psi':>10}")
     for step in steps:
-        n_open = int(np.count_nonzero(np.abs(step.jumps) > 1e-12))
+        jumps = step.nodal_jumps
+        n_open = int(np.count_nonzero(np.abs(0.5 * (jumps[:-1] + jumps[1:])) > 1e-12))
         print(f"{step.time:>6g} {step.energy:>12.6g} {n_open:>12d} "
               f"{step.psi.max():>10.4g}")
 

@@ -40,7 +40,8 @@ for every trial jump), so the energy trace is nonincreasing.  Its end
 point is not certified global, and need not even be stationary: where an
 edge sits exactly at its memory the surface term couples two nodes, and
 single-node updates can stall there (Tseng, J. Optim. Theory Appl. 109,
-2001).  Fields are built only for the results that are read.
+2001).  A tearing step keeps its nodal jumps, and the gap ladder prices
+them by the minimized lip form ``2 q.S.q``; fields are built on first read.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ __all__ = [
     "prefix_crack_sweep",
     "alternate_minimize",
     "evolve_tearing",
-    "cellwise_bulk",
     "tearing_gap_ladder",
     "write_field",
 ]
@@ -341,27 +341,6 @@ def solve_elastic(grid: Grid2D, open_edges, t: float) -> Field2D:
     return Field2D(grid=grid, lower=lower, upper=upper)
 
 
-def cellwise_bulk(f: Field2D, density=None) -> float:
-    """Cell-quadrature bulk integral of ``density(|grad u|)``.
-
-    The gradient is averaged from the four cell edges; ``density=None``
-    means the plain Dirichlet integrand ``|grad u|^2``.  Used for the
-    size-rescaled reporting, with the same quadrature applied to both
-    the cohesive state and its elastic reference so gaps are comparable.
-    """
-    h = f.grid.spacing
-    total = 0.0
-    for block in (f.lower, f.upper):
-        dx = np.diff(block, axis=1)
-        gx = 0.5 * (dx[:-1, :] + dx[1:, :]) / h
-        dy = np.diff(block, axis=0)
-        gy = 0.5 * (dy[:, :-1] + dy[:, 1:]) / h
-        norm = np.hypot(gx, gy)
-        vals = norm * norm if density is None else density(norm)
-        total += float(np.sum(vals)) * h * h
-    return total
-
-
 @dataclass(frozen=True)
 class SweepResult:
     best_length: float
@@ -545,7 +524,6 @@ def _pattern_step(grid, laws, t, jumps):
 class AMResult:
     grid: Grid2D
     t: float
-    jumps: np.ndarray          # signed per-edge (midpoint) jumps
     nodal_jumps: np.ndarray    # read-only: the field is built from it
     energies: np.ndarray       # start, each sweep, each accepted pattern step; nonincreasing
     iterations: int
@@ -573,7 +551,9 @@ def alternate_minimize(
     energy; it stops once an iteration gains less than ``AM_TOL``, or
     raises after ``AM_MAX_ITERS``.  The energy is recorded at the start,
     after every pass and after every accepted pattern step, so the trace
-    is nonincreasing.  ``AMResult.field`` is built on first read.
+    is nonincreasing.  ``AMResult.field`` is built on first read.  A load
+    or start jump that is not finite raises ``ValueError`` before any
+    sweep.
 
     The result is a point that no single-node update and no pattern step
     improves, which need not be stationary, let alone global: an edge
@@ -593,6 +573,9 @@ def alternate_minimize(
     jumps = np.zeros(n + 1) if start_jumps is None else np.asarray(start_jumps, dtype=float).copy()
     if jumps.shape != (n + 1,):
         raise ValueError("start_jumps must give one value per lip node")
+    bad = [v for v in (t, *jumps.tolist()) if not math.isfinite(v)]
+    if bad:
+        raise ValueError(f"load and start jumps must be finite, got {bad[0]}")
 
     energies = [_lip_energy(grid, laws, t, jumps)]
     prev = np.inf
@@ -615,7 +598,6 @@ def alternate_minimize(
             return AMResult(
                 grid=grid,
                 t=t,
-                jumps=0.5 * (jumps[:-1] + jumps[1:]),
                 nodal_jumps=jumps,
                 energies=np.asarray(energies),
                 iterations=it + 1,
@@ -627,10 +609,16 @@ def alternate_minimize(
 @dataclass(frozen=True, eq=False)
 class TearingStep:
     time: float
-    field: Field2D
-    jumps: np.ndarray
-    psi: np.ndarray
+    nodal_jumps: np.ndarray    # the winning AM result's read-only array
+    psi: np.ndarray            # the memory after the step
     energy: float
+
+    @cached_property
+    def field(self) -> Field2D:
+        """The elastic field with these nodal jumps and this memory, built on first use."""
+        grid = Grid2D(self.psi.size, self.psi)
+        lower, upper = _blocks(grid.n, self.time, self.nodal_jumps)
+        return Field2D(grid=grid, lower=lower, upper=upper)
 
 
 def evolve_tearing(grid: Grid2D, times, laws: RescaledLaws) -> list[TearingStep]:
@@ -680,8 +668,8 @@ def evolve_tearing(grid: Grid2D, times, laws: RescaledLaws) -> list[TearingStep]
         jn = best.nodal_jumps
         psi = np.maximum(psi, _edge_openings(jn))
         prev = jn
-        steps.append(TearingStep(time=t, field=best.field, jumps=best.jumps,
-                                 psi=psi, energy=float(best.energies[-1])))
+        steps.append(TearingStep(time=t, nodal_jumps=jn, psi=psi,
+                                 energy=float(best.energies[-1])))
     return steps
 
 
@@ -698,20 +686,25 @@ def tearing_gap_ladder(
 
     The initial crack is :meth:`Grid2D.precracked` with the given length
     and memory ``gamma``.  For each ``h`` the tearing evolution runs with
-    the rescaled laws and the reported bulk is the cell quadrature of
-    the rescaled density; the reference is the elastic solve with the
-    memory edges open, same quadrature, which scales as ``t^2``.
+    the rescaled laws, and each step reports the weighted lip-form bulk
+    ``2 q.S.q`` of its nodal jumps, the bulk that the evolution
+    minimizes; the reference is the same form for the elastic optimum
+    with the memory edges open, which scales as ``t^2``.  No field is
+    built.  No times, or sizes that are not a nonempty increasing list,
+    raise ``ValueError`` before any solve.
     """
-    h_list = [float(h) for h in h_list]
+    times, h_list = [float(t) for t in times], [float(h) for h in h_list]
+    if not times or not h_list or any(b <= a for a, b in zip(h_list, h_list[1:])):
+        raise ValueError(f"need load times and increasing sizes, got {times} and {h_list}")
     grid = Grid2D.precracked(n, crack_length, gamma)
-    ref1 = cellwise_bulk(solve_elastic(grid, np.flatnonzero(grid.psi > 0.0), 1.0))
+    ref1 = _lip_bulk(n, 1.0, _solve_jumps(n, 1.0, _tied(n, np.flatnonzero(grid.psi > 0.0))))
     gaps = np.empty(len(h_list))
     for row, h in enumerate(h_list):
         laws = rescale_laws(base_law, h, alpha)
         steps = evolve_tearing(grid, times, laws)
         gap = 0.0
         for st in steps:
-            reported = laws.bulk_weight * cellwise_bulk(st.field, laws.bulk)
+            reported = laws.bulk_weight * _lip_bulk(n, st.time, st.nodal_jumps)
             gap = max(gap, abs(reported - st.time**2 * ref1))
         gaps[row] = gap
     return gaps

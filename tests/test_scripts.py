@@ -54,7 +54,7 @@ def test_tearing_script_rejects_a_crack_off_the_interface(length):
     [
         ("brittle_sweep.py", ["--h", "10,1"], "[sweep] h must be a nonempty increasing list"),
         ("rupture_check.py", ["--h", "1,0.5"], "[sweep] h must be a nonempty increasing list"),
-        ("tearing_2d.py", ["--n", "8", "--h", "0.5"], "size ratio must satisfy h >= 1"),
+        ("tearing_2d.py", ["--n", "8", "--h", "0.5"], "[sweep] h must be a nonempty increasing list"),
         ("brittle_sweep.py", ["--h", "1,10", "--horizon", "nan"],
          "horizon must be positive and finite"),
         ("brittle_sweep.py", ["--h", "1,10", "--horizon", "inf"],
@@ -62,6 +62,7 @@ def test_tearing_script_rejects_a_crack_off_the_interface(length):
         ("tearing_2d.py", ["--n", "8", "--h", "1", "--times", "nan"], "load times must be finite"),
         ("tearing_2d.py", ["--n", "8", "--h", "1", "--times", "0.2,inf"],
          "load times must be finite"),
+        ("tearing_2d.py", ["--n", "8", "--h", "10,1"], "[sweep] h must be a nonempty increasing list"),
     ],
 )
 def test_script_rejects_a_bad_size_ladder_before_solving(name, args, message):
