@@ -55,12 +55,106 @@ def _as_checked_opening(s):
     return arr
 
 
+# The forms of one law kind, built once per law by ``CohesiveLaw`` so
+# that no call dispatches on the kind again: the array forms of
+# ``__call__`` and ``deriv``, their float forms ``_value(s)`` and
+# ``_slope(s)`` for one opening, and ``_stationary``, the local minimum of
+# one law term against a parabola.  The float forms serve kernels that
+# would otherwise spend their time in numpy calls on 0-d and two-element
+# arrays.  Their values are bit-identical to the array forms: the
+# exponential law takes numpy's exp on a float, as ``math.exp`` rounds
+# differently in about one opening in twenty.
+#
+# ``_stationary(kappa, d, weights, rate)`` is the local minimum of
+# ``kappa*(x - d)**2 + w*phi(rate*x)`` for every weight ``w``, with
+# ``kappa > 0``, ``rate > 0`` and every ``w >= 0``.  It returns one float
+# per weight, NaN where the point is not real.  Only the unsaturated
+# piece of phi counts; on a saturated piece the point is ``d``.
+#
+# * Dugdale: the vertex ``d - w*a*rate/(2*kappa)``, on floats.
+# * Exponential: with ``b = a*rate``, ``x = d + W_0(z)/b`` for
+#   ``z = -w*b**2*exp(-b*d)/(2*kappa)``, real for ``z >= -1/e``.  The
+#   second derivative there is ``2*kappa*(1 + W) >= 0``; the ``W_-1``
+#   branch gives local maxima, which never beat an interval's ends.  One
+#   array call, as a scalar Lambert W per point costs more.
+#
+# A sum ``sum_k w_k*phi(rate*x + s_k)`` of terms on their unsaturated
+# piece is ``W*phi(rate*x)`` plus a constant, with
+# ``W = sum_k w_k*phi'(s_k)/a``, so one weight covers any number of
+# shifted copies of the law.
+
+
+def _dugdale_forms(a: float) -> tuple:
+    knee = 1.0 / a
+
+    def values(arr):
+        return np.minimum(a * arr, 1.0)
+
+    def slopes(arr):
+        return np.where(arr < knee, a, 0.0)
+
+    def value(s: float) -> float:
+        if s < 0.0:
+            raise ValueError("opening must be nonnegative")
+        v = a * s
+        return 1.0 if v > 1.0 else v
+
+    def slope(s: float) -> float:
+        if s < 0.0:
+            raise ValueError("opening must be nonnegative")
+        return a if s < knee else 0.0
+
+    def stationary(kappa: float, d: float, weights, rate: float) -> list:
+        c = a * rate / (2.0 * kappa)
+        return [d - w * c for w in weights]
+
+    return values, slopes, value, slope, stationary
+
+
+def _exponential_forms(a: float) -> tuple:
+    def values(arr):
+        # expm1 keeps precision near s = 0
+        return -np.expm1(-a * arr)
+
+    def slopes(arr):
+        return a * np.exp(-a * arr)
+
+    def value(s: float) -> float:
+        if s < 0.0:
+            raise ValueError("opening must be nonnegative")
+        return -float(np.expm1(-a * s))
+
+    def slope(s: float) -> float:
+        if s < 0.0:
+            raise ValueError("opening must be nonnegative")
+        return a * float(np.exp(-a * s))
+
+    def stationary(kappa: float, d: float, weights, rate: float) -> list:
+        # scipy.special costs memory and start-up time, so only
+        # exponential laws load it
+        from scipy.special import lambertw
+
+        weight = np.asarray(weights, dtype=float)
+        b = a * rate
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            # in logs, so that a zero weight gives z = 0 however large -b*d
+            z = -np.exp(np.log(weight * (b * b / (2.0 * kappa))) - b * d)
+            x = np.where(z >= -math.exp(-1.0), d + lambertw(z, 0).real / b, np.nan)
+        return x.tolist()
+
+    return values, slopes, value, slope, stationary
+
+
+_FORMS = {LawKind.DUGDALE: _dugdale_forms, LawKind.EXPONENTIAL: _exponential_forms}
+
+
 @dataclass(frozen=True)
 class CohesiveLaw:
     """Surface energy density of a single cohesive interface.
 
     ``a`` is the initial slope phi'(0); it must be positive and finite.
-    Instances are immutable and evaluate vectorized.
+    Instances are immutable, compare and hash by ``(kind, a)``, and
+    evaluate vectorized.
     """
 
     kind: LawKind
@@ -73,14 +167,16 @@ class CohesiveLaw:
             object.__setattr__(self, "kind", LawKind(self.kind))
         if not (self.a > 0.0 and math.isfinite(self.a)):
             raise ValueError(f"initial slope must be positive and finite, got {self.a}")
+        forms = _FORMS[self.kind](self.a)
+        for name, form in zip(("_values", "_slopes", "_value", "_slope", "_stationary"), forms):
+            object.__setattr__(self, name, form)
+
+    def __reduce__(self):
+        # the forms are closures, rebuilt from the fields
+        return CohesiveLaw, (self.kind, self.a)
 
     def __call__(self, s):
-        arr = _as_checked_opening(s)
-        if self.kind is LawKind.DUGDALE:
-            out = np.minimum(self.a * arr, 1.0)
-        else:
-            # expm1 keeps precision near s = 0
-            out = -np.expm1(-self.a * arr)
+        out = self._values(_as_checked_opening(s))
         return out if out.ndim else float(out)
 
     @property
@@ -92,69 +188,8 @@ class CohesiveLaw:
 
     def deriv(self, s):
         """phi'(s), one-sided from above at the Dugdale kink (0 once saturated)."""
-        arr = _as_checked_opening(s)
-        if self.kind is LawKind.DUGDALE:
-            out = np.where(arr < 1.0 / self.a, self.a, 0.0)
-        else:
-            out = self.a * np.exp(-self.a * arr)
+        out = self._slopes(_as_checked_opening(s))
         return out if out.ndim else float(out)
-
-    # Float forms of ``__call__`` and ``deriv`` for one opening, and the
-    # local minimum of one law term against a parabola, for kernels that
-    # would otherwise spend their time in numpy calls on 0-d and
-    # two-element arrays.  Values are bit-identical to the array forms:
-    # the exponential law takes numpy's exp on a float, as ``math.exp``
-    # rounds differently in about one opening in twenty.
-
-    def _value(self, s: float) -> float:
-        if s < 0.0:
-            raise ValueError("opening must be nonnegative")
-        if self.kind is LawKind.DUGDALE:
-            v = self.a * s
-            return 1.0 if v > 1.0 else v
-        return -float(np.expm1(-self.a * s))
-
-    def _slope(self, s: float) -> float:
-        if s < 0.0:
-            raise ValueError("opening must be nonnegative")
-        if self.kind is LawKind.DUGDALE:
-            return self.a if s < 1.0 / self.a else 0.0
-        return self.a * float(np.exp(-self.a * s))
-
-    def _stationary(self, kappa: float, d: float, weights, rate: float) -> list:
-        """Local minimum of ``kappa*(x - d)**2 + w*phi(rate*x)`` for every weight ``w``.
-
-        ``kappa > 0``, ``rate > 0`` and every ``w >= 0``.  Returns one
-        float per weight, NaN where the point is not real.  Only the
-        unsaturated piece of phi counts; on a saturated piece the point
-        is ``d``.
-
-        Dugdale: the vertex ``d - w*a*rate/(2*kappa)``, on floats.
-        Exponential: with ``b = a*rate``, ``x = d + W_0(z)/b`` for
-        ``z = -w*b**2*exp(-b*d)/(2*kappa)``, real for ``z >= -1/e``.  The
-        second derivative there is ``2*kappa*(1 + W) >= 0``; the ``W_-1``
-        branch gives local maxima, which never beat an interval's ends.
-        One array call, as a scalar Lambert W per point costs more.
-
-        A sum ``sum_k w_k*phi(rate*x + s_k)`` of terms on their unsaturated
-        piece is ``W*phi(rate*x)`` plus a constant, with
-        ``W = sum_k w_k*phi'(s_k)/a``, so one weight covers any number of
-        shifted copies of the law.
-        """
-        if self.kind is LawKind.DUGDALE:
-            c = self.a * rate / (2.0 * kappa)
-            return [d - w * c for w in weights]
-        # scipy.special costs memory and start-up time, so only
-        # exponential laws load it
-        from scipy.special import lambertw
-
-        weight = np.asarray(weights, dtype=float)
-        b = self.a * rate
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            # in logs, so that a zero weight gives z = 0 however large -b*d
-            z = -np.exp(np.log(weight * (b * b / (2.0 * kappa))) - b * d)
-            x = np.where(z >= -math.exp(-1.0), d + lambertw(z, 0).real / b, np.nan)
-        return x.tolist()
 
 
 @dataclass(frozen=True)

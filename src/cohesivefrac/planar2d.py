@@ -36,7 +36,9 @@ of lip nodes, so one Cholesky factor of ``S`` per mesh size solves every
 prefix.  ``alternate_minimize`` minimizes the reduced lip energy
 ``2 bw q.S.q + w sum phi(opening v psi)`` over the nodal jumps alone, by
 coordinate descent: each node update is exact (the bulk is minimized out
-for every trial jump), so the energy trace is nonincreasing.  Its end
+for every trial jump), so the energy trace is nonincreasing, and an
+iteration that changes no jump ends the descent, as the next one would
+only repeat it.  Its end
 point is not certified global, and need not even be stationary: where an
 edge sits exactly at its memory the surface term couples two nodes, and
 single-node updates can stall there (Tseng, J. Optim. Theory Appl. 109,
@@ -324,6 +326,11 @@ def _lip_energy(grid: Grid2D, laws: RescaledLaws, t: float, jumps) -> float:
     return laws.bulk_weight * _lip_bulk(grid.n, t, jumps) + surface
 
 
+def _check_load(t: float) -> None:
+    if not math.isfinite(t):
+        raise ValueError(f"load must be finite, got {t}")
+
+
 def solve_elastic(grid: Grid2D, open_edges, t: float) -> Field2D:
     """Minimize the quadratic form with the given crack edges open.
 
@@ -331,8 +338,10 @@ def solve_elastic(grid: Grid2D, open_edges, t: float) -> Field2D:
     node jumps only when every incident crack edge is open.  The problem
     reduces to the lip nodes: one dense solve with the lip operator on
     the open ones (residual below ``1e-10``), then the field is rebuilt
-    mode by mode.
+    mode by mode.  A load that is not finite raises ``ValueError`` before
+    any solve.
     """
+    _check_load(t)
     n = grid.n
     open_set = frozenset(int(e) for e in open_edges)
     if any(e < 0 or e >= n for e in open_set):
@@ -362,10 +371,12 @@ def prefix_crack_sweep(grid: Grid2D, t: float, laws: RescaledLaws, mode: str = "
     ``RESIDUAL_TOL``, and the full tear has jumps ``2t`` and bulk 0
     exactly.  Griffith surface counts fresh edge length only; the
     cohesive one pays ``phi(opening v psi)`` per edge.  Ties resolve to
-    the smaller crack.
+    the smaller crack.  A load that is not finite raises ``ValueError``
+    before any solve.
     """
     if mode not in ("cohesive", "griffith"):
         raise ValueError(f"unknown mode {mode!r}")
+    _check_load(t)
     n = grid.n
     delta = grid.spacing
     lengths = np.arange(n + 1) * delta
@@ -416,7 +427,7 @@ def _lip_jump(phi, kappa, d, w, j, psi):
     candidates are the ends, the openings where an edge reaches its
     memory (convex kinks), and the local minimum for every set of edges
     that may be smooth at once (each set is one law term in ``y/2``, see
-    :meth:`CohesiveLaw._stationary`).  Saturation is a concave
+    the law's ``_stationary``).  Saturation is a concave
     kink and never a minimizer.  A candidate outside ``(0, |d|)``, or not
     real, would be clamped onto an end, so it is dropped.  Everything is
     priced on floats; ties go to the smaller jump.
@@ -424,38 +435,44 @@ def _lip_jump(phi, kappa, d, w, j, psi):
     end = abs(d)
     scale = w / phi.a
     slope, value = phi._slope, phi._value
-    j0, p0 = j[0], psi[0]
-    two = len(j) == 2
-    if two:
-        j1, p1 = j[1], psi[1]
+    if len(j) == 2:
+        j0, j1 = j
+        p0, p1 = psi
         s0, s1 = scale * slope(0.5 * j0), scale * slope(0.5 * j1)
         # every nonempty set of edges
-        weights = [s0, s1, s0 + s1]
+        weights = (s0, s1, s0 + s1)
         cand = [2.0 * (p0 - 0.5 * j0), 2.0 * (p1 - 0.5 * j1)]
     else:
-        weights = [scale * slope(0.5 * j0)]
+        (j0,), (p0,) = j, psi
+        j1 = None
+        weights = (scale * slope(0.5 * j0),)
         cand = [2.0 * (p0 - 0.5 * j0)]
     cand += phi._stationary(kappa, end, weights, 0.5)
 
-    # the lowest energy, then the smaller jump
-    x = e_min = None
-    for y in (0.0, end, *cand):
-        if not 0.0 <= y <= end:
+    # max(opening, memory), as a conditional: a builtin call per edge costs more
+    s = 0.5 * j0
+    surface = value(p0 if p0 > s else s)
+    if j1 is not None:
+        s = 0.5 * j1
+        surface += value(p1 if p1 > s else s)
+    # y = 0 holds until a candidate costs less, or as much for a smaller jump
+    x, e_min = 0.0, kappa * (end * end) + w * surface
+    for y in (end, *cand):
+        if not 0.0 < y <= end:
             continue
-        # max(opening, memory), as a conditional: a builtin call per edge costs more
         s = 0.5 * (y + j0)
         surface = value(p0 if p0 > s else s)
-        if two:
+        if j1 is not None:
             s = 0.5 * (y + j1)
             surface += value(p1 if p1 > s else s)
         e = kappa * ((y - end) * (y - end)) + w * surface
-        if x is None or e < e_min or (e == e_min and y < x):
+        if e < e_min or (e == e_min and y < x):
             x, e_min = y, e
     return x if d >= 0.0 else -x
 
 
-def _sweep_jumps(grid, laws, t, jumps):
-    """One Gauss-Seidel pass of exact per-node updates of the lip energy.
+def _sweep_jumps(grid, laws, t, jumps) -> bool:
+    """One Gauss-Seidel pass of exact per-node updates of the lip energy; True if a jump moved.
 
     With the other jumps fixed, the bulk ``2 bw q.S.q`` (``q = t - J/2``,
     the interior already minimized out) is ``kappa*(x - d)**2`` plus a
@@ -463,9 +480,12 @@ def _sweep_jumps(grid, laws, t, jumps):
     ``d = 2t + 2*(S_i.q - S_ii*q_i)/S_ii``; :func:`_lip_jump` minimizes it
     together with the surface term exactly, so no update raises the
     energy.  The diagonal of ``S``, the memory and the jumps are read as
-    floats once per pass; ``S.q`` follows each update by a rank-one
-    correction, the one array operation per node.  ``jumps`` is written
-    in place, once, at the end of the pass.
+    floats once per pass; ``S.q`` follows each update that moves a jump
+    by a rank-one correction, the one array operation per node.  An
+    update that returns the node's jump (as floats) changes nothing and
+    is skipped, so a pass that moves nothing leaves ``jumps`` as it was:
+    the descent has reached a fixed point of the node updates.
+    ``jumps`` is written in place, once, at the end of a pass that moved.
     """
     n = grid.n
     stiff = _lip_operator(n).stiffness
@@ -477,6 +497,7 @@ def _sweep_jumps(grid, laws, t, jumps):
     q = q.tolist()
     mags = np.abs(jumps).tolist()
     new = jumps.tolist()
+    moved = False
     for i in range(n + 1):
         s_ii = diag[i]
         d = 2.0 * t + 2.0 * (sq.item(i) - s_ii * q[i]) / s_ii
@@ -488,12 +509,17 @@ def _sweep_jumps(grid, laws, t, jumps):
         else:
             j, p = (mags[i - 1], mags[i + 1]), (psi[i - 1], psi[i])
         x = _lip_jump(phi, half_bw * s_ii, d, w, j, p)
+        if x == new[i]:
+            continue
+        moved = True
         q_new = t - 0.5 * x
         sq += stiff[i] * (q_new - q[i])  # S is symmetric: row i is column i
         q[i] = q_new
         mags[i] = abs(x)
         new[i] = x
-    jumps[:] = new
+    if moved:
+        jumps[:] = new
+    return moved
 
 
 def _pattern_step(grid, laws, t, jumps):
@@ -548,10 +574,14 @@ def alternate_minimize(
     updates on ``2 bw q.S.q + w sum phi(opening v psi)`` (the elastic
     field minimized out for every trial jump, ``psi`` the memory of
     ``grid``), then a pattern step that is kept only when it lowers the
-    energy; it stops once an iteration gains less than ``AM_TOL``, or
-    raises after ``AM_MAX_ITERS``.  The energy is recorded at the start,
-    after every pass and after every accepted pattern step, so the trace
-    is nonincreasing.  ``AMResult.field`` is built on first read.  A load
+    energy.  It stops once an iteration changes no jump (its pass moved
+    nothing and its pattern step was rejected), as the next one would
+    only repeat it; once an iteration gains less than ``AM_TOL``;
+    or it raises after ``AM_MAX_ITERS``.  ``iterations`` counts the
+    iterations that ran.  The energy is recorded at the start, after
+    every pass and after every accepted pattern step, so the trace is
+    nonincreasing; a pass that moved nothing records the energy it
+    started from, unpriced.  ``AMResult.field`` is built on first read.  A load
     or start jump that is not finite raises ``ValueError`` before any
     sweep.
 
@@ -580,20 +610,23 @@ def alternate_minimize(
     energies = [_lip_energy(grid, laws, t, jumps)]
     prev = np.inf
     for it in range(AM_MAX_ITERS):
-        _sweep_jumps(grid, laws, t, jumps)
-        e = _lip_energy(grid, laws, t, jumps)
+        moved = _sweep_jumps(grid, laws, t, jumps)
+        # a pass that moved nothing left the energy as it was
+        e = _lip_energy(grid, laws, t, jumps) if moved else energies[-1]
         energies.append(e)
+        accepted = False
         trial = _pattern_step(grid, laws, t, jumps)
         if trial is not None:
             e_acc = _lip_energy(grid, laws, t, trial)
             if e_acc < e:
-                jumps = trial
-                e = e_acc
+                jumps, e, accepted = trial, e_acc, True
                 energies.append(e)
         matched = target_energy is not None and (
             e <= target_energy + max(10.0 * AM_TOL, 1e-8 * (1.0 + abs(target_energy)))
         )
-        if prev - e < AM_TOL or matched:
+        # an iteration that changed no jump is a fixed point: the next one
+        # would only repeat it
+        if not (moved or accepted) or prev - e < AM_TOL or matched:
             jumps.setflags(write=False)
             return AMResult(
                 grid=grid,

@@ -89,8 +89,8 @@ def _excess_minimum(laws, L, c, p):
     difference left over once every memory site is refilled.  Below
     ``c - L*threshold`` the bulk is affine and the branch concave, so it
     has no interior minimum there; above, the bulk is ``(bw/L)*(c - e)**2``
-    and the candidate is the local minimum of
-    :meth:`CohesiveLaw._stationary`, if it lies inside ``(0, c)``.  The
+    and the candidate is the local minimum from the law's
+    ``_stationary``, if it lies inside ``(0, c)``.  The
     bulk threshold is a C1 join and the Dugdale saturation a concave
     kink, so neither holds a minimum that is not already a candidate: the
     ends and the local minimum suffice.  Every candidate is priced on floats.
@@ -145,7 +145,8 @@ def _cohesive_step(laws: RescaledLaws, L: float, delta: float, psi: list) -> tup
         excess = _excess_minimum(laws, L, D - psi_total, psi[owner])
         jumps[owner] += excess
         total_jump += excess
-    return sigma * (D - total_jump) / L, [sigma * j if j != 0.0 else 0.0 for j in jumps]
+    # psi_total + excess may round above D; the slope keeps the datum's sign
+    return sigma * max(D - total_jump, 0.0) / L, [sigma * j if j != 0.0 else 0.0 for j in jumps]
 
 
 def _griffith_step(laws: RescaledLaws, L: float, delta: float, psi: list) -> tuple:

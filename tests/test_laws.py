@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -118,6 +120,21 @@ def test_stationary_points_zero_the_derivative(kind):
     assert np.max(np.abs(grad[real])) <= 1e-12 * (1.0 + np.max(np.abs(x[real])))
     # no surface weight: only the vertex d is stationary
     assert law._stationary(kappa, 0.4, [0.0], 1.0)[0] == 0.4
+
+
+@pytest.mark.parametrize("kind", list(LawKind))
+def test_law_is_a_value_with_forms_resolved_once(kind):
+    law = CohesiveLaw(kind, 2.0)
+    # equality, hashing and pickling see only (kind, a)
+    assert law == CohesiveLaw(kind.value, 2.0) and hash(law) == hash(CohesiveLaw(kind, 2.0))
+    assert law != CohesiveLaw(kind, 3.0)
+    copy = pickle.loads(pickle.dumps(law))
+    assert copy == law and copy._value(0.3) == law._value(0.3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        law.a = 3.0
+    # the float forms were chosen by kind when the law was built
+    for form in (law._value, law._slope, law._stationary):
+        assert "LawKind" not in form.__code__.co_names
 
 
 @pytest.mark.parametrize("kind", list(LawKind))

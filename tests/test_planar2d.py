@@ -366,6 +366,19 @@ class TestSweep:
             prefix_crack_sweep(Grid2D(16), 0.3, plain_laws(DUGDALE))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_elastic_solve_and_sweep_reject_a_nonfinite_load_before_solving(bad, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the load was checked")
+
+    monkeypatch.setattr(planar2d, "_solve_jumps", no_solve)
+    monkeypatch.setattr(planar2d, "_prefix_jumps", no_solve)
+    with pytest.raises(ValueError, match=f"load must be finite, got {bad}"):
+        solve_elastic(Grid2D(8), [], bad)
+    with pytest.raises(ValueError, match=f"load must be finite, got {bad}"):
+        prefix_crack_sweep(Grid2D(8), bad, plain_laws(DUGDALE))
+
+
 @pytest.mark.parametrize("kind", list(LawKind))
 def test_lip_jump_never_beaten_by_grid(kind):
     # the closed-form per-node jump against an exhaustive grid on [-R, R]
@@ -467,6 +480,33 @@ def test_sweep_leaves_last_node_at_its_minimum(kind):
         assert after <= grid_best + 1e-12 * max(1.0, grid_best)
 
 
+@pytest.mark.parametrize("kind", list(LawKind))
+def test_sweep_reports_whether_a_jump_moved(kind):
+    laws = rescale_laws(CohesiveLaw(kind, 2.0), 10.0, 0.25)
+    grid = Grid2D.precracked(16, 0.5, 0.1)
+    t = 0.6
+    jumps = np.zeros(17)
+    # from the tied state the first pass opens the crack
+    assert _sweep_jumps(grid, laws, t, jumps)
+    assert np.abs(jumps).max() > 0.0
+    # sweep to a fixed point of the node updates
+    for _ in range(400):
+        if not _sweep_jumps(grid, laws, t, jumps):
+            break
+    else:
+        pytest.fail("no fixed point of the node updates within 400 passes")
+    # a pass started there moves nothing and leaves the array as it was
+    fixed = jumps.copy()
+    assert not _sweep_jumps(grid, laws, t, jumps)
+    assert np.array_equal(jumps, fixed)
+    # a pass started off the fixed point moves, and reports it
+    assert fixed[4] > 0.0
+    jumps[4] = 0.5 * fixed[4]
+    moved = jumps.copy()
+    assert _sweep_jumps(grid, laws, t, jumps)
+    assert not np.array_equal(jumps, moved)
+
+
 class TestAlternateMinimize:
     def test_small_load_matches_tied_elastic(self):
         grid = Grid2D(16)
@@ -483,6 +523,10 @@ class TestAlternateMinimize:
                                  start_jumps=np.full(17, 2.0 * t))
         assert res.field.edge_bulk() < 1e-12
         assert res.energies[-1] == pytest.approx(1.0, abs=1e-12)
+        # the first pass moves nothing and the pattern step is rejected:
+        # a fixed point, so no second iteration repeats the first
+        assert res.iterations == 1
+        assert res.energies.size == 2
 
     @pytest.mark.parametrize("kind", list(LawKind))
     @pytest.mark.parametrize("alpha, h", [(0.25, 1.0), (0.75, 10.0), (0.75, 100.0)])
@@ -619,7 +663,7 @@ class TestTearing:
         assert len(energies) == 20
         assert sum(energies) == pytest.approx(123.25944345952092, rel=1e-12)
         assert None not in iterations
-        assert (len(iterations), sum(iterations)) == (76, 151)
+        assert (len(iterations), sum(iterations)) == (76, 132)
 
     def test_exponential_ladder_is_pinned(self, monkeypatch):
         # the same inputs with the exponential law, whose node update

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cohesivefrac.bar1d import (
@@ -373,6 +373,8 @@ class TestAgreement:
         psi=st.floats(0.0, 2.0),
         exponential=st.booleans(),
     )
+    # memory plus excess rounds above the datum here; the slope keeps its sign
+    @example(delta=2.9999999999999996, psi=0.9097523064777737, exponential=False)
     def test_sup_norm_never_exceeds_data(self, delta, psi, exponential):
         # a slope and oriented jumps of the datum's sign make the
         # displacement monotone between the data, which bounds its sup
