@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import math
 import sys
 
@@ -32,7 +33,7 @@ from cohesivefrac.planar2d import (
 )
 from cohesivefrac.scaling import BarProblem, classify_regime, size_effect_sweep
 
-__all__ = ["main", "emit_csv", "trace_rows"]
+__all__ = ["main", "emit_csv", "trace_columns"]
 
 TRACE_HEADER = (
     "t", "bulk", "surface", "total",
@@ -45,21 +46,40 @@ SWEEP_HEADER = (
 PLANAR_HEADER = ("ell", "bulk", "surface", "total")
 
 
-def emit_csv(header, rows, path) -> None:
-    """Write rows deterministically; an empty run yields a header-only file.
+def _cells(value):
+    """The text of one block entry: a list for a column, a str for a constant."""
+    if np.ndim(value):
+        return [f"{v:.12g}" for v in np.asarray(value).tolist()]
+    return value if isinstance(value, str) else f"{value:.12g}"
 
-    Strings go out as they are and numbers at 12 significant digits.  That
-    one format serves numpy and Python floats alike and writes integers
-    below 10**12, such as the ``n_jumps`` column, exactly.
+
+def emit_csv(header, blocks, path) -> None:
+    """Write blocks of rows deterministically; no rows yield a header-only file.
+
+    A block gives one entry per header field.  An array (or list) is a
+    column with one value per row; a string or a number is a constant of
+    the block, written on each of its rows (a block of constants alone is
+    one row).  Each column is formatted once over its ``tolist()`` values
+    and each constant once.  Strings go out as they are and numbers at 12
+    significant digits.  That one format serves floats and writes integers
+    below 10**12, such as the ``n_jumps`` column, exactly.  Columns of
+    unequal length within a block raise ``ValueError``.
     """
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(v if isinstance(v, str) else f"{v:.12g}" for v in row) + "\n")
+        for block in blocks:
+            cells = [_cells(v) for v in block]
+            lengths = {len(c) for c in cells if isinstance(c, list)}
+            if len(lengths) > 1:
+                raise ValueError(f"columns of one block differ in length: {sorted(lengths)}")
+            n = lengths.pop() if lengths else 1
+            columns = [c if isinstance(c, list) else itertools.repeat(c, n) for c in cells]
+            fh.writelines(",".join(row) + "\n" for row in zip(*columns))
 
 
-def trace_rows(trace: EvolutionTrace):
-    return list(zip(
+def trace_columns(trace: EvolutionTrace) -> tuple:
+    """The ``TRACE_HEADER`` columns of a trace, one block for :func:`emit_csv`."""
+    return (
         trace.times(),
         trace.bulk,
         trace.surface,
@@ -68,7 +88,7 @@ def trace_rows(trace: EvolutionTrace):
         trace.work,
         np.count_nonzero(trace.jumps, axis=1),
         np.max(np.abs(trace.jumps), axis=1, initial=0.0),
-    ))
+    )
 
 
 def _trace_checks(trace: EvolutionTrace) -> list[str]:
@@ -94,7 +114,7 @@ def _run_trace(args, mode: str) -> int:
     program = LoadProgram.linear_ramp(program_cfg.horizon, program_cfg.delta, program_cfg.rate)
     trace = evolve(domain, domain.initial_crack_state(), program, plain_laws(law), mode)
     if args.out:
-        emit_csv(TRACE_HEADER, trace_rows(trace), args.out)
+        emit_csv(TRACE_HEADER, [trace_columns(trace)], args.out)
     if args.check:
         failures = _trace_checks(trace)
         if failures:
@@ -119,16 +139,12 @@ def _run_sweep(args) -> int:
     report = size_effect_sweep(base, sweep.alpha, sweep.h)
     regime = classify_regime(report)
     if args.out:
-        rows = []
-        for r in report.rows:
-            tr = r.trace
-            for t, bulk, surface, total in zip(tr.times(), tr.bulk, tr.surface, tr.totals()):
-                rows.append((
-                    r.h, t, bulk, surface, total,
-                    r.gap_sup, r.bulk_gap_sup, r.initial_grad_l1, r.rupture_bound,
-                    regime.value,
-                ))
-        emit_csv(SWEEP_HEADER, rows, args.out)
+        blocks = [
+            (r.h, r.trace.times(), r.trace.bulk, r.trace.surface, r.trace.totals(),
+             r.gap_sup, r.bulk_gap_sup, r.initial_grad_l1, r.rupture_bound, regime.value)
+            for r in report.rows
+        ]
+        emit_csv(SWEEP_HEADER, blocks, args.out)
     print(f"regime={regime.value}")
     if args.check and regime.value == "inconclusive":
         return 4
@@ -143,8 +159,8 @@ def _run_planar(args) -> int:
     laws = rescale_laws(cfg.law.build(), p.h, p.alpha)
     result = prefix_crack_sweep(grid, p.load, laws, mode=p.mode)
     if args.out:
-        rows = list(zip(result.lengths, result.bulk, result.surface, result.total))
-        emit_csv(PLANAR_HEADER, rows, args.out)
+        columns = (result.lengths, result.bulk, result.surface, result.total)
+        emit_csv(PLANAR_HEADER, [columns], args.out)
     print(f"ell={result.best_length:.12g}")
     if args.check:
         ok = bool(np.all(np.diff(result.bulk) <= 1e-12))

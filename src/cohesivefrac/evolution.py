@@ -39,7 +39,7 @@ from cohesivefrac.bar1d import (
     make_displacement,
 )
 from cohesivefrac.laws import RescaledLaws
-from cohesivefrac.solver1d import _cohesive_step, _griffith_step
+from cohesivefrac.solver1d import _cohesive_step, _griffith_path
 
 __all__ = [
     "LoadProgram",
@@ -190,9 +190,12 @@ def evolve(
 ) -> EvolutionTrace:
     """Run the incremental minimization scheme over the whole program.
 
-    Each step solves the float kernel of ``mode`` on the datum difference
-    and the memory, then updates the memory to ``psi' = psi v |jump|``.
-    The energies are closed forms in the slope and the memory: bulk
+    In cohesive mode each step solves the float kernel on the datum
+    difference and the memory, then updates the memory to
+    ``psi' = psi v |jump|``.  In griffith mode the whole path has a closed
+    form (:func:`cohesivefrac.solver1d._griffith_path`) and the memory is
+    the running maximum of the openings.  The energies are closed forms
+    in the slope and the memory: bulk
     ``bw L f(slope)`` (``f`` the square in griffith mode) and surface
     ``sw sum phi(psi')``, summed site by site in site order (``sw`` times
     the number of cracked sites in griffith mode).  Priced with ``psi'``
@@ -202,22 +205,25 @@ def evolve(
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    step = _cohesive_step if mode == "cohesive" else _griffith_step
     L = domain.length
     sites = domain.jump_sites()
     deltas = program.deltas()
 
     psi = [initial_crack.value(s) for s in sites]
-    slopes, jump_rows, memory = [], [], [psi]
-    for delta in deltas.tolist():
-        slope, jumps = step(laws, L, delta, psi)
-        psi = [max(p, abs(j)) for p, j in zip(psi, jumps)]
-        slopes.append(slope)
-        jump_rows.append(jumps)
-        memory.append(psi)
-    slope = np.array(slopes)
-    jumps = np.array(jump_rows).reshape(slope.size, len(sites))
-    memory = np.array(memory).reshape(slope.size + 1, len(sites))
+    if mode == "griffith":
+        slope, jumps = _griffith_path(laws, L, deltas, psi)
+        memory = np.maximum.accumulate(np.vstack([psi, np.abs(jumps)]))
+    else:
+        slopes, jump_rows, memory = [], [], [psi]
+        for delta in deltas.tolist():
+            slope, jumps = _cohesive_step(laws, L, delta, psi)
+            psi = [max(p, abs(j)) for p, j in zip(psi, jumps)]
+            slopes.append(slope)
+            jump_rows.append(jumps)
+            memory.append(psi)
+        slope = np.array(slopes)
+        jumps = np.array(jump_rows).reshape(slope.size, len(sites))
+        memory = np.array(memory).reshape(slope.size + 1, len(sites))
     if not np.all(np.diff(memory, axis=0) >= 0.0):
         raise RuntimeError("irreversibility violated: an opening memory decreased")
 

@@ -288,29 +288,37 @@ def relax_bulk_oracle(
     Computes ``inf { base(x1) + a*|xi - x1| }`` by exhaustive search of
     ``x1`` over one grid of step ``grid_step`` on ``[-m-a, m+a]``, where
     ``m = max|xi|``.  ``xi`` may be a scalar (the result is a ``float``)
-    or an array (the result has its shape); every point shares the grid,
-    so a scalar searches ``[-|xi|-a, |xi|+a]``.  For ``base(x) = x**2``
-    the result must agree with :class:`BulkDensity` up to
-    O(grid_step * a); the grid search is kept deliberately independent of
-    that closed form so it can certify it.
+    or a nonempty array (the result has its shape); every point shares
+    the grid, so a scalar searches ``[-|xi|-a, |xi|+a]``.  For
+    ``base(x) = x**2`` the result must agree with :class:`BulkDensity` up
+    to O(grid_step * a); the grid search is kept deliberately independent
+    of that closed form so it can certify it.
 
-    The search is an L1 distance transform by running minima
-    (Felzenszwalb & Huttenlocher, 2012): grid points ``x1 <= xi`` give
-    ``a*xi + min(base(x1) - a*x1)``, the others ``-a*xi + min(base(x1) +
-    a*x1)``, so each point reads a running minimum on each side and the
-    result equals the minimum over the whole grid up to rounding.  The
-    cost is one evaluation of ``base`` per grid point plus one binary
-    search per point and chunk, not one scan of the grid per point.
-    Memory stays flat however fine the grid: it is scanned in
-    chunks of ``_ORACLE_CHUNK`` points, carrying both running minima across.
-    A grid of more than ``_ORACLE_MAX_POINTS`` points raises ``ValueError``
-    before any scan.
+    The search is an L1 distance transform (Felzenszwalb & Huttenlocher,
+    2012): grid points ``x1 <= xi`` give ``a*xi + min(base(x1) - a*x1)``,
+    the others ``-a*xi + min(base(x1) + a*x1)``.  With the points sorted,
+    the grid splits into ``len(xi) + 1`` segments between consecutive
+    points; one ``minimum.reduceat`` per side takes each segment's
+    minimum, and one ``minimum.accumulate`` per side over the segments
+    gives every point the minimum over all grid points on that side.  The
+    minima are of the same floats as a point-by-point scan, so the result
+    equals it exactly.  The cost is one evaluation of ``base`` per grid
+    point plus one binary search per point and chunk, not one scan of the
+    grid per point.  Memory stays flat however fine the grid: it is
+    scanned in chunks of ``_ORACLE_CHUNK`` points, carrying the segment
+    minima across.  A grid of more than ``_ORACLE_MAX_POINTS`` points, a
+    slope ``a`` that is not positive and finite, and an empty ``xi`` raise
+    ``ValueError`` before any scan.
     """
     if not (grid_step > 0.0 and math.isfinite(grid_step)):
         raise ValueError(f"grid_step must be positive and finite, got {grid_step}")
+    if not (a > 0.0 and math.isfinite(a)):
+        raise ValueError(f"a must be positive and finite, got {a}")
     pts = np.asarray(xi, dtype=float)
     if not np.all(np.isfinite(pts)):
         raise ValueError("xi must be finite")
+    if pts.size == 0:
+        raise ValueError(f"xi must hold at least one point, got shape {pts.shape}")
     flat = pts.ravel()
     half = float(np.max(np.abs(flat))) + a
     span = 2.0 * half / grid_step
@@ -319,24 +327,30 @@ def relax_bulk_oracle(
             f"a grid of {span + 1.0:.3g} points exceeds the cap of {_ORACLE_MAX_POINTS:.0e}"
         )
     n = int(math.ceil(span)) + 1
-    # min of base - a*x1 over grid points left of each xi, and of
-    # base + a*x1 over those right of it
-    left = np.full(flat.shape, math.inf)
-    right = np.full(flat.shape, math.inf)
-    carry = math.inf
+    order = np.argsort(flat)
+    sorted_pts = flat[order]
+    # segment j holds the grid points in (sorted_pts[j-1], sorted_pts[j]];
+    # min of base - a*x1 and of base + a*x1 over each segment
+    left = np.full(flat.size + 1, math.inf)
+    right = np.full(flat.size + 1, math.inf)
     for start in range(0, n, _ORACLE_CHUNK):
-        x1 = -half + grid_step * np.arange(start, min(start + _ORACLE_CHUNK, n))
+        # -half + grid_step*k, in place
+        x1 = np.arange(start, min(start + _ORACLE_CHUNK, n), dtype=float)
+        x1 *= grid_step
+        x1 -= half
         vals = np.asarray(base(x1), dtype=float)
-        slope = a * x1
-        lmin = np.minimum.accumulate(vals - slope)
-        np.minimum(lmin, carry, out=lmin)
-        carry = float(lmin[-1])
-        rmin = np.minimum.accumulate((vals + slope)[::-1])[::-1]
-        # number of this chunk's grid points at or left of each xi
-        k = np.searchsorted(x1, flat, side="right")
-        has_left = k > 0
-        left[has_left] = lmin[k[has_left] - 1]
-        has_right = k < x1.size
-        right[has_right] = np.minimum(right[has_right], rmin[k[has_right]])
-    best = np.minimum(left + a * flat, right - a * flat)
+        # first grid point of each segment in this chunk; reduceat needs
+        # the empty segments dropped
+        firsts = np.concatenate(([0], np.searchsorted(x1, sorted_pts, side="right")))
+        filled = firsts < np.append(firsts[1:], x1.size)
+        at = firsts[filled]
+        ax = a * x1
+        left[filled] = np.minimum(left[filled], np.minimum.reduceat(vals - ax, at))
+        ax += vals
+        right[filled] = np.minimum(right[filled], np.minimum.reduceat(ax, at))
+    # point j reads segments 0..j on the left and j+1.. on the right
+    lmin = np.minimum.accumulate(left)[:-1]
+    rmin = np.minimum.accumulate(right[::-1])[::-1][1:]
+    best = np.empty(flat.size)
+    best[order] = np.minimum(lmin + a * sorted_pts, rmin - a * sorted_pts)
     return float(best[0]) if pts.ndim == 0 else best.reshape(pts.shape)

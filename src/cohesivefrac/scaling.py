@@ -145,11 +145,13 @@ def size_effect_sweep(
 
     ``delta_list`` pairs a time step with each h (default 1/h).  The
     brittle reference runs once on the base problem at the finest step;
-    gaps are sups of step-interpolated energies over both time grids.
+    gaps are sups of step-interpolated energies over both time grids.  An
+    empty or non-increasing ``h_list`` raises ``ValueError`` before any
+    evolution runs.
     """
     h_list = [float(h) for h in h_list]
-    if any(b <= a for a, b in zip(h_list, h_list[1:])):
-        raise ValueError("h_list must be increasing")
+    if not h_list or any(b <= a for a, b in zip(h_list, h_list[1:])):
+        raise ValueError(f"h_list must be a nonempty increasing list, got {h_list}")
     if delta_list is None:
         delta_list = [1.0 / h for h in h_list]
     delta_list = [float(d) for d in delta_list]

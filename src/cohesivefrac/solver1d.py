@@ -19,10 +19,11 @@ Two routes are provided and kept deliberately independent:
   planar node update uses: a Dugdale step makes no numpy call.  A step
   is therefore a function of the bar length, the signed datum
   difference and the memory vector over the jump sites, and returns one
-  slope and one oriented jump per site: :func:`_cohesive_step` and
-  :func:`_griffith_step` work on those floats alone, and
-  :func:`incremental_minimize` and :func:`griffith_minimize` wrap them
-  in displacement objects for library callers.
+  slope and one oriented jump per site: :func:`_cohesive_step` works on
+  those floats alone.  The brittle problem needs no step solve: its
+  whole path over a program has a closed form, :func:`_griffith_path`,
+  on arrays.  :func:`incremental_minimize` and :func:`griffith_minimize`
+  wrap one step of each in displacement objects for library callers.
 
 * :func:`brute_force_minimize` quantizes jump vectors over the active
   sites and enumerates them exhaustively.  It knows nothing about the
@@ -149,24 +150,32 @@ def _cohesive_step(laws: RescaledLaws, L: float, delta: float, psi: list) -> tup
     return sigma * max(D - total_jump, 0.0) / L, [sigma * j if j != 0.0 else 0.0 for j in jumps]
 
 
-def _griffith_step(laws: RescaledLaws, L: float, delta: float, psi: list) -> tuple:
-    """One brittle step on floats: ``(slope, oriented jumps)``.
+def _griffith_path(laws: RescaledLaws, L: float, deltas, psi: list) -> tuple:
+    """A whole brittle program in closed form: ``(slopes, oriented jumps)``.
 
-    Unit cost per fresh site, free reopening: with any cracked site
-    (``psi > 0``) the leftmost one absorbs the datum difference at zero
-    cost.  Otherwise the elastic state competes with a single fully
-    opened leftmost site; ties prefer the elastic state.
+    ``deltas`` are the signed datum differences of the steps and ``psi``
+    the opening memory per jump site before the first one; the result is
+    one slope per step and one row of jumps per step, over the sites.
+    Unit cost per fresh site, free reopening: the leftmost cracked site
+    (``psi > 0``) absorbs every datum at zero cost.  With no crack the
+    state is elastic as long as ``bw*delta**2/L <= sw + TIE_TOL`` (ties
+    prefer the elastic state); from the first step past that the
+    leftmost site is cracked and takes every datum.  A zero datum gives
+    an unsigned zero step.
     """
-    jumps = [0.0] * len(psi)
-    if delta == 0.0:
-        return 0.0, jumps
+    deltas = np.asarray(deltas, dtype=float)
+    steps = np.where(deltas == 0.0, 0.0, deltas)
     site = next((k for k, p in enumerate(psi) if p > 0.0), None)
+    first = 0
     if site is None:
-        if laws.bulk_weight * delta**2 / L <= laws.surface_weight + TIE_TOL:
-            return delta / L, jumps
         site = 0
-    jumps[site] = delta
-    return 0.0, jumps
+        breaks = np.flatnonzero(laws.bulk_weight * deltas**2 / L > laws.surface_weight + TIE_TOL)
+        first = int(breaks[0]) if breaks.size else deltas.size
+    slopes = steps / L
+    slopes[first:] = 0.0
+    jumps = np.zeros((deltas.size, len(psi)))
+    jumps[first:, site] = steps[first:]
+    return slopes, jumps
 
 
 def _displacement(domain: Domain1D, g, step) -> Displacement1D:
@@ -197,8 +206,8 @@ def griffith_minimize(domain: Domain1D, crack_sites, g, laws: RescaledLaws) -> D
     """
     cracked = set(crack_sites)
     psi = [float(s in cracked) for s in domain.jump_sites()]
-    step = _griffith_step(laws, domain.length, float(g[1]) - float(g[0]), psi)
-    return _displacement(domain, g, step)
+    slopes, jumps = _griffith_path(laws, domain.length, [float(g[1]) - float(g[0])], psi)
+    return _displacement(domain, g, (float(slopes[0]), jumps[0].tolist()))
 
 
 def _candidate_values(limit: float, step: float, specials) -> np.ndarray:

@@ -140,20 +140,42 @@ class TestLoadConfig:
 
 class TestEmitCsv:
     def test_formatting_and_determinism(self, tmp_path):
-        rows = [(1.0 / 3.0, 7, "label"), (2.0, 0, "x")]
+        # one block per row label: columns, then the block's constant string
+        blocks = [(np.array([1.0 / 3.0]), np.array([7]), "label"), ([2.0], [0], "x")]
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
-        emit_csv(("f", "i", "s"), rows, first)
-        emit_csv(("f", "i", "s"), rows, second)
+        emit_csv(("f", "i", "s"), blocks, first)
+        emit_csv(("f", "i", "s"), blocks, second)
         assert first.read_bytes() == second.read_bytes()
         lines = first.read_text().splitlines()
         assert lines[0] == "f,i,s"
         assert lines[1] == "0.333333333333,7,label"
+        assert lines[2] == "2,0,x"
 
     def test_empty_rows_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
         emit_csv(("a", "b"), [], path)
         assert path.read_text() == "a,b\n"
+        emit_csv(("a", "b"), [(np.array([]), 1.5)], path)
+        assert path.read_text() == "a,b\n"
+
+    def test_block_constants_repeat_on_each_row(self, tmp_path):
+        path = tmp_path / "blocks.csv"
+        blocks = [(10.0, np.array([0.1, 0.2]), np.float64(2.0) / 3.0, "brittle"),
+                  (1e4, np.array([1e-13]), 5, "brittle"),
+                  (7, 8, 9, "row")]
+        emit_csv(("h", "t", "c", "s"), blocks, path)
+        assert path.read_text().splitlines() == [
+            "h,t,c,s",
+            "10,0.1,0.666666666667,brittle",
+            "10,0.2,0.666666666667,brittle",
+            "10000,1e-13,5,brittle",
+            "7,8,9,row",
+        ]
+
+    def test_columns_of_unequal_length_are_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="differ in length: \\[1, 2\\]"):
+            emit_csv(("a", "b"), [(np.zeros(2), np.zeros(1))], tmp_path / "bad.csv")
 
 
 class TestMain:

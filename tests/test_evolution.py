@@ -13,6 +13,7 @@ from cohesivefrac.bar1d import (
     total_energy,
 )
 from cohesivefrac.laws import CohesiveLaw, LawKind, plain_laws, rescale_laws
+from cohesivefrac.solver1d import TIE_TOL
 from cohesivefrac.evolution import (
     LoadProgram,
     energy_balance_report,
@@ -129,6 +130,72 @@ class TestGriffithBar:
         delta = 0.01
         mask = np.abs(griffith_trace.times() - t_star) > delta
         assert np.max(np.abs(report.griffith_deviation[mask])) <= 5 * delta
+
+
+def griffith_steps(laws, L, deltas, psi):
+    """The brittle evolution step by step: ``(slopes, jumps, memory)``.
+
+    Each step is the one-step brittle rule: with any cracked site the
+    leftmost one takes the datum; otherwise the elastic state wins up to
+    ``bw*delta**2/L <= sw + TIE_TOL`` and the leftmost site takes it past
+    that.  The memory is updated to ``psi v |jump|`` after each step.
+    """
+    slopes, jump_rows, memory = [], [], []
+    for delta in deltas:
+        jumps = [0.0] * len(psi)
+        slope = 0.0
+        if delta != 0.0:
+            site = next((k for k, p in enumerate(psi) if p > 0.0), None)
+            if site is None and laws.bulk_weight * delta**2 / L <= laws.surface_weight + TIE_TOL:
+                slope = delta / L
+            else:
+                jumps[0 if site is None else site] = delta
+        psi = [max(p, abs(j)) for p, j in zip(psi, jumps)]
+        slopes.append(slope)
+        jump_rows.append(jumps)
+        memory.append(psi)
+    return np.array(slopes), np.array(jump_rows), np.array(memory)
+
+
+class TestGriffithPath:
+    """The closed-form brittle path against the step-by-step rule, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("crack", [(), ((0.5, 0.3),), ((0.25, 1.0), (0.75, 0.2))])
+    @pytest.mark.parametrize("h, alpha", [(1.0, 0.5), (4.0, 0.75), (9.0, 0.25)])
+    def test_path_equals_the_step_rule(self, seed, crack, h, alpha):
+        rng = np.random.default_rng(seed)
+        steps = 40
+        # zero, negative and sign-changing data; both zeros; and for
+        # these sizes (L = 2) the tie bw*delta**2/L = sw at |delta| = 1
+        # when h = 4, alpha = 3/4
+        data = rng.normal(0.0, 1.2, steps) * rng.choice([0.0, 1.0, 1.0, 1.0], steps)
+        data[rng.integers(0, steps, 3)] = rng.choice([1.0, -1.0, -0.0], 3)
+        if seed % 2:
+            data = -np.abs(data)
+        domain = Domain1D.uniform(2.0, 4, crack=crack)
+        laws = rescale_laws(CohesiveLaw(LawKind.DUGDALE, 2.0), h, alpha)
+        program = LoadProgram(np.arange(steps, dtype=float), np.zeros(steps), data)
+        trace = evolve(domain, domain.initial_crack_state(), program, laws, "griffith")
+        psi = [domain.initial_crack_state().value(s) for s in domain.jump_sites()]
+        slopes, jumps, memory = griffith_steps(laws, domain.length, program.deltas().tolist(), psi)
+        assert trace.slope.tobytes() == slopes.tobytes()
+        assert trace.jumps.tobytes() == jumps.tobytes()
+        assert trace.psi.tobytes() == memory.tobytes()
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_tie_stays_elastic_then_the_leftmost_site_breaks(self, sign):
+        # plain laws on a unit bar: the tie is |delta| = 1, and data within
+        # TIE_TOL of it stay elastic
+        domain = bar()
+        data = sign * np.array([0.5, 1.0, 1.0 + 1e-13, 0.0, 1.0 + 1e-9, 0.2, -0.3])
+        program = LoadProgram(np.arange(7, dtype=float), np.zeros(7), data)
+        trace = evolve(domain, CrackState(), program, DUGDALE2, "griffith")
+        assert trace.slope.tolist() == [sign * 0.5, sign * 1.0, sign * (1.0 + 1e-13), 0, 0, 0, 0]
+        assert not trace.jumps[:4].any()
+        assert trace.jumps[4:, 0].tolist() == data[4:].tolist()
+        assert not trace.jumps[:, 1:].any()
+        assert trace.psi[:, 0].tolist() == [0.0] * 4 + [1.0 + 1e-9] * 3
 
 
 class TestCohesiveDugdale:

@@ -320,6 +320,63 @@ class TestRelaxOracle:
         assert got.shape == xi.shape
         assert np.max(np.abs(got - want)) <= 1e-12
 
+    @staticmethod
+    def pointwise_scan(base, a, xi, step):
+        # one full grid scan per point, in the oracle's arithmetic: grid
+        # points at or left of the point, then those right of it
+        half = float(np.max(np.abs(xi))) + a
+        x1 = -half + step * np.arange(int(math.ceil(2.0 * half / step)) + 1)
+        values = base(x1)
+        out = []
+        for p in xi.tolist():
+            on_left = x1 <= p
+            left = np.min((values - a * x1)[on_left]) + a * p
+            right = np.min((values + a * x1)[~on_left]) - a * p
+            out.append(min(left, right))
+        return np.array(out), x1
+
+    @pytest.mark.parametrize("base, a", [(_wavy, 0.7), (np.square, 2.0)])
+    def test_unsorted_repeated_and_on_grid_points_equal_the_pointwise_scan(self, base, a):
+        step = 1e-3
+        rng = np.random.default_rng(11)
+        xi = rng.uniform(-3.0, 3.0, 20)
+        _, x1 = self.pointwise_scan(base, a, xi, step)
+        # grid points themselves, in the square's quadratic core too, then
+        # repeats, in no order
+        centre = x1.size // 2
+        on_grid = x1[[1500, 4000, 2201] + list(range(centre - 400, centre + 400, 7))]
+        xi = np.concatenate([xi, on_grid, xi[[3, 3, 7]], on_grid[:2]])
+        rng.shuffle(xi)
+        want, _ = self.pointwise_scan(base, a, xi, step)
+        assert np.array_equal(relax_bulk_oracle(base, a, xi, grid_step=step), want)
+
+    def test_points_on_both_sides_of_a_chunk_boundary_equal_the_pointwise_scan(self):
+        from cohesivefrac.laws import _ORACLE_CHUNK
+
+        a, step = 2.0, 1e-4
+        xi = np.array([1.9, -1.9])
+        _, x1 = self.pointwise_scan(_wavy, a, xi, step)
+        assert x1.size > _ORACLE_CHUNK + 2
+        edge = x1[_ORACLE_CHUNK - 2:_ORACLE_CHUNK + 2]
+        xi = np.concatenate([xi, edge, edge[:-1] + 0.5 * step, [edge[1]]])[::-1]
+        want, _ = self.pointwise_scan(_wavy, a, xi, step)
+        assert np.array_equal(relax_bulk_oracle(_wavy, a, xi, grid_step=step), want)
+
+    @pytest.mark.parametrize("a", [-1.0, 0.0, math.nan, math.inf])
+    def test_rejects_a_bad_slope_before_scanning(self, a):
+        def base(x):
+            raise AssertionError("the grid was scanned")
+
+        with pytest.raises(ValueError, match=f"a must be positive and finite, got {a}"):
+            relax_bulk_oracle(base, a, np.array([0.5, 1.0]))
+
+    def test_rejects_no_points_before_scanning(self):
+        def base(x):
+            raise AssertionError("the grid was scanned")
+
+        with pytest.raises(ValueError, match=r"at least one point, got shape \(0,\)"):
+            relax_bulk_oracle(base, 2.0, np.array([]))
+
     def test_scalar_returns_float(self):
         got = relax_bulk_oracle(_wavy, 2.0, 0.37, grid_step=1e-3)
         assert isinstance(got, float)

@@ -160,6 +160,15 @@ class TestClassification:
         with pytest.raises(ValueError):
             size_effect_sweep(tearing_base(), 0.5, [1.0, 10.0], [0.1])
 
+    @pytest.mark.parametrize("h_list", [[], (), [10.0, 10.0]])
+    def test_rejects_a_vacuous_ladder_before_evolving(self, h_list, monkeypatch):
+        def evolve(*args, **kwargs):
+            raise AssertionError("an evolution ran")
+
+        monkeypatch.setattr("cohesivefrac.scaling.evolve", evolve)
+        with pytest.raises(ValueError, match="h_list must be a nonempty increasing list"):
+            size_effect_sweep(tearing_base(), 0.5, h_list)
+
 
 class TestBoundHelpers:
     def test_half_saturation_values(self):
