@@ -216,8 +216,7 @@ def evolve(
     else:
         slopes, jump_rows, memory = [], [], [psi]
         for delta in deltas.tolist():
-            slope, jumps = _cohesive_step(laws, L, delta, psi)
-            psi = [max(p, abs(j)) for p, j in zip(psi, jumps)]
+            slope, jumps, psi = _cohesive_step(laws, L, delta, psi)
             slopes.append(slope)
             jump_rows.append(jumps)
             memory.append(psi)

@@ -59,8 +59,8 @@ def _as_checked_opening(s):
 # that no call dispatches on the kind again: the array forms of
 # ``__call__`` and ``deriv``, their float forms ``_value(s)`` and
 # ``_slope(s)`` for one opening, and ``_stationary``, the local minimum of
-# one law term against a parabola.  The float forms serve kernels that
-# would otherwise spend their time in numpy calls on 0-d and two-element
+# one law term against a parabola.  The float forms serve the bar's step
+# kernel, which would otherwise spend its time in numpy calls on 0-d
 # arrays.  Their values are bit-identical to the array forms: the
 # exponential law takes numpy's exp on a float, as ``math.exp`` rounds
 # differently in about one opening in twenty.

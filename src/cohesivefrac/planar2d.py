@@ -34,21 +34,22 @@ crack lengths ``l = k/n`` and returns the energy-optimal prefix, the
 global check for monotone patterns; a prefix crack opens a leading block
 of lip nodes, so one Cholesky factor of ``S`` per mesh size solves every
 prefix.  ``alternate_minimize`` minimizes the reduced lip energy
-``2 bw q.S.q + w sum phi(opening v psi)`` over the nodal jumps alone, by
-coordinate descent: each node update is exact (the bulk is minimized out
-for every trial jump), so the energy trace is nonincreasing, and an
-iteration that changes no jump ends the descent, as the next one would
-only repeat it.  Its end
-point is not certified global, and need not even be stationary: where an
-edge sits exactly at its memory the surface term couples two nodes, and
-single-node updates can stall there (Tseng, J. Optim. Theory Appl. 109,
-2001).  A tearing step keeps its nodal jumps, and the gap ladder prices
-them by the minimized lip form ``2 q.S.q``; fields are built on first read.
+``2 bw q.S.q + w sum phi(opening v psi)`` over the nodal jumps alone by
+DC iterations: each edge term is the convex ``a max(s, psi)`` minus the
+convex ``a max(s, psi) - phi(max(s, psi))``, the second part is
+linearized at the current jumps, and the convex lip problem left, the
+same for every law, is solved exactly by primal-dual active sets; a step
+is kept only when it lowers the energy.  The end point is a critical
+point of that split, free to move along edges held at their memory, but
+not certified global.  A tearing step keeps its nodal jumps, and the gap
+ladder prices them by the minimized lip form ``2 q.S.q``; fields are
+built on first read.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -73,10 +74,10 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-10
-# an alternate minimization has settled once an iteration lowers the
-# energy by less than this
+# a step minimization has settled once a DC iteration lowers the energy
+# by less than this
 AM_TOL = 1e-10
-# iteration budget of each alternate minimization
+# DC iteration budget of each step minimization
 AM_MAX_ITERS = 400
 
 
@@ -85,11 +86,11 @@ class PlanarNumericError(RuntimeError):
 
 
 class PlanarNonconvergence(RuntimeError):
-    """Alternate minimization hit ``AM_MAX_ITERS``; carries the last energy."""
+    """A step minimization hit ``AM_MAX_ITERS``; carries the last energy."""
 
     def __init__(self, last_energy: float, iterations: int):
         super().__init__(
-            f"alternate minimization not converged after {iterations} "
+            f"step minimization not converged after {iterations} "
             f"iterations, last energy {last_energy:.12g}"
         )
         self.last_energy = last_energy
@@ -184,13 +185,16 @@ class _LipOperator:
     ``profiles[j, k]`` is mode ``k``'s amplitude on row ``j`` of the upper
     block (row 0 the lip, row ``m`` the clamped edge).  With lip values
     ``t + x`` and the far edge at ``t``, the block's bulk is ``x @ S @ x``
-    for ``S = stiffness``.
+    for ``S = stiffness``.  ``unit_load`` is ``c = S 1``, each row summed
+    with one rounding (``math.fsum``) as it sums to far less than its
+    entries.
     """
 
     modes: np.ndarray
     analysis: np.ndarray
     profiles: np.ndarray
     stiffness: np.ndarray
+    unit_load: np.ndarray
 
 
 @lru_cache(maxsize=8)
@@ -214,13 +218,15 @@ def _lip_operator(n: int) -> _LipOperator:
     norm[[0, n]] = n
     stiff = 0.5 * lam + 1.0 - rho[m - 1]
     weighted = modes * w[:, None]
+    stiffness = (weighted * (stiff / norm)) @ weighted.T
     op = _LipOperator(
         modes=modes,
         analysis=weighted.T / norm[:, None],
         profiles=rho[::-1].copy(),
-        stiffness=(weighted * (stiff / norm)) @ weighted.T,
+        stiffness=stiffness,
+        unit_load=np.array([math.fsum(row) for row in stiffness.tolist()]),
     )
-    for arr in (op.modes, op.analysis, op.profiles, op.stiffness):
+    for arr in (op.modes, op.analysis, op.profiles, op.stiffness, op.unit_load):
         arr.setflags(write=False)  # shared by every caller through the cache
     return op
 
@@ -240,14 +246,12 @@ def _blocks(n: int, t: float, jumps: np.ndarray):
     return -upper[::-1], upper
 
 
-def _solve_jumps(n: int, t: float, tied: np.ndarray, load: np.ndarray | None = None) -> np.ndarray:
+def _solve_jumps(n: int, t: float, tied: np.ndarray) -> np.ndarray:
     """Nodal jumps of the elastic optimum with the ``tied`` lip nodes closed.
 
     For jumps ``J`` the bulk is ``2 q.S.q`` with ``q = t - J/2``; a tied
-    node keeps ``q = t``.  ``load`` (per lip node, in bulk units) adds
-    ``2 load.J`` to that, which is how a linear surface-slope term enters.
-    The open nodes take one dense solve, whose residual must come out
-    below ``RESIDUAL_TOL``.
+    node keeps ``q = t``.  The open nodes take one dense solve, whose
+    residual must come out below ``RESIDUAL_TOL``.
     """
     free = ~tied
     jumps = np.zeros(n + 1)
@@ -255,8 +259,6 @@ def _solve_jumps(n: int, t: float, tied: np.ndarray, load: np.ndarray | None = N
         return jumps
     rows = _lip_operator(n).stiffness[free]
     rhs = -rows @ np.where(tied, t, 0.0)
-    if load is not None:
-        rhs += load[free]
     a = rows[:, free]
     q = np.linalg.solve(a, rhs)
     residual = float(np.abs(rhs - a @ q).max())
@@ -273,8 +275,8 @@ def _check_residual(residual: float, scale: float) -> None:
 
 
 @lru_cache(maxsize=8)
-def _prefix_jumps(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(c, x)``: the unit load and unit jumps of every prefix crack, from one Cholesky factor.
+def _prefix_jumps(n: int) -> np.ndarray:
+    """``x``: the unit jumps of every prefix crack, from one Cholesky factor.
 
     A prefix crack opens the lip nodes ``0..m-1``, so its system is the
     leading block ``S_oo`` of ``S``: with the tied nodes at ``q = t`` the
@@ -282,19 +284,16 @@ def _prefix_jumps(n: int) -> tuple[np.ndarray, np.ndarray]:
     ``S = L L^T`` every leading block shares the factor, so for
     ``y = L^-1 c`` the solution is ``x = L_oo^-T y_o``: row ``m - 1`` of
     ``x`` holds it, and zeros past it.  The last row is the full tear,
-    solved exactly by ``x = 1``.  The rows of ``S`` sum to far less than
-    their entries, so ``c`` is summed with a single rounding
-    (``math.fsum``).
+    solved exactly by ``x = 1``.  ``c`` is the operator's ``unit_load``.
     """
-    stiff = _lip_operator(n).stiffness
-    c = np.array([math.fsum(row) for row in stiff.tolist()])
-    linv = np.linalg.inv(np.linalg.cholesky(stiff))
+    op = _lip_operator(n)
+    c = op.unit_load
+    linv = np.linalg.inv(np.linalg.cholesky(op.stiffness))
     # x[m - 1, i] = sum_{j < m} linv[j, i] y_j, a running sum over the rows
     x = np.cumsum(linv * (linv @ c)[:, None], axis=0)
     x[n] = 1.0
-    for arr in (c, x):
-        arr.setflags(write=False)  # shared by every caller through the cache
-    return c, x
+    x.setflags(write=False)  # shared by every caller through the cache
+    return x
 
 
 def _tied(n: int, open_edges) -> np.ndarray:
@@ -382,8 +381,8 @@ def prefix_crack_sweep(grid: Grid2D, t: float, laws: RescaledLaws, mode: str = "
     lengths = np.arange(n + 1) * delta
     bulk = np.empty(n + 1)
     surface = np.empty(n + 1)
-    stiff = _lip_operator(n).stiffness
-    c, unit = _prefix_jumps(n)
+    op = _lip_operator(n)
+    stiff, c, unit = op.stiffness, op.unit_load, _prefix_jumps(n)
     jumps = np.zeros(n + 1)  # k = 0 ties every node
     for k in range(n + 1):
         if k:
@@ -417,133 +416,134 @@ def prefix_crack_sweep(grid: Grid2D, t: float, laws: RescaledLaws, mode: str = "
     )
 
 
-def _lip_jump(phi, kappa, d, w, j, psi):
-    """Exact minimizer of ``kappa*(x - d)**2 + w*sum_k phi(max((|x| + j_k)/2, psi_k))``.
+@lru_cache(maxsize=8)
+def _face_system(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``[[S, B^T], [B, 0]]`` (``B`` the edge average), whose principal submatrices
+    are the faces of :func:`_lip_subproblem`, and the states of its unknowns on a
+    face and at memory: a node zero (0) or free (1), an edge below its memory
+    (-1), at it (0) or above it (1)."""
+    avg = 0.5 * (np.eye(n, n + 1) + np.eye(n, n + 1, 1))
+    out = (np.block([[_lip_operator(n).stiffness, avg.T], [avg, np.zeros((n, n))]]),
+           np.repeat((1, 0), (n + 1, n)), np.repeat((2, 0), (n + 1, n)))
+    for arr in out:
+        arr.setflags(write=False)  # shared by every caller through the cache
+    return out
 
-    One term per crack edge at the node, one or two of them: ``j_k >= 0``
-    is the jump at the edge's other node and ``psi_k`` its memory, both
-    sequences of floats.  The surface part grows with ``|x|``, so the
-    minimizer has the sign of ``d`` and ``|x| <= |d|``.  In ``y = |x|`` the
-    candidates are the ends, the openings where an edge reaches its
-    memory (convex kinks), and the local minimum for every set of edges
-    that may be smooth at once (each set is one law term in ``y/2``, see
-    the law's ``_stationary``).  Saturation is a concave
-    kink and never a minimizer.  A candidate outside ``(0, |d|)``, or not
-    real, would be clamped onto an end, so it is dropped.  Everything is
-    priced on floats; ties go to the smaller jump.
+
+def _lip_subproblem(grid: Grid2D, laws: RescaledLaws, t: float, zeta: np.ndarray,
+                    jumps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(J, lam)``: one DC iteration's convex lip problem, solved exactly.
+
+    Over ``J >= 0`` it minimizes ``(bw/2) J.S.J - 2 bw t c.J - w zeta.B J
+    + w a sum_e max(B_e J, psi_e)`` (``B`` the edge average, ``c = S 1``,
+    ``w = sw/n``).  With ``a max(s, psi)`` the largest ``a (lam s + (1 -
+    lam) psi)`` over ``lam`` in [0, 1], the KKT point has ``mu = bw S J -
+    g + w a B^T lam`` nonnegative at zero nodes and 0 at free ones, ``g =
+    2 bw t c + w B^T zeta``.  Primal-dual active sets (Hintermüller, Ito &
+    Kunisch, SIAM J. Optim. 13, 2002) find it from the sets of ``jumps``:
+    each node is zero or free, each edge below its memory (``lam = 0``),
+    at it or above it (``lam = 1``); one dense face solve of ``[[bw S_FF,
+    w a B_KF^T], [B_KF, 0]]`` (scaled by ``bw``) gives the free jumps and
+    the ``lam`` at memory, and each failing index moves to the set it
+    points at.  An edge with no memory stays above it (``a
+    max(s, 0) = a s``), one at memory with no free node is below it.
+    After a repeated set a primal active-set descent (Nocedal & Wright,
+    *Numerical Optimization*, 2006, Alg. 16.3) runs from the last jumps
+    clipped at 0: a step ends at the face optimum or at the first sign
+    change, which joins its set, and at a face optimum the worst
+    multiplier leaves, so the objective never rises.  The sets stand once
+    each sign condition holds to ``RESIDUAL_TOL`` of its scale; a descent
+    that cycles, or face equations that miss, raise ``PlanarNumericError``.
     """
-    end = abs(d)
-    scale = w / phi.a
-    slope, value = phi._slope, phi._value
-    if len(j) == 2:
-        j0, j1 = j
-        p0, p1 = psi
-        s0, s1 = scale * slope(0.5 * j0), scale * slope(0.5 * j1)
-        # every nonempty set of edges
-        weights = (s0, s1, s0 + s1)
-        cand = [2.0 * (p0 - 0.5 * j0), 2.0 * (p1 - 0.5 * j1)]
-    else:
-        (j0,), (p0,) = j, psi
-        j1 = None
-        weights = (scale * slope(0.5 * j0),)
-        cand = [2.0 * (p0 - 0.5 * j0)]
-    cand += phi._stationary(kappa, end, weights, 0.5)
+    n, psi = grid.n, grid.psi
+    w = laws.surface_weight * grid.spacing
+    bw, wa = laws.bulk_weight, w * laws.phi.a
+    op = _lip_operator(n)
+    # unknowns J and nu = (w a / bw) lam; rows: stationarity over bw at
+    # each node, then the opening of each edge
+    (kkt, solved, at_memory), nu_max = _face_system(n), wa / bw
+    # the convolution is 2 B^T zeta
+    rhs = np.concatenate((2 * t * op.unit_load + (0.5 * w / bw) * np.convolve(zeta, (1, 1)), psi))
+    scale_j = max(1.0, 2.0 * t, float(psi.max()))
+    scale_mu = max(1.0, wa, bw * float(np.abs(rhs[:n + 1]).max())) / bw
+    scale = np.where(solved == 1, scale_mu, scale_j)  # of the rows
+    unit = np.where(solved == 1, scale_j, nu_max)  # of J and lam
+    fixed = (1 - solved) * nu_max  # nu of an edge above memory
+    # an edge with no memory stays above it, as a max(s, 0) = a s
+    live = np.concatenate((solved[:n + 1], psi > 0.0))
 
-    # max(opening, memory), as a conditional: a builtin call per edge costs more
-    s = 0.5 * j0
-    surface = value(p0 if p0 > s else s)
-    if j1 is not None:
-        s = 0.5 * j1
-        surface += value(p1 if p1 > s else s)
-    # y = 0 holds until a candidate costs less, or as much for a smaller jump
-    x, e_min = 0.0, kappa * (end * end) + w * surface
-    for y in (end, *cand):
-        if not 0.0 < y <= end:
+    def state_of(j):
+        gap = 0.5 * (j[:-1] + j[1:]) - psi
+        side = (gap > RESIDUAL_TOL * scale_j) * 1 - (gap < -RESIDUAL_TOL * scale_j)
+        side[psi == 0.0] = 1
+        return np.concatenate((j != 0.0, side))
+
+    state, cur, seen = state_of(jumps), None, set()  # cur: the descent's iterate
+    while True:
+        key = state.tobytes() + (b"" if cur is None else cur.tobytes())
+        if key in seen:
+            if cur is not None:
+                raise PlanarNumericError("active sets cycle without reaching a KKT point")
+            cur, seen = np.maximum(x[:n + 1], 0.0), set()
+            state = state_of(cur)
             continue
-        s = 0.5 * (y + j0)
-        surface = value(p0 if p0 > s else s)
-        if j1 is not None:
-            s = 0.5 * (y + j1)
-            surface += value(p1 if p1 > s else s)
-        e = kappa * ((y - end) * (y - end)) + w * surface
-        if e < e_min or (e == e_min and y < x):
-            x, e_min = y, e
-    return x if d >= 0.0 else -x
+        seen.add(key)
+        zero, side = state[:n + 1] == 0, state[n + 1:]
+        lone = (side == 0) & zero[:-1]
+        if lone.any():
+            side[lone & zero[1:]] = -1
+            # free nodes held at memory from zero nodes at both ends have an edge
+            # too many: the right end takes the side its chained opening lies on
+            lone[-1] = False
+            for e in np.flatnonzero(lone & ~zero[1:]).tolist():
+                j, e = 2.0 * psi[e], e + 1
+                while side[e] == 0 and not zero[e + 1] and e < n - 1:
+                    j, e = 2.0 * psi[e] - j, e + 1
+                if side[e] == 0 and zero[e + 1]:
+                    side[e] = 1 if 0.5 * j > psi[e] else -1
+        face = state == solved
+        x = (state > 0) * fixed  # J, then nu
+        idx = np.flatnonzero(face)
+        if idx.size:
+            x[idx] = np.linalg.solve(kkt.take(idx, 0).take(idx, 1), (rhs - kkt @ x)[idx])
+        if cur is not None:
+            # step to the face optimum or to the first sign change past the tolerance
+            d = x[:n + 1] - cur
+            ds = 0.5 * (d[:-1] + d[1:])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                reach = np.concatenate((np.where(~zero & (d < -RESIDUAL_TOL * scale_j), cur / -d, np.inf),
+                                        np.where(side * ds * live[n + 1:] < -RESIDUAL_TOL * scale_j,
+                                                 (_edge_openings(cur) - psi) / -ds, np.inf)))
+            block = int(np.argmin(reach))
+            if reach[block] < 1.0:
+                cur = np.maximum(cur + reach[block] * d, 0.0)
+                state[block] = 0  # the node closes, or the edge reaches its memory
+                continue
+            cur = np.maximum(x[:n + 1], 0.0)
+        res = (kkt @ x - rhs) / scale  # mu at the nodes, s - psi at the edges
+        # each sign condition reads v >= 0 in units of its scale: J or mu
+        # at the nodes, lam at memory (also v <= 1), and the side of the
+        # memory the opening lies on elsewhere
+        v = np.where(face, x / unit, res) * np.where(state < 0, -live, live)
+        at = state == at_memory
+        flip = (v < -RESIDUAL_TOL) | (at & (v > 1.0 + RESIDUAL_TOL))
+        if not flip.any():
+            if np.abs(res[face]).max(initial=0.0) > RESIDUAL_TOL:
+                raise PlanarNumericError("face solve missed its equations: no KKT point")
+            return np.maximum(x[:n + 1], 0.0), x[n + 1:] / nu_max
+        if cur is not None:
+            # at a face optimum only a multiplier can fail: release the worst
+            flip[:] = False
+            flip[int(np.argmin(np.where(at, np.minimum(v, 1.0 - v), v)))] = True
+        # a node opens or closes, an edge reaches its memory or leaves it
+        # on the side its lam points to
+        state = np.where(flip, np.where(at, np.where(v > 1.0, 1, -1), (1 - state) * solved), state)
 
 
-def _sweep_jumps(grid, laws, t, jumps) -> bool:
-    """One Gauss-Seidel pass of exact per-node updates of the lip energy; True if a jump moved.
-
-    With the other jumps fixed, the bulk ``2 bw q.S.q`` (``q = t - J/2``,
-    the interior already minimized out) is ``kappa*(x - d)**2`` plus a
-    constant in the jump ``x`` at node ``i``, with ``kappa = bw*S_ii/2`` and
-    ``d = 2t + 2*(S_i.q - S_ii*q_i)/S_ii``; :func:`_lip_jump` minimizes it
-    together with the surface term exactly, so no update raises the
-    energy.  The diagonal of ``S``, the memory and the jumps are read as
-    floats once per pass; ``S.q`` follows each update that moves a jump
-    by a rank-one correction, the one array operation per node.  An
-    update that returns the node's jump (as floats) changes nothing and
-    is skipped, so a pass that moves nothing leaves ``jumps`` as it was:
-    the descent has reached a fixed point of the node updates.
-    ``jumps`` is written in place, once, at the end of a pass that moved.
-    """
-    n = grid.n
-    stiff = _lip_operator(n).stiffness
-    diag = stiff.diagonal().tolist()
-    psi = grid.psi.tolist()
-    phi, w, half_bw = laws.phi, laws.surface_weight * grid.spacing, 0.5 * laws.bulk_weight
-    q = t - 0.5 * jumps
-    sq = stiff @ q
-    q = q.tolist()
-    mags = np.abs(jumps).tolist()
-    new = jumps.tolist()
-    moved = False
-    for i in range(n + 1):
-        s_ii = diag[i]
-        d = 2.0 * t + 2.0 * (sq.item(i) - s_ii * q[i]) / s_ii
-        # crack edges i-1 and i, whose other nodes are i-1 and i+1
-        if i == 0:
-            j, p = (mags[1],), (psi[0],)
-        elif i == n:
-            j, p = (mags[n - 1],), (psi[n - 1],)
-        else:
-            j, p = (mags[i - 1], mags[i + 1]), (psi[i - 1], psi[i])
-        x = _lip_jump(phi, half_bw * s_ii, d, w, j, p)
-        if x == new[i]:
-            continue
-        moved = True
-        q_new = t - 0.5 * x
-        sq += stiff[i] * (q_new - q[i])  # S is symmetric: row i is column i
-        q[i] = q_new
-        mags[i] = abs(x)
-        new[i] = x
-    if moved:
-        jumps[:] = new
-    return moved
-
-
-def _pattern_step(grid, laws, t, jumps):
-    """Jumps at the lip-energy optimum of the current smooth branch, one solve.
-
-    With the open/closed pattern and the jump signs frozen, the surface
-    term is linear in the jumps (exactly so for the piecewise-linear
-    law), so the stationary state is one lip solve with the slope loads
-    on the open lip nodes.  Gauss-Seidel alone crawls along these
-    flat directions at a rate that degrades like 1/n^2; the caller
-    adopts the trial only when it lowers the energy, which keeps the
-    descent property regardless of how crude the frozen pattern is.
-    """
-    sign = np.sign(jumps)
-    tied = sign == 0.0
-    if tied.all():
-        return None
-    opening = _edge_openings(jumps)
-    slopes = np.where(opening > grid.psi, laws.phi.deriv(opening), 0.0)
-    g = np.zeros(grid.n + 1)
-    g[:-1] += 0.5 * slopes
-    g[1:] += 0.5 * slopes
-    g *= laws.surface_weight * grid.spacing * sign
-    return _solve_jumps(grid.n, t, tied, g / (2.0 * laws.bulk_weight))
+# the convex subproblems solved on each grid that is still alive: the four
+# starts of a tearing step share a grid, and about a quarter of their DC
+# iterations meet slopes that an earlier start solved for already
+_SOLVED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True, eq=False)
@@ -551,7 +551,7 @@ class AMResult:
     grid: Grid2D
     t: float
     nodal_jumps: np.ndarray    # read-only: the field is built from it
-    energies: np.ndarray       # start, each sweep, each accepted pattern step; nonincreasing
+    energies: np.ndarray       # start, then each accepted DC iteration; nonincreasing
     iterations: int
 
     @cached_property
@@ -568,81 +568,72 @@ def alternate_minimize(
     start_jumps: np.ndarray | None = None,
     target_energy: float | None = None,
 ) -> AMResult:
-    """Minimize the reduced lip energy over the nodal jumps until it settles.
+    """Minimize the reduced lip energy over the nodal jumps by DC iterations.
 
-    Each iteration is one Gauss-Seidel pass of exact per-node jump
-    updates on ``2 bw q.S.q + w sum phi(opening v psi)`` (the elastic
-    field minimized out for every trial jump, ``psi`` the memory of
-    ``grid``), then a pattern step that is kept only when it lowers the
-    energy.  It stops once an iteration changes no jump (its pass moved
-    nothing and its pattern step was rejected), as the next one would
-    only repeat it; once an iteration gains less than ``AM_TOL``;
-    or it raises after ``AM_MAX_ITERS``.  ``iterations`` counts the
-    iterations that ran.  The energy is recorded at the start, after
-    every pass and after every accepted pattern step, so the trace is
-    nonincreasing; a pass that moved nothing records the energy it
-    started from, unpriced.  ``AMResult.field`` is built on first read.  A load
-    or start jump that is not finite raises ``ValueError`` before any
-    sweep.
+    The energy is ``2 bw q.S.q + w sum phi(opening v psi)``, ``psi`` the
+    memory of ``grid``.  The law is concave with slope at most ``a``, so
+    with ``m = max(s, psi)`` each edge term is the convex ``a m`` minus
+    the convex ``a m - phi(m)``.  DC iterations (Pham Dinh & Le Thi, Acta
+    Math. Vietnam. 22, 1997) linearize the second part at the current
+    jumps, with slope ``zeta = a - phi'(s)`` on edges open past their
+    memory and 0 elsewhere, and solve the convex problem left exactly
+    (:func:`_lip_subproblem`), once per load, laws, memory and slopes on
+    ``grid``; a solution is kept only when it lowers the energy strictly.
+    They stop when ``zeta`` repeats, when a step gains less than
+    ``AM_TOL`` or when ``target_energy`` is matched, and raise
+    ``PlanarNonconvergence`` after ``AM_MAX_ITERS``.  ``iterations``
+    counts the DC iterations; ``energies`` holds the start energy and one
+    entry per kept step, so it is nonincreasing.
 
-    The result is a point that no single-node update and no pattern step
-    improves, which need not be stationary, let alone global: an edge
-    held exactly at its memory couples its two nodes through
-    ``max((|J_i| + |J_i+1|)/2, psi)``, which no single-node update can
-    move along and the pattern step prices as flat, so the descent can
-    stop short of the step minimum there, the known failure of
-    coordinate descent on a nonseparable nonsmooth term (Tseng, J.
-    Optim. Theory Appl. 109, 2001).  Use the prefix sweep as an
-    independent check when the expected pattern is monotone.
-    ``target_energy`` lets a caller that already holds a
-    competitor value stop a descent early once it is matched; crack
-    fronts advance one node per sweep, so runs racing a known optimum
-    would otherwise burn hundreds of sweeps.
+    The solve runs at ``|t|`` from ``|start_jumps|`` and returns
+    ``sign(t)`` times its jumps: ``S`` is an M-matrix with positive row
+    sums, so for ``t >= 0`` ``|J|`` never prices above ``J``.  The end
+    point is a critical point of the split, not a certified global
+    minimum.  ``AMResult.field`` is built on first read.  A load or start
+    jump that is not finite raises ``ValueError`` before any solve.
     """
     n = grid.n
-    jumps = np.zeros(n + 1) if start_jumps is None else np.asarray(start_jumps, dtype=float).copy()
+    jumps = np.zeros(n + 1) if start_jumps is None else np.abs(np.asarray(start_jumps, dtype=float))
     if jumps.shape != (n + 1,):
         raise ValueError("start_jumps must give one value per lip node")
     bad = [v for v in (t, *jumps.tolist()) if not math.isfinite(v)]
     if bad:
         raise ValueError(f"load and start jumps must be finite, got {bad[0]}")
 
-    energies = [_lip_energy(grid, laws, t, jumps)]
-    prev = np.inf
-    for it in range(AM_MAX_ITERS):
-        moved = _sweep_jumps(grid, laws, t, jumps)
-        # a pass that moved nothing left the energy as it was
-        e = _lip_energy(grid, laws, t, jumps) if moved else energies[-1]
+    load, phi, memo = abs(t), laws.phi, _SOLVED.setdefault(grid, {})
+    energies = [_lip_energy(grid, laws, load, jumps)]
+    zeta, iterations = np.full(n, np.nan), 0  # NaN: equal to no slope
+    for _ in range(AM_MAX_ITERS):
+        s = _edge_openings(jumps)
+        new_zeta = np.where(s > grid.psi, phi.a - phi.deriv(s), 0.0)
+        if (new_zeta == zeta).all():
+            break
+        zeta, iterations = new_zeta, iterations + 1
+        key = (load, laws, grid.psi.tobytes(), zeta.tobytes())
+        if key not in memo:
+            memo[key] = _lip_subproblem(grid, laws, load, zeta, jumps)[0]
+        trial = memo[key]
+        e = _lip_energy(grid, laws, load, trial)
+        if not e < energies[-1]:
+            break
+        gain, jumps = energies[-1] - e, trial
         energies.append(e)
-        accepted = False
-        trial = _pattern_step(grid, laws, t, jumps)
-        if trial is not None:
-            e_acc = _lip_energy(grid, laws, t, trial)
-            if e_acc < e:
-                jumps, e, accepted = trial, e_acc, True
-                energies.append(e)
-        matched = target_energy is not None and (
+        if gain < AM_TOL or target_energy is not None and (
             e <= target_energy + max(10.0 * AM_TOL, 1e-8 * (1.0 + abs(target_energy)))
-        )
-        # an iteration that changed no jump is a fixed point: the next one
-        # would only repeat it
-        if not (moved or accepted) or prev - e < AM_TOL or matched:
-            jumps.setflags(write=False)
-            return AMResult(
-                grid=grid,
-                t=t,
-                nodal_jumps=jumps,
-                energies=np.asarray(energies),
-                iterations=it + 1,
-            )
-        prev = e
-    raise PlanarNonconvergence(last_energy=energies[-1], iterations=AM_MAX_ITERS)
+        ):
+            break
+    else:
+        raise PlanarNonconvergence(last_energy=energies[-1], iterations=AM_MAX_ITERS)
+    jumps = -jumps if t < 0.0 else jumps
+    jumps.setflags(write=False)
+    return AMResult(grid=grid, t=t, nodal_jumps=jumps, energies=np.asarray(energies),
+                    iterations=iterations)
 
 
 @dataclass(frozen=True, eq=False)
 class TearingStep:
     time: float
-    nodal_jumps: np.ndarray    # the winning AM result's read-only array
+    nodal_jumps: np.ndarray    # the winning start's read-only array
     psi: np.ndarray            # the memory after the step
     energy: float
 
@@ -655,18 +646,17 @@ class TearingStep:
 
 
 def evolve_tearing(grid: Grid2D, times, laws: RescaledLaws) -> list[TearingStep]:
-    """Incremental tearing evolution driven by alternate minimization.
+    """Incremental tearing evolution, each step minimized by DC iterations.
 
-    The memory starts at ``grid.psi``.  Each step restarts AM from the
-    fully torn state, from the elastic solution with the memory edges
-    open, from the previous jumps, and from zero, keeping the lowest
-    energy; the memory then absorbs the new edge openings.  This is the
-    honest local scheme: no global certificate, but competing starts
+    The memory starts at ``grid.psi``.  Each step runs
+    :func:`alternate_minimize` from the fully torn state, the elastic
+    solution with the memory edges open, the previous jumps and zero,
+    keeping the lowest energy (a start stops once it matches the best so
+    far); the memory then absorbs the new openings.  Each start ends at a
+    critical point with no global certificate, and the competing starts
     catch the coarse branch switches.  A start that stalls against
-    ``AM_MAX_ITERS`` is dropped as long as another one converged: crack
-    fronts move one node per sweep, so a run racing an already-found
-    optimum can legitimately time out.  A time that is not finite raises
-    ``ValueError`` before any solve.
+    ``AM_MAX_ITERS`` is dropped as long as another one converged.  A time
+    that is not finite raises ``ValueError`` before any solve.
     """
     times = [float(t) for t in times]
     for t in times:

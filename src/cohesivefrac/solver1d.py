@@ -15,8 +15,8 @@ Two routes are provided and kept deliberately independent:
   excess ``e`` the site of largest memory is never beaten as the owner:
   a step prices that one branch, a 1d problem solved exactly, whose
   minimum lies at an end of its interval or at a closed-form local
-  minimum of a smooth piece, with the float forms of the laws that the
-  planar node update uses: a Dugdale step makes no numpy call.  A step
+  minimum of a smooth piece, with the float forms of the laws (which
+  serve this kernel alone): a Dugdale step makes no numpy call.  A step
   is therefore a function of the bar length, the signed datum
   difference and the memory vector over the jump sites, and returns one
   slope and one oriented jump per site: :func:`_cohesive_step` works on
@@ -124,30 +124,37 @@ def _memory_refill(psi: list, amount: float) -> list:
 
 
 def _cohesive_step(laws: RescaledLaws, L: float, delta: float, psi: list) -> tuple:
-    """One cohesive step on floats: ``(slope, oriented jumps)``.
+    """One cohesive step on floats: ``(slope, oriented jumps, memory after)``.
 
     ``psi`` is the opening memory per jump site, in site order, and
     ``delta`` the signed datum difference.  The memory refills
     leftmost-first up to ``min(sum psi, |delta|)``; past the free
     capacity the whole excess goes to the owner, the site of largest
     memory (the leftmost of those, the leftmost site when there is no
-    memory).  The jumps carry the sign of ``delta``.
+    memory).  The jumps carry the sign of ``delta``.  A refill opens no
+    site past its memory, so only the owner's memory can rise: the
+    memory after the step is ``psi`` itself, or a copy with the owner's
+    entry raised to its opening.
     """
     if delta == 0.0:
-        return 0.0, [0.0] * len(psi)
+        return 0.0, [0.0] * len(psi), psi
     sigma = 1.0 if delta > 0.0 else -1.0
     D = abs(delta)
     psi_total = sum(psi)
     # reopening up to the memory costs no surface and lowers the bulk
     total_jump = min(psi_total, D)
     jumps = _memory_refill(psi, total_jump)
+    memory = psi
     if D > psi_total:
         owner = max(range(len(psi)), key=psi.__getitem__)
         excess = _excess_minimum(laws, L, D - psi_total, psi[owner])
         jumps[owner] += excess
         total_jump += excess
+        memory = list(psi)
+        memory[owner] = max(psi[owner], jumps[owner])
     # psi_total + excess may round above D; the slope keeps the datum's sign
-    return sigma * max(D - total_jump, 0.0) / L, [sigma * j if j != 0.0 else 0.0 for j in jumps]
+    slope = sigma * max(D - total_jump, 0.0) / L
+    return slope, [sigma * j if j != 0.0 else 0.0 for j in jumps], memory
 
 
 def _griffith_path(laws: RescaledLaws, L: float, deltas, psi: list) -> tuple:
@@ -178,8 +185,7 @@ def _griffith_path(laws: RescaledLaws, L: float, deltas, psi: list) -> tuple:
     return slopes, jumps
 
 
-def _displacement(domain: Domain1D, g, step) -> Displacement1D:
-    slope, jumps = step
+def _displacement(domain: Domain1D, g, slope: float, jumps) -> Displacement1D:
     oriented = {s: j for s, j in zip(domain.jump_sites(), jumps) if j != 0.0}
     return make_displacement(domain, g, slope, oriented)
 
@@ -193,8 +199,8 @@ def incremental_minimize(
     memory sites plus at most one fresh site.
     """
     psi = [crack.value(s) for s in domain.jump_sites()]
-    step = _cohesive_step(laws, domain.length, float(g[1]) - float(g[0]), psi)
-    return _displacement(domain, g, step)
+    slope, jumps, _ = _cohesive_step(laws, domain.length, float(g[1]) - float(g[0]), psi)
+    return _displacement(domain, g, slope, jumps)
 
 
 def griffith_minimize(domain: Domain1D, crack_sites, g, laws: RescaledLaws) -> Displacement1D:
@@ -207,7 +213,7 @@ def griffith_minimize(domain: Domain1D, crack_sites, g, laws: RescaledLaws) -> D
     cracked = set(crack_sites)
     psi = [float(s in cracked) for s in domain.jump_sites()]
     slopes, jumps = _griffith_path(laws, domain.length, [float(g[1]) - float(g[0])], psi)
-    return _displacement(domain, g, (float(slopes[0]), jumps[0].tolist()))
+    return _displacement(domain, g, float(slopes[0]), jumps[0].tolist())
 
 
 def _candidate_values(limit: float, step: float, specials) -> np.ndarray:

@@ -18,10 +18,18 @@ from cohesivefrac.evolution import (
     evolve,
     first_crack_time,
 )
-from cohesivefrac.laws import BulkDensity, CohesiveLaw, LawKind, plain_laws, relax_bulk_oracle
+from cohesivefrac.laws import (
+    BulkDensity,
+    CohesiveLaw,
+    LawKind,
+    plain_laws,
+    relax_bulk_oracle,
+    rescale_laws,
+)
 from cohesivefrac.planar2d import (
     Grid2D,
     alternate_minimize,
+    evolve_tearing,
     prefix_crack_sweep,
     solve_elastic,
     tearing_gap_ladder,
@@ -37,6 +45,7 @@ from cohesivefrac.scaling import (
     uniform_bound_constant,
 )
 from cohesivefrac.solver1d import brute_force_minimize, incremental_minimize
+from planar_step_oracle import step_minimum
 
 DUGDALE = CohesiveLaw(LawKind.DUGDALE, 2.0)
 
@@ -243,6 +252,25 @@ def test_planar_elastic_limit_ladder():
         "planar-elastic-limit",
         ok,
         f"gaps {np.array2string(gaps, precision=3)} in {elapsed:.1f}s",
+    )
+
+
+def test_planar_steps_reach_the_exact_oracle():
+    # a program on which coordinate descent stopped short at every step,
+    # by 1.9e-6 up to 7.8e-3, each step against its own memory
+    t0 = time.perf_counter()
+    laws = rescale_laws(DUGDALE, 100.0, 0.25)
+    grid = Grid2D.precracked(8, 0.25, 0.1)
+    psi, worst = grid.psi, -np.inf
+    for step in evolve_tearing(grid, [0.33, 0.57, 0.8, 1.03, 1.27], laws):
+        exact, _ = step_minimum(Grid2D(8, psi), laws, step.time)
+        worst = max(worst, step.energy - exact)
+        psi = step.psi
+    elapsed = time.perf_counter() - t0
+    _verdict(
+        "planar-step-oracle",
+        worst <= 1e-10 and elapsed < 10.0,
+        f"5 steps, max(step - exact) = {worst:.3g} in {elapsed:.1f}s",
     )
 
 

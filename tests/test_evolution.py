@@ -283,7 +283,13 @@ class TestErrorPropagation:
         import cohesivefrac.evolution as evo
 
         # a memory update that forgets: psi' = |jump| in place of psi v |jump|
-        monkeypatch.setattr(evo, "max", lambda p, j: j, raising=False)
+        step = evo._cohesive_step
+
+        def forgetting_step(*args):
+            slope, jumps, _ = step(*args)
+            return slope, jumps, [abs(j) for j in jumps]
+
+        monkeypatch.setattr(evo, "_cohesive_step", forgetting_step)
         program = LoadProgram(np.array([0.0, 1.0]), np.zeros(2), np.array([2.0, 0.0]))
         with pytest.raises(RuntimeError, match="irreversibility"):
             evolve(bar(), CrackState(), program, DUGDALE2, "cohesive")

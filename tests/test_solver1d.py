@@ -256,7 +256,8 @@ class TestOwnerRule:
                 psi[k] = float(rng.choice(pool))
             delta = float(rng.choice([-1.0, 1.0])) * (sum(psi) + rng.uniform(0.05, 3.0))
 
-            slope, jumps = _cohesive_step(laws, L, delta, psi)
+            slope, jumps, memory = _cohesive_step(laws, L, delta, psi)
+            assert memory == [max(p, abs(j)) for p, j in zip(psi, jumps)]
             got = bw * L * laws.bulk(slope) + sw * sum(
                 phi(max(abs(j), p)) for j, p in zip(jumps, psi)
             )
