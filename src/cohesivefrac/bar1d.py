@@ -22,6 +22,7 @@ bundle so the same code serves unit-size and size-swept problems.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -39,6 +40,16 @@ __all__ = [
     "consistency_residual",
     "make_displacement",
 ]
+
+
+def _as_index(value, what: str) -> int:
+    """``value`` as an ``int`` if it is a Python or numpy integer; anything else,
+    a float with an integral value included, raises ``ValueError``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} index must be an integer, got {value!r}") from None
+
 
 @dataclass(frozen=True)
 class Domain1D:
@@ -60,7 +71,7 @@ class Domain1D:
         object.__setattr__(
             self,
             "preexisting_crack",
-            tuple((int(s), float(v)) for s, v in self.preexisting_crack),
+            tuple((_as_index(s, "crack site"), float(v)) for s, v in self.preexisting_crack),
         )
         if nodes.ndim != 1 or nodes.size < 2:
             raise ValueError("mesh needs at least two nodes")
@@ -110,7 +121,7 @@ class CrackState:
     psi: Mapping[int, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        psi = {int(s): float(v) for s, v in dict(self.psi).items()}
+        psi = {_as_index(s, "memory site"): float(v) for s, v in dict(self.psi).items()}
         bad = {s: v for s, v in psi.items() if not (v >= 0.0 and math.isfinite(v))}
         if bad:
             raise ValueError(f"memory must be finite and nonnegative, got {bad}")
@@ -138,9 +149,8 @@ class Displacement1D:
 
     def __post_init__(self):
         object.__setattr__(self, "slope", float(self.slope))
-        object.__setattr__(
-            self, "jumps", {int(s): float(v) for s, v in dict(self.jumps).items() if v != 0.0}
-        )
+        jumps = {_as_index(s, "jump site"): float(v) for s, v in dict(self.jumps).items()}
+        object.__setattr__(self, "jumps", {s: v for s, v in jumps.items() if v != 0.0})
 
     def validate(self, domain: Domain1D) -> None:
         for site in self.jumps:

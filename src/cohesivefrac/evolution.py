@@ -100,14 +100,6 @@ class LoadProgram:
         """The standard tearing program g(t) = (0, rate * t)."""
         return LoadProgram.sampled(lambda t: 0.0, lambda t: rate * t, horizon, delta)
 
-    @property
-    def n_steps(self) -> int:
-        return self.times.size
-
-    @property
-    def max_step(self) -> float:
-        return float(np.max(np.diff(self.times))) if self.times.size > 1 else 0.0
-
     def pair(self, i: int) -> tuple[float, float]:
         return float(self.left[i]), float(self.right[i])
 

@@ -65,23 +65,62 @@ def _as_checked_opening(s):
 # exponential law takes numpy's exp on a float, as ``math.exp`` rounds
 # differently in about one opening in twenty.
 #
-# ``_stationary(kappa, d, weights, rate)`` is the local minimum of
-# ``kappa*(x - d)**2 + w*phi(rate*x)`` for every weight ``w``, with
-# ``kappa > 0``, ``rate > 0`` and every ``w >= 0``.  It returns one float
-# per weight, NaN where the point is not real.  Only the unsaturated
-# piece of phi counts; on a saturated piece the point is ``d``.
+# ``_stationary(kappa, d, w)`` is the local minimum of
+# ``kappa*(x - d)**2 + w*phi(x)``, with ``kappa > 0`` and ``w >= 0``, or
+# NaN where it is not real.  Only the unsaturated piece of phi counts;
+# on a saturated piece the point is ``d``.
 #
-# * Dugdale: the vertex ``d - w*a*rate/(2*kappa)``, on floats.
-# * Exponential: with ``b = a*rate``, ``x = d + W_0(z)/b`` for
-#   ``z = -w*b**2*exp(-b*d)/(2*kappa)``, real for ``z >= -1/e``.  The
-#   second derivative there is ``2*kappa*(1 + W) >= 0``; the ``W_-1``
-#   branch gives local maxima, which never beat an interval's ends.  One
-#   array call, as a scalar Lambert W per point costs more.
+# * Dugdale: the vertex ``d - w*a/(2*kappa)``.
+# * Exponential: ``x = d + W_0(z)/a`` for ``z = -w*a**2*exp(-a*d)/(2*kappa)``,
+#   real for ``z >= -1/e``.  The second derivative there is
+#   ``2*kappa*(1 + W) >= 0``; the ``W_-1`` branch gives local maxima,
+#   which never beat an interval's ends.
 #
-# A sum ``sum_k w_k*phi(rate*x + s_k)`` of terms on their unsaturated
-# piece is ``W*phi(rate*x)`` plus a constant, with
-# ``W = sum_k w_k*phi'(s_k)/a``, so one weight covers any number of
-# shifted copies of the law.
+# A sum ``sum_k w_k*phi(x + s_k)`` of terms on their unsaturated piece is
+# ``w*phi(x)`` plus a constant, with ``w = sum_k w_k*phi'(s_k)/a``, so one
+# weight covers any number of shifted copies of the law.
+
+# 1/e as a float plus the rounding it leaves: z + 1/e to twice precision
+_INV_E, _INV_E_LO = 0.36787944117144233, -1.2428753672788363e-17
+# relative size of the Halley step that ends ``_lambert_w0``: four ulps
+_W0_TOL = 2.0**-50
+# most Halley steps ``_lambert_w0`` takes; it needs at most 4
+_W0_MAX_ITERS = 8
+
+
+def _lambert_w0(z: float) -> float:
+    """The principal branch ``W_0(z)`` of the Lambert W function, ``-1/e <= z <= 0``.
+
+    Halley's iteration on ``w*exp(w) = z`` (Corless et al., Adv. Comput.
+    Math. 5, 1996).  Below ``z = -0.25`` it starts from the branch-point
+    series in ``p = sqrt(2*(e*z + 1))`` and prices the residual from
+    ``z + 1/e``, formed to twice precision, so that ``W`` stays within
+    two ulps up to the branch point; above, it starts from
+    ``log1p(z)``.  It stops once a step is below ``_W0_TOL`` of ``W``,
+    and raises ``ArithmeticError`` past ``_W0_MAX_ITERS`` steps.  Every
+    ``exp`` it takes is of an iterate near ``W`` in ``[-1, 0]``, so none
+    can overflow.
+    """
+    near = z < -0.25
+    if near:
+        r = (z + _INV_E) + _INV_E_LO  # z + _INV_E is exact (Sterbenz)
+        if r <= 0.0:
+            return -1.0
+        p = math.sqrt(2.0 * math.e * r)
+        w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0 + p * (
+            -43.0 / 540.0 + p * (769.0 / 17280.0)))))
+    else:
+        w = math.log1p(z)
+    for _ in range(_W0_MAX_ITERS):
+        v = w + 1.0
+        ew = math.exp(w)
+        # w*e^w - z; near the branch point as ((w*e^v + 1) - e*(z + 1/e))/e
+        f = (w * math.expm1(v) + v) / math.e - r if near else w * ew - z
+        step = f / (ew * v - (v + 1.0) * f / (2.0 * v))
+        w -= step
+        if abs(step) <= _W0_TOL * abs(w):
+            return w
+    raise ArithmeticError(f"W_0({z!r}) missed {_W0_TOL:g} in {_W0_MAX_ITERS} Halley steps")
 
 
 def _dugdale_forms(a: float) -> tuple:
@@ -104,9 +143,8 @@ def _dugdale_forms(a: float) -> tuple:
             raise ValueError("opening must be nonnegative")
         return a if s < knee else 0.0
 
-    def stationary(kappa: float, d: float, weights, rate: float) -> list:
-        c = a * rate / (2.0 * kappa)
-        return [d - w * c for w in weights]
+    def stationary(kappa: float, d: float, w: float) -> float:
+        return d - w * (a / (2.0 * kappa))
 
     return values, slopes, value, slope, stationary
 
@@ -129,18 +167,13 @@ def _exponential_forms(a: float) -> tuple:
             raise ValueError("opening must be nonnegative")
         return a * float(np.exp(-a * s))
 
-    def stationary(kappa: float, d: float, weights, rate: float) -> list:
-        # scipy.special costs memory and start-up time, so only
-        # exponential laws load it
-        from scipy.special import lambertw
-
-        weight = np.asarray(weights, dtype=float)
-        b = a * rate
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            # in logs, so that a zero weight gives z = 0 however large -b*d
-            z = -np.exp(np.log(weight * (b * b / (2.0 * kappa))) - b * d)
-            x = np.where(z >= -math.exp(-1.0), d + lambertw(z, 0).real / b, np.nan)
-        return x.tolist()
+    def stationary(kappa: float, d: float, w: float) -> float:
+        k = w * (a * a / (2.0 * kappa))
+        if k == 0.0:
+            return d
+        # log|z|, so that no exp overflows however large -a*d
+        log_z = math.log(k) - a * d
+        return d + _lambert_w0(-math.exp(log_z)) / a if log_z <= -1.0 else math.nan
 
     return values, slopes, value, slope, stationary
 

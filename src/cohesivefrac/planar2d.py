@@ -55,6 +55,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from cohesivefrac.bar1d import _as_index
 from cohesivefrac.laws import RescaledLaws, rescale_laws
 
 __all__ = [
@@ -342,7 +343,7 @@ def solve_elastic(grid: Grid2D, open_edges, t: float) -> Field2D:
     """
     _check_load(t)
     n = grid.n
-    open_set = frozenset(int(e) for e in open_edges)
+    open_set = frozenset(_as_index(e, "crack edge") for e in open_edges)
     if any(e < 0 or e >= n for e in open_set):
         raise ValueError(f"crack edges must lie in [0, {n}), got {sorted(open_set)}")
     lower, upper = _blocks(n, t, _solve_jumps(n, t, _tied(n, open_set)))
@@ -454,6 +455,12 @@ def _lip_subproblem(grid: Grid2D, laws: RescaledLaws, t: float, zeta: np.ndarray
     multiplier leaves, so the objective never rises.  The sets stand once
     each sign condition holds to ``RESIDUAL_TOL`` of its scale; a descent
     that cycles, or face equations that miss, raise ``PlanarNumericError``.
+
+    Both algorithms stay, as measured at n = 8-32.  Active sets alone
+    repeat a set on 35 of 2 000 seeded random subproblems.  The descent
+    alone, run from the start jumps, needs 445 face solves against 221 on
+    the planar benchmark's seed-0 Dugdale ladder (920 against 587
+    exponential), and takes 1.7 times as long over both ladders.
     """
     n, psi = grid.n, grid.psi
     w = laws.surface_weight * grid.spacing
@@ -548,17 +555,9 @@ _SOLVED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 @dataclass(frozen=True, eq=False)
 class AMResult:
-    grid: Grid2D
-    t: float
-    nodal_jumps: np.ndarray    # read-only: the field is built from it
+    nodal_jumps: np.ndarray    # read-only: the memo of solved subproblems may hold it
     energies: np.ndarray       # start, then each accepted DC iteration; nonincreasing
     iterations: int
-
-    @cached_property
-    def field(self) -> Field2D:
-        """The elastic field with these nodal jumps, built on first use."""
-        lower, upper = _blocks(self.grid.n, self.t, self.nodal_jumps)
-        return Field2D(grid=self.grid, lower=lower, upper=upper)
 
 
 def alternate_minimize(
@@ -589,8 +588,8 @@ def alternate_minimize(
     ``sign(t)`` times its jumps: ``S`` is an M-matrix with positive row
     sums, so for ``t >= 0`` ``|J|`` never prices above ``J``.  The end
     point is a critical point of the split, not a certified global
-    minimum.  ``AMResult.field`` is built on first read.  A load or start
-    jump that is not finite raises ``ValueError`` before any solve.
+    minimum.  A load or start jump that is not finite raises
+    ``ValueError`` before any solve.
     """
     n = grid.n
     jumps = np.zeros(n + 1) if start_jumps is None else np.abs(np.asarray(start_jumps, dtype=float))
@@ -626,8 +625,7 @@ def alternate_minimize(
         raise PlanarNonconvergence(last_energy=energies[-1], iterations=AM_MAX_ITERS)
     jumps = -jumps if t < 0.0 else jumps
     jumps.setflags(write=False)
-    return AMResult(grid=grid, t=t, nodal_jumps=jumps, energies=np.asarray(energies),
-                    iterations=iterations)
+    return AMResult(nodal_jumps=jumps, energies=np.asarray(energies), iterations=iterations)
 
 
 @dataclass(frozen=True, eq=False)

@@ -100,7 +100,7 @@ def _excess_minimum(laws, L, c, p):
     """
     phi, bulk, bw, sw = laws.phi, laws.bulk, laws.bulk_weight, laws.surface_weight
     base = phi._value(p)
-    [inner] = phi._stationary(bw / L, c, [sw * phi._slope(p) / phi.a], 1.0)
+    inner = phi._stationary(bw / L, c, sw * phi._slope(p) / phi.a)
     excess = [0.0, c, inner] if 0.0 < inner < c else [0.0, c]
     energy = [bw * L * bulk._value((c - e) / L) + sw * (phi._value(p + e) - base)
               for e in excess]

@@ -66,6 +66,12 @@ class TestDomain:
         with pytest.raises(ValueError):
             Domain1D.uniform(1.0, 4, crack=[(0.5, opening)])
 
+    def test_crack_sites_are_never_truncated(self):
+        nodes = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(ValueError, match="crack site index must be an integer, got 1.5"):
+            Domain1D(nodes, ((1.5, 0.3),))
+        assert Domain1D(nodes, ((np.int64(1), 0.3),)).preexisting_crack == ((1, 0.3),)
+
 
 class TestCrackState:
     def test_zero_entries_dropped(self):
@@ -76,6 +82,21 @@ class TestCrackState:
     def test_rejects_negative_or_nonfinite_memory(self, value):
         with pytest.raises(ValueError):
             CrackState({1: 0.2, 2: value})
+
+    def test_sites_are_never_truncated(self):
+        with pytest.raises(ValueError, match="memory site index must be an integer, got 2.9"):
+            CrackState({2.9: 0.4})
+        assert CrackState({np.int64(2): 0.4}).psi == {2: 0.4}
+
+
+class TestDisplacement:
+    def test_sites_are_never_truncated(self):
+        with pytest.raises(ValueError, match="jump site index must be an integer, got 3.99"):
+            Displacement1D(0.1, {3.99: 0.2})
+        # a zero jump is dropped, but its site is checked too
+        with pytest.raises(ValueError, match="got 3.5"):
+            Displacement1D(0.1, {3.5: 0.0})
+        assert Displacement1D(0.1, {np.int64(3): 0.2}).jumps == {3: 0.2}
 
 
 class TestEnergy:

@@ -270,7 +270,7 @@ class TestMain:
         # the exponential law with memory on both end nodes
         (README_BAR.replace("dugdale", "exponential")
          .replace("elements = 8\n", "elements = 8\ncrack = 0.0:0.2, 1.0:0.4\n"),
-         ("9ecd8cdb2396c890c4128a265b381ab92917f59c009a959a098cc402483367cc",
+         ("520dee1ada5e449ae079b7e768a7f3e835e49a195974aa0e5b3e25c5c65d1f33",
           "0dd2ac8afec3553eab69a5fcd4714a4ebd8db3618717ac11b37577a7791f4a02",
           "26377e431e430836f9bec949e75cbccdefdf66f38749a73b08607ed60330932e")),
     ])
@@ -471,37 +471,62 @@ class TestBarRanges:
         assert "energy-balance violation 3e-07" in capsys.readouterr().err
 
 
-def _loads_scipy(code: str) -> bool:
-    """Whether running ``code`` in a fresh interpreter leaves a scipy module loaded."""
+def _python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
     src = str(Path(cohesivefrac.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
+def _loads_scipy(code: str) -> bool:
+    """Whether running ``code`` in a fresh interpreter leaves a scipy module loaded."""
     code += "\nimport sys; sys.exit(3 * any(m.split('.')[0] == 'scipy' for m in sys.modules))"
-    returncode = subprocess.run([sys.executable, "-c", code], env=env).returncode
-    assert returncode in (0, 3), f"the code failed with exit code {returncode}"
-    return returncode == 3
+    run = _python(code)
+    assert run.returncode in (0, 3), f"the code failed with exit code {run.returncode}:\n{run.stderr}"
+    return run.returncode == 3
 
 
 def test_cli_import_leaves_scipy_special_unloaded():
-    # scipy costs resident memory and start-up time, so the CLI loads no
-    # part of it: only the exponential law's closed forms use
-    # scipy.special, on first use
+    # the runtime needs numpy alone: scipy serves only the tests
     assert not _loads_scipy("import cohesivefrac.cli")
 
 
 def test_dugdale_runs_leave_scipy_unloaded():
-    # the Lambert-W import is the exponential law's alone: a Dugdale
-    # exceed step, evolution and tearing step load no part of scipy
+    # neither law loads scipy: an exceed step, an evolution and a tearing
+    # step, first Dugdale, then exponential
     code = "\n".join((
         "from cohesivefrac import *",
         "from cohesivefrac.solver1d import _cohesive_step",
-        "laws = plain_laws(CohesiveLaw(LawKind.DUGDALE, 2.0))",
-        "_cohesive_step(laws, 1.0, 1.5, [0.0, 0.2, 0.0])  # 1.5 exceeds the memory",
-        "trace = evolve(Domain1D.uniform(1.0, 4), CrackState(),",
-        "               LoadProgram.linear_ramp(2.0, 0.1), laws)",
-        "assert trace.jumps.any()",
-        "evolve_tearing(Grid2D.precracked(8, 0.5, 0.1), [0.5], laws)",
+        "for kind in LawKind:",
+        "    laws = plain_laws(CohesiveLaw(kind, 2.0))",
+        "    _cohesive_step(laws, 1.0, 1.5, [0.0, 0.2, 0.0])  # 1.5 exceeds the memory",
+        "    trace = evolve(Domain1D.uniform(1.0, 4), CrackState(),",
+        "                   LoadProgram.linear_ramp(2.0, 0.1), laws)",
+        "    assert trace.jumps.any()",
+        "    evolve_tearing(Grid2D.precracked(8, 0.5, 0.1), [0.5], laws)",
     ))
     assert not _loads_scipy(code)
-    # the guard sees the lazy import when it does happen
-    assert _loads_scipy(code.replace("DUGDALE", "EXPONENTIAL"))
+    # the guard sees scipy when it is loaded
+    assert _loads_scipy("import scipy.special")
+
+
+def test_cli_runs_with_scipy_blocked(config_path, tmp_path):
+    # with every scipy import made to fail, each bar command and the
+    # plate's prefix sweep run an exponential config to the end
+    cfg = config_path(README_BAR.replace("dugdale", "exponential")
+                      .replace("elements = 8\n", "elements = 8\ncrack = 0.0:0.2, 1.0:0.4\n")
+                      + "\n[planar]\nn = 16\nload = 0.3\n")
+    runs = [[command, "--config", cfg, "--out", str(tmp_path / f"{command}.csv"), *check]
+            for command, check in (("evolve", ["--check"]), ("griffith", ["--check"]),
+                                   ("sweep", []), ("planar", ["--check"]))]
+    run = _python("\n".join((
+        "import sys",
+        "sys.modules['scipy'] = None  # import scipy now raises ImportError",
+        "from cohesivefrac.cli import main",
+        f"print('exit codes', [main(argv) for argv in {runs!r}])",
+    )))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "exit codes [0, 0, 0, 0]"
+    assert all((tmp_path / f"{command}.csv").stat().st_size > 0
+               for command in ("evolve", "griffith", "sweep", "planar"))

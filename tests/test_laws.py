@@ -1,16 +1,20 @@
 import dataclasses
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import lambertw
 
+from cohesivefrac import laws
 from cohesivefrac.laws import (
     BulkDensity,
     CohesiveLaw,
     LawKind,
+    _lambert_w0,
     plain_laws,
     relax_bulk_oracle,
     rescale_laws,
@@ -96,13 +100,10 @@ def test_deriv_matches_difference_quotient(kind):
 def test_stationary_points_zero_the_derivative(kind):
     law = CohesiveLaw(kind, 2.0)
     rng = np.random.default_rng(3)
-    kappa, rate = 0.7, 0.5
+    kappa, b = 0.7, law.a
     d = rng.uniform(-2.0, 3.0, 400)
     weight = rng.uniform(0.0, 3.0, 400)
-    x = np.array([law._stationary(kappa, di, [wi], rate)
-                  for di, wi in zip(d.tolist(), weight.tolist())]).T
-    b = law.a * rate
-    assert x.shape == (1, 400)
+    x = np.array([law._stationary(kappa, di, wi) for di, wi in zip(d.tolist(), weight.tolist())])
     if kind is LawKind.DUGDALE:
         grad = 2.0 * kappa * (x - d) + weight * b
     else:
@@ -111,15 +112,50 @@ def test_stationary_points_zero_the_derivative(kind):
         # its minimum, at exp(-b*x) = 2*kappa/(weight*b**2), is <= 0
         x_low = np.log(weight * b * b / (2.0 * kappa)) / b
         has_roots = 2.0 * kappa * (x_low - d) + 2.0 * kappa / b <= 0.0
-        assert np.array_equal(np.isfinite(x[0]), has_roots)
+        assert np.array_equal(np.isfinite(x), has_roots)
         assert has_roots.any() and not has_roots.all()
         # W_0 is the local minimum: second derivative 2*kappa*(1 + W) >= 0
-        curvature = 2.0 * kappa - weight * b * b * np.exp(-b * x[0])
+        curvature = 2.0 * kappa - weight * b * b * np.exp(-b * x)
         assert np.all(curvature[has_roots] >= -1e-9)
     real = np.isfinite(x)
     assert np.max(np.abs(grad[real])) <= 1e-12 * (1.0 + np.max(np.abs(x[real])))
     # no surface weight: only the vertex d is stationary
-    assert law._stationary(kappa, 0.4, [0.0], 1.0)[0] == 0.4
+    assert law._stationary(kappa, 0.4, 0.0) == 0.4
+
+
+def test_lambert_w0_matches_scipy():
+    rng = np.random.default_rng(6)
+    branch = -math.exp(-1.0)
+    z = np.concatenate([
+        branch * rng.uniform(0.0, 1.0, 60_000),
+        # toward the branch point, and toward 0 down to the subnormals
+        branch * (1.0 - 10.0 ** rng.uniform(-15.5, 0.0, 30_000)),
+        branch * 10.0 ** rng.uniform(-320.0, 0.0, 10_000),
+        [branch * (1.0 - 1e-15), np.nextafter(branch, 0.0), np.nextafter(-0.25, -1.0), -0.25,
+         np.nextafter(-0.25, 0.0), -1e-300, -5e-324, -0.0, 0.0],
+    ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # within the iteration cap everywhere, or ArithmeticError
+        w = np.array([_lambert_w0(x) for x in z.tolist()])
+        assert _lambert_w0(branch) == -1.0
+    assert np.all((-1.0 <= w) & (w <= 0.0))
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(w * np.exp(w) - z) <= 4.0 * eps * np.abs(z))
+    # dW/dz = W/(z*(1 + W)): a relative error eps in z moves W by
+    # eps*|W|/|1 + W|, which grows without bound at the branch point
+    want = lambertw(z, 0).real
+    assert np.all(np.abs(w - want) <= 4.0 * eps * np.abs(w) / (1.0 + w))
+    # W(z) = z - z**2 + ...: z itself once z**2 is below half an ulp of z
+    tiny = np.abs(z) < 1e-17
+    assert tiny.sum() > 1000 and np.array_equal(w[tiny], z[tiny])
+
+
+def test_lambert_w0_raises_past_its_cap(monkeypatch):
+    monkeypatch.setattr(laws, "_W0_MAX_ITERS", 1)
+    for z in (-0.3, -0.1):
+        with pytest.raises(ArithmeticError, match="Halley steps"):
+            _lambert_w0(z)
 
 
 @pytest.mark.parametrize("kind", list(LawKind))
@@ -146,18 +182,25 @@ def test_float_forms_match_array_forms(kind):
     value = np.array([law._value(x) for x in s.tolist()])
     slope = np.array([law._slope(x) for x in s.tolist()])
     assert np.array_equal(value, law(s)) and np.array_equal(slope, law.deriv(s))
-    kappa, rate = 0.7, 0.5
-    d = rng.uniform(-2.0, 3.0, 3)
+    kappa = 0.7
+    d = rng.uniform(-2.0, 3.0, (3, 1))
     weights = rng.uniform(0.0, 3.0, 3)
-    points = [law._stationary(kappa, float(x), weights.tolist(), rate) for x in d]
+    points = np.array([[law._stationary(kappa, x, w) for w in weights.tolist()]
+                       for x in d[:, 0].tolist()])
     # the oracle's first row: the vertex, or the W_0 points
-    want_points = stationary_points(law, kappa, d[:, None], weights, rate)[0]
-    assert np.array_equal(np.array(points), want_points, equal_nan=True)
+    want_points = stationary_points(law, kappa, d, weights)[0]
     if kind is LawKind.DUGDALE:
+        assert np.array_equal(points, want_points)
         assert law._slope(1.0 / law.a) == 0.0 and law._value(3.0) == 1.0
     else:
-        # the W_0 points are real for some draws
-        assert np.isfinite(np.array(points)).any()
+        # x = d + W/a, with W within its conditioning eps*|W|/|1 + W| of
+        # the oracle's: see test_lambert_w0_matches_scipy
+        real = np.isfinite(want_points)
+        assert np.array_equal(np.isfinite(points), real) and real.any()
+        w = law.a * (points - d)[real]
+        eps = np.finfo(float).eps
+        bound = 4.0 * eps * (np.abs(points[real]) + np.abs(w) / (law.a * (1.0 + w)))
+        assert np.all(np.abs(points[real] - want_points[real]) <= bound)
     assert type(law._value(0.5)) is float and type(law._slope(0.5)) is float
 
     # the bulk density: inside, at and beyond the threshold, both signs

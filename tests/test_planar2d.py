@@ -304,6 +304,15 @@ def test_open_edge_validation():
         solve_elastic(Grid2D(8), [8], 0.1)
 
 
+def test_open_edges_are_never_truncated():
+    with pytest.raises(ValueError, match="crack edge index must be an integer, got 1.5"):
+        solve_elastic(Grid2D(8), [1.5, 2.7], 0.3)
+    # Python and numpy integers name the same edges
+    ref = solve_elastic(Grid2D(8), [1, 2], 0.3)
+    got = solve_elastic(Grid2D(8), np.array([1, 2]), 0.3)
+    assert np.array_equal(got.lower, ref.lower) and np.array_equal(got.upper, ref.upper)
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     st.sets(st.integers(min_value=0, max_value=11), max_size=12),
@@ -435,6 +444,17 @@ class TestSubproblem:
         assert min(seen.values()) >= 30, seen
         assert descents > 0
 
+    def test_a_missed_face_solve_raises(self, monkeypatch):
+        # no face solve meets its equations to a tolerance of 0, so the
+        # sign conditions settle and the last check refuses the point
+        grid, laws = Grid2D.precracked(16, 0.5, 0.1), plain_laws(DUGDALE)
+        args = (grid, laws, 0.6, np.zeros(16), np.zeros(17))
+        new, lam = _lip_subproblem(*args)
+        assert _kkt_violation(grid, laws, 0.6, np.zeros(16), new, lam) <= 1e-9
+        monkeypatch.setattr(planar2d, "RESIDUAL_TOL", 0.0)
+        with pytest.raises(PlanarNumericError, match="face solve missed its equations"):
+            _lip_subproblem(*args)
+
     def test_kkt_certificate_on_the_benchmark_ladder(self, monkeypatch):
         # every subproblem of the planar benchmark's seed-0 ladders, both
         # laws, among them some on which the active sets repeat and the
@@ -471,16 +491,20 @@ class TestAlternateMinimize:
         grid = Grid2D(16)
         res = alternate_minimize(grid, 0.05, plain_laws(DUGDALE))
         ref = solve_elastic(grid, [], 0.05)
-        assert np.abs(res.field.lower - ref.lower).max() < 1e-8
-        assert np.abs(res.field.upper - ref.upper).max() < 1e-8
+        lower, upper = _blocks(16, 0.05, res.nodal_jumps)
+        assert np.abs(lower - ref.lower).max() < 1e-8
+        assert np.abs(upper - ref.upper).max() < 1e-8
         assert np.abs(res.nodal_jumps).max() < 1e-8
+        with pytest.raises(ValueError):
+            res.nodal_jumps[0] = 1.0
 
     def test_stays_at_full_tear(self):
         grid = Grid2D(16)
         t = 3.0
         res = alternate_minimize(grid, t, plain_laws(DUGDALE),
                                  start_jumps=np.full(17, 2.0 * t))
-        assert res.field.edge_bulk() < 1e-12
+        lower, upper = _blocks(16, t, res.nodal_jumps)
+        assert Field2D(grid=grid, lower=lower, upper=upper).edge_bulk() < 1e-12
         assert res.energies[-1] == pytest.approx(1.0, abs=1e-12)
         # the one convex problem returns the start up to rounding, which is
         # no strict gain: the start energy is the only entry
@@ -498,18 +522,6 @@ class TestAlternateMinimize:
         for start in (None, np.full(17, 2.0 * t)):
             res = alternate_minimize(Grid2D(16, psi), t, laws, start_jumps=start)
             assert np.all(np.diff(res.energies) <= 1e-9)
-
-    def test_field_is_built_on_first_read(self):
-        grid = Grid2D.precracked(16, 0.5, 0.1)
-        res = alternate_minimize(grid, 0.5, plain_laws(DUGDALE))
-        assert "field" not in vars(res)
-        lower, upper = _blocks(16, 0.5, res.nodal_jumps)
-        assert np.array_equal(res.field.lower, lower)
-        assert np.array_equal(res.field.upper, upper)
-        assert res.field is res.field and res.field.grid is grid
-        # the field is built from the jumps, so they cannot change under it
-        with pytest.raises(ValueError):
-            res.nodal_jumps[0] = 1.0
 
     def test_nonconvergence_carries_last_energy(self, monkeypatch):
         monkeypatch.setattr(planar2d, "AM_MAX_ITERS", 1)

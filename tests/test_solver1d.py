@@ -215,8 +215,15 @@ class TestExcessMinima:
             # a fresh site, a partly open one, or one whose law is (nearly) flat
             p = float(rng.choice([0.0, rng.uniform(0.0, 1.5 / phi.a), 2.0 / phi.a, 30.0 / phi.a]))
 
-            got = _excess_minimum(laws, L, c, p)
-            assert got == _excess_minimum_oracle(laws, L, c, p) and type(got) is float
+            got, want = _excess_minimum(laws, L, c, p), _excess_minimum_oracle(laws, L, c, p)
+            assert type(got) is float
+            if kind is LawKind.DUGDALE:
+                assert got == want
+            else:
+                # the same candidate: an end, or the W_0 point, whose two
+                # Lambert W evaluations may differ in their last bits
+                assert (got == 0.0, got == c) == (want == 0.0, want == c)
+                assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
             def energy(e):
                 return bw * L * laws.bulk((c - e) / L) + sw * (phi(p + e) - phi(p))
