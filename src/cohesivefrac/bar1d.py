@@ -44,11 +44,11 @@ __all__ = [
 
 def _as_index(value, what: str) -> int:
     """``value`` as an ``int`` if it is a Python or numpy integer; anything else,
-    a float with an integral value included, raises ``ValueError``."""
+    a float with an integral value included, raises ``ValueError`` naming ``what``."""
     try:
         return operator.index(value)
     except TypeError:
-        raise ValueError(f"{what} index must be an integer, got {value!r}") from None
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ class Domain1D:
         object.__setattr__(
             self,
             "preexisting_crack",
-            tuple((_as_index(s, "crack site"), float(v)) for s, v in self.preexisting_crack),
+            tuple((_as_index(s, "crack site index"), float(v)) for s, v in self.preexisting_crack),
         )
         if nodes.ndim != 1 or nodes.size < 2:
             raise ValueError("mesh needs at least two nodes")
@@ -89,6 +89,7 @@ class Domain1D:
     @staticmethod
     def uniform(length: float, elements: int, crack=()):
         """Uniform mesh; ``crack`` pairs are (coordinate, opening), snapped to nodes."""
+        elements = _as_index(elements, "element count")
         if length <= 0.0 or elements < 1:
             raise ValueError("need positive length and at least one element")
         nodes = np.linspace(0.0, length, elements + 1)
@@ -121,7 +122,7 @@ class CrackState:
     psi: Mapping[int, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        psi = {_as_index(s, "memory site"): float(v) for s, v in dict(self.psi).items()}
+        psi = {_as_index(s, "memory site index"): float(v) for s, v in dict(self.psi).items()}
         bad = {s: v for s, v in psi.items() if not (v >= 0.0 and math.isfinite(v))}
         if bad:
             raise ValueError(f"memory must be finite and nonnegative, got {bad}")
@@ -149,7 +150,7 @@ class Displacement1D:
 
     def __post_init__(self):
         object.__setattr__(self, "slope", float(self.slope))
-        jumps = {_as_index(s, "jump site"): float(v) for s, v in dict(self.jumps).items()}
+        jumps = {_as_index(s, "jump site index"): float(v) for s, v in dict(self.jumps).items()}
         object.__setattr__(self, "jumps", {s: v for s, v in jumps.items() if v != 0.0})
 
     def validate(self, domain: Domain1D) -> None:

@@ -1,4 +1,4 @@
-"""Command-line runner: evolve traces, size sweeps, planar runs, checks.
+"""Command-line runner: bar traces, size sweeps, planar sweeps and evolutions, checks.
 
 Exit codes: 0 success, 2 configuration error, 3 solver nonconvergence,
 4 failed ``--check``.  All CSV output is deterministic (column order
@@ -28,6 +28,10 @@ from cohesivefrac.planar2d import (
     Grid2D,
     PlanarNonconvergence,
     PlanarNumericError,
+    _edge_openings,
+    _lip_bulk,
+    _lip_energy,
+    evolve_tearing,
     prefix_crack_sweep,
     solve_elastic,
 )
@@ -44,6 +48,10 @@ SWEEP_HEADER = (
     "gap_sup", "bulk_gap_sup", "grad_l1", "rupture_bound", "regime",
 )
 PLANAR_HEADER = ("ell", "bulk", "surface", "total")
+TEAR_HEADER = (
+    "t", "bulk", "surface", "total",
+    "slack", "work", "open_edges", "max_memory",
+)
 
 
 def _cells(value):
@@ -91,16 +99,20 @@ def trace_columns(trace: EvolutionTrace) -> tuple:
     )
 
 
-def _trace_checks(trace: EvolutionTrace) -> list[str]:
-    # evolve itself raises on a memory that decreases
-    failures = []
-    slack = float(trace.slack.min())
-    if slack < -1e-9:
-        failures.append(f"negative minimality slack {slack:.3g}")
-    violation = energy_balance_report(trace).cumulative_violation
+def _check_exit(failures: list[str], slack: np.ndarray, violation: float) -> int:
+    """Exit code of ``--check``: 4, each failure printed, unless there is none.
+
+    To ``failures`` it adds a minimality slack below -1e-9 and a cumulative
+    energy-balance violation above 1e-9.
+    """
+    worst = float(slack.min())
+    if worst < -1e-9:
+        failures.append(f"negative minimality slack {worst:.3g}")
     if not violation <= 1e-9:
         failures.append(f"cumulative energy-balance violation {violation:.3g}")
-    return failures
+    for f in failures:
+        print(f"check failed: {f}", file=sys.stderr)
+    return 4 if failures else 0
 
 
 def _run_trace(args, mode: str) -> int:
@@ -116,11 +128,9 @@ def _run_trace(args, mode: str) -> int:
     if args.out:
         emit_csv(TRACE_HEADER, [trace_columns(trace)], args.out)
     if args.check:
-        failures = _trace_checks(trace)
-        if failures:
-            for f in failures:
-                print(f"check failed: {f}", file=sys.stderr)
-            return 4
+        # evolve itself raises on a memory that decreases
+        violation = energy_balance_report(trace).cumulative_violation
+        return _check_exit([], trace.slack, violation)
     return 0
 
 
@@ -175,6 +185,38 @@ def _run_planar(args) -> int:
     return 0
 
 
+def _run_tear(args) -> int:
+    cfg = load_config(args.config)
+    cfg.require("law", "planar", "program")
+    p, prog = cfg.planar, cfg.program
+    if p.mode != "cohesive":
+        raise ConfigError(f"[planar] mode must be cohesive for tear, got {p.mode!r}")
+    grid = Grid2D.precracked(p.n, p.crack_length, p.gamma)
+    laws = rescale_laws(cfg.law.build(), p.h, p.alpha)
+    program = LoadProgram.linear_ramp(prog.horizon, prog.delta, prog.rate)
+    steps = evolve_tearing(grid, program.right, laws)
+    # each step against the previous state, zero jumps and the precrack first
+    n, bw = grid.n, laws.bulk_weight
+    jumps, psi, load = np.zeros(n + 1), grid.psi, steps[0].time
+    rows, failures = [], []
+    for t, step in zip(program.times.tolist(), steps):
+        bulk = bw * _lip_bulk(n, step.time, step.nodal_jumps)
+        rows.append((t, bulk, step.energy - bulk, step.energy,
+                     _lip_energy(Grid2D(n, psi), laws, step.time, jumps) - step.energy,
+                     bw * (_lip_bulk(n, step.time, jumps) - _lip_bulk(n, load, jumps)),
+                     np.count_nonzero(_edge_openings(step.nodal_jumps)), step.psi.max()))
+        if np.any(step.psi < psi):
+            failures.append(f"memory decreased at t = {t:.12g}")
+        jumps, psi, load = step.nodal_jumps, step.psi, step.time
+    columns = np.array(rows).T  # TEAR_HEADER
+    if args.out:
+        emit_csv(TEAR_HEADER, [columns], args.out)
+    if args.check:
+        total, slack, work = columns[3:6]
+        return _check_exit(failures, slack, float(np.max(total - total[0] - np.cumsum(work))))
+    return 0
+
+
 def _run_relax_check(args) -> int:
     for flag, value in (("--a", args.a), ("--grid", args.grid)):
         if not (value > 0.0 and math.isfinite(value)):
@@ -212,6 +254,7 @@ def main(argv=None) -> int:
     sweep.add_argument("--alpha", type=float, help="override the scaling exponent")
     sweep.add_argument("--h", help="override the size ladder, e.g. 1,10,100")
     add_common(sub.add_parser("planar", help="2D prefix-crack sweep"))
+    add_common(sub.add_parser("tear", help="2D incremental tearing evolution"))
 
     relax = sub.add_parser("relax-check", help="relaxed bulk density vs grid oracle")
     relax.add_argument("--a", type=float, required=True, help="law slope")
@@ -227,6 +270,8 @@ def main(argv=None) -> int:
             return _run_sweep(args)
         if args.command == "planar":
             return _run_planar(args)
+        if args.command == "tear":
+            return _run_tear(args)
         return _run_relax_check(args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -26,7 +26,8 @@ def stationary_points(law, kappa, d, weight):
     Dugdale (``k = 1``): the vertex ``d - weight*a/(2*kappa)``.
     Exponential (``k = 2``): ``x = d + W(z)/a`` for
     ``z = -weight*a**2*exp(-a*d)/(2*kappa)`` on the two real Lambert-W
-    branches ``W_0`` and ``W_-1``, which exist for ``z >= -1/e``.
+    branches ``W_0`` and ``W_-1``, which exist for ``z >= -1/e`` and meet
+    at ``-1`` there.
     """
     d = np.asarray(d, dtype=float)
     weight = np.asarray(weight, dtype=float)
@@ -38,6 +39,8 @@ def stationary_points(law, kappa, d, weight):
         z = -np.exp(np.log(weight * (b * b / (2.0 * kappa))) - b * d)
         real = z >= -math.exp(-1.0)
         zr = np.where(real, z, 0.0)
-        x = d + np.stack([lambertw(zr, 0).real, lambertw(zr, -1).real]) / b
+        w = np.stack([lambertw(zr, 0).real, lambertw(zr, -1).real])
+        # scipy gives NaN at the float nearest -1/e, where both branches are -1
+        x = d + np.where(real & np.isnan(w), -1.0, w) / b
     # W_-1(0) = -inf: with no surface weight only the vertex is left
     return np.where(real & np.isfinite(x), x, np.nan)

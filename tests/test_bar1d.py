@@ -72,6 +72,10 @@ class TestDomain:
             Domain1D(nodes, ((1.5, 0.3),))
         assert Domain1D(nodes, ((np.int64(1), 0.3),)).preexisting_crack == ((1, 0.3),)
 
+    def test_element_count_is_never_truncated(self):
+        with pytest.raises(ValueError, match="element count must be an integer, got 4.5"):
+            Domain1D.uniform(1.0, 4.5)
+
 
 class TestCrackState:
     def test_zero_entries_dropped(self):

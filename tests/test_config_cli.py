@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import time
@@ -12,10 +13,17 @@ import numpy as np
 import pytest
 
 import cohesivefrac
-from cohesivefrac.cli import PLANAR_HEADER, SWEEP_HEADER, TRACE_HEADER, emit_csv, main
+from cohesivefrac.cli import (
+    PLANAR_HEADER,
+    SWEEP_HEADER,
+    TEAR_HEADER,
+    TRACE_HEADER,
+    emit_csv,
+    main,
+)
 from cohesivefrac.config import ConfigError, RunConfig, load_config
 from cohesivefrac.laws import LawKind
-from cohesivefrac.planar2d import PlanarNumericError
+from cohesivefrac.planar2d import PlanarNumericError, evolve_tearing
 
 FULL_CONFIG = """
 [domain]
@@ -42,9 +50,10 @@ load = 3.0
 mode = griffith
 """
 
-# the README config's bar sections
-README_BAR = ("[domain]\nelements = 8\n\n[law]\nkind = dugdale\na = 2.0\n\n[program]\n"
-              "horizon = 2.0\ndelta = 0.01\n\n[sweep]\nalpha = 0.5\nh = 1, 10, 100\n")
+README = Path(__file__).resolve().parents[1] / "README.md"
+# the README's fenced blocks as (language, text); its one ini block is the config
+README_BLOCKS = re.findall(r"```(\w+)\n(.*?)```", README.read_text(), re.S)
+(README_CONFIG,) = [text for lang, text in README_BLOCKS if lang == "ini"]
 
 
 @pytest.fixture
@@ -55,6 +64,16 @@ def config_path(tmp_path):
         return str(path)
 
     return write
+
+
+@pytest.fixture
+def no_solve(monkeypatch):
+    """Every solver entry point of the CLI fails the test when reached."""
+    def solve(*args, **kwargs):
+        raise AssertionError("solver reached")
+
+    for name in ("evolve", "size_effect_sweep", "prefix_crack_sweep", "evolve_tearing"):
+        monkeypatch.setattr(f"cohesivefrac.cli.{name}", solve)
 
 
 class TestLoadConfig:
@@ -252,7 +271,7 @@ class TestMain:
          "crack_length = 0.5\ngamma = 0.1\nh = 1\n",
          "0.09375", "e24c24c29d69fdb41510ec1b047a00936b97092f6181e358741ae5d6036667f9"),
         # the README config
-        (README_BAR + "\n[planar]\nn = 16\nload = 0.3\n",
+        (README_CONFIG,
          "0", "16d7886b313b84f4a7c6826519551d1a31e928f79a3806da029105a283c8f1f0"),
     ])
     def test_planar_csv_is_pinned(self, config, ell, digest, config_path, tmp_path, capsys):
@@ -264,11 +283,11 @@ class TestMain:
 
     @pytest.mark.parametrize("config, digests", [
         # the README config
-        (README_BAR, ("36f54928e253a32de76f4874a3b2a82721b57eb1ed8f555556590bf9522baaa7",
-                      "a0ee63201667684717d653710e31dd8ea1b02f3e63825d7a071a08206ac0d6ff",
-                      "30f13f159b667e9d539afb37d2f313d7d010bcbf1e560233188e483ec712f3ae")),
+        (README_CONFIG, ("36f54928e253a32de76f4874a3b2a82721b57eb1ed8f555556590bf9522baaa7",
+                         "a0ee63201667684717d653710e31dd8ea1b02f3e63825d7a071a08206ac0d6ff",
+                         "30f13f159b667e9d539afb37d2f313d7d010bcbf1e560233188e483ec712f3ae")),
         # the exponential law with memory on both end nodes
-        (README_BAR.replace("dugdale", "exponential")
+        (README_CONFIG.replace("dugdale", "exponential")
          .replace("elements = 8\n", "elements = 8\ncrack = 0.0:0.2, 1.0:0.4\n"),
          ("520dee1ada5e449ae079b7e768a7f3e835e49a195974aa0e5b3e25c5c65d1f33",
           "0dd2ac8afec3553eab69a5fcd4714a4ebd8db3618717ac11b37577a7791f4a02",
@@ -298,11 +317,7 @@ class TestMain:
         ("gamma", "-1"), ("gamma", "nan"), ("load", "nan"), ("load", "inf"),
         ("crack_length", "2"), ("crack_length", "-0.1"),
     ])
-    def test_planar_rejects_out_of_range(self, key, value, config_path, monkeypatch, capsys):
-        def solve(*args, **kwargs):
-            raise AssertionError("solver reached")
-
-        monkeypatch.setattr("cohesivefrac.cli.prefix_crack_sweep", solve)
+    def test_planar_rejects_out_of_range(self, key, value, config_path, no_solve, capsys):
         keys = {"n": "8", "load": "0.3", "crack_length": "0.5", "gamma": "0.1",
                 "alpha": "0.25", "h": "1", key: value}
         cfg = config_path("[law]\nkind = dugdale\na = 2.0\n\n[planar]\n"
@@ -363,23 +378,19 @@ BAR_SECTIONS = {
 }
 
 
+def _ini(sections: dict) -> str:
+    """The config text of ``{section: {key: raw value}}``."""
+    return "".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) + "\n"
+        for name, keys in sections.items()
+    )
+
+
 def _bar_config(config_path, section=None, key=None, value=None):
     sections = {name: dict(keys) for name, keys in BAR_SECTIONS.items()}
     if section is not None:
         sections[section][key] = value
-    return config_path("".join(
-        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) + "\n"
-        for name, keys in sections.items()
-    ))
-
-
-@pytest.fixture
-def no_bar_solve(monkeypatch):
-    def solve(*args, **kwargs):
-        raise AssertionError("solver reached")
-
-    monkeypatch.setattr("cohesivefrac.cli.evolve", solve)
-    monkeypatch.setattr("cohesivefrac.cli.size_effect_sweep", solve)
+    return config_path(_ini(sections))
 
 
 class TestBarRanges:
@@ -396,7 +407,7 @@ class TestBarRanges:
         ("evolve", "law", "a", "-2"),
     ])
     def test_rejects_out_of_range(self, command, section, key, value, config_path,
-                                  no_bar_solve, capsys):
+                                  no_solve, capsys):
         cfg = _bar_config(config_path, section, key, value)
         assert main([command, "--config", cfg]) == 2
         err = capsys.readouterr().err
@@ -410,28 +421,28 @@ class TestBarRanges:
         ("evolve", "law", "kind", "cubic"),
     ])
     def test_rejects_unreadable(self, command, section, key, value, config_path,
-                                no_bar_solve, capsys):
+                                no_solve, capsys):
         # one value per reader kind, reported in the form of a range error
         cfg = _bar_config(config_path, section, key, value)
         assert main([command, "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: [{section}] {key} must be"), err
 
-    def test_dirichlet_is_an_unknown_key(self, config_path, no_bar_solve, capsys):
+    def test_dirichlet_is_an_unknown_key(self, config_path, no_solve, capsys):
         # both ends of the bar are always held
         cfg = _bar_config(config_path, "domain", "dirichlet", "left,right")
         assert main(["evolve", "--config", cfg]) == 2
         assert capsys.readouterr().err == (
             "config error: unknown key(s) in [domain]: dirichlet\n")
 
-    def test_sweep_delta_is_an_unknown_key(self, config_path, no_bar_solve, capsys):
+    def test_sweep_delta_is_an_unknown_key(self, config_path, no_solve, capsys):
         # size h always steps at 1/h
         cfg = _bar_config(config_path, "sweep", "delta", "0.1")
         assert main(["sweep", "--config", cfg]) == 2
         assert capsys.readouterr().err == "config error: unknown key(s) in [sweep]: delta\n"
 
     @pytest.mark.parametrize("command", ["evolve", "griffith", "sweep"])
-    def test_two_cracks_on_one_node_rejected(self, command, config_path, no_bar_solve,
+    def test_two_cracks_on_one_node_rejected(self, command, config_path, no_solve,
                                              capsys):
         # on 8 elements both positions snap to the node at 0.5
         cfg = _bar_config(config_path, "domain", "crack", "0.5:0.3, 0.55:0.9")
@@ -440,18 +451,18 @@ class TestBarRanges:
             "config error: [domain] crack: two entries on crack site 4 (x = 0.5)\n")
 
     @pytest.mark.parametrize("flag, value", [("--alpha", "3"), ("--h", "0.5")])
-    def test_sweep_override_range_checked(self, flag, value, config_path, no_bar_solve,
+    def test_sweep_override_range_checked(self, flag, value, config_path, no_solve,
                                           capsys):
         assert main(["sweep", "--config", _bar_config(config_path), flag, value]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: [sweep] {flag[2:]} must be"), err
 
-    def test_sweep_h_override_read_as_the_key(self, config_path, no_bar_solve, capsys):
+    def test_sweep_h_override_read_as_the_key(self, config_path, no_solve, capsys):
         assert main(["sweep", "--config", _bar_config(config_path), "--h", "1,x"]) == 2
         assert capsys.readouterr().err == (
             "config error: [sweep] h must be a comma-separated float list, got '1,x'\n")
 
-    def test_delta_override_range_checked(self, config_path, no_bar_solve, capsys):
+    def test_delta_override_range_checked(self, config_path, no_solve, capsys):
         assert main(["evolve", "--config", _bar_config(config_path), "--delta", "0"]) == 2
         assert capsys.readouterr().err.startswith("config error: [program] delta must be")
 
@@ -469,6 +480,104 @@ class TestBarRanges:
         monkeypatch.setattr("cohesivefrac.cli.energy_balance_report", lambda *a: Report())
         assert main([command, "--config", _bar_config(config_path), "--check"]) == 4
         assert "energy-balance violation 3e-07" in capsys.readouterr().err
+
+
+def _tear_sections(kind="dugdale", alpha=0.25, h=1, crack=0.5) -> dict:
+    return {
+        "law": {"kind": kind, "a": 2.0},
+        "planar": {"n": 16, "alpha": alpha, "h": h, "crack_length": crack, "gamma": 0.1},
+        "program": {"horizon": 2, "delta": 0.05},
+    }
+
+
+class TestTear:
+    def test_readme_config_is_pinned(self, config_path, tmp_path, monkeypatch):
+        runs, blocks = [], []
+
+        def spy_evolve(*args):
+            runs.append(evolve_tearing(*args))
+            return runs[-1]
+
+        def spy_emit(header, columns, path):
+            blocks.extend(columns)
+            emit_csv(header, columns, path)
+
+        monkeypatch.setattr("cohesivefrac.cli.evolve_tearing", spy_evolve)
+        monkeypatch.setattr("cohesivefrac.cli.emit_csv", spy_emit)
+        cfg, out = config_path(README_CONFIG), tmp_path / "tear.csv"
+        assert main(["tear", "--config", cfg, "--out", str(out), "--check"]) == 0
+        first = out.read_bytes()
+        lines = first.decode().splitlines()
+        assert lines[0] == ",".join(TEAR_HEADER) and len(lines) == 1 + 202
+        assert hashlib.sha256(first).hexdigest() == (
+            "0999610832bcda00ae3e9fde4fa616a3ede68f83c25ff11fb5ae3bc43223a505")
+        total = blocks[0][TEAR_HEADER.index("total")]
+        assert np.array_equal(total, [step.energy for step in runs[0]])
+        assert main(["tear", "--config", cfg, "--out", str(out)]) == 0
+        assert out.read_bytes() == first
+
+    @pytest.mark.parametrize("kind", ["dugdale", "exponential"])
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("h", [1, 10, 100])
+    @pytest.mark.parametrize("crack", [0, 0.5])
+    def test_check_holds(self, kind, alpha, h, crack, config_path, capsys):
+        cfg = config_path(_ini(_tear_sections(kind, alpha, h, crack)))
+        assert main(["tear", "--config", cfg, "--check"]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("fault, message", [
+        (lambda step: dataclasses.replace(step, psi=0.0 * step.psi),
+         "check failed: memory decreased at t = 2\n"),
+        (lambda step: dataclasses.replace(step, energy=step.energy + 1e-3),
+         "check failed: negative minimality slack"),
+    ], ids=["memory", "slack"])
+    def test_check_fails_on_an_injected_fault(self, fault, message, config_path,
+                                              monkeypatch, capsys):
+        def faulty(*args):
+            steps = evolve_tearing(*args)
+            return steps[:-1] + [fault(steps[-1])]
+
+        monkeypatch.setattr("cohesivefrac.cli.evolve_tearing", faulty)
+        assert main(["tear", "--config", config_path(README_CONFIG), "--check"]) == 4
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("planar", "n", 15),
+        ("planar", "crack_length", -0.5),
+        ("planar", "crack_length", 1.5),
+        ("program", "horizon", "nan"),
+        ("program", "horizon", "inf"),
+        ("planar", "mode", "griffith"),  # the plate evolution is cohesive only
+        ("program", None, None),
+        ("planar", None, None),
+    ])
+    def test_rejects_before_solving(self, section, key, value, config_path, no_solve, capsys):
+        sections = _tear_sections()
+        if key is None:
+            del sections[section]
+        else:
+            sections[section][key] = value
+        assert main(["tear", "--config", config_path(_ini(sections))]) == 2
+        want = (f"[{section}] {key} must be" if key
+                else f"missing required section(s): {section}")
+        assert capsys.readouterr().err.startswith(f"config error: {want}")
+
+    def test_stalled_solve_exits_3(self, config_path, monkeypatch, capsys):
+        monkeypatch.setattr("cohesivefrac.planar2d.AM_MAX_ITERS", 1)
+        assert main(["tear", "--config", config_path(_ini(_tear_sections()))]) == 3
+        assert capsys.readouterr().err.startswith(
+            "solver error: step minimization not converged after 1 iterations")
+
+
+def test_readme_commands_run(tmp_path, monkeypatch):
+    # the README config and each command of the README's CLI block, as written
+    commands = [line.split()[1:] for lang, text in README_BLOCKS if lang == "sh"
+                for line in text.splitlines() if line.startswith("cohesivefrac ")]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.ini").write_text(README_CONFIG)
+    assert "tear" in {argv[0] for argv in commands}
+    for argv in commands:
+        assert main(argv) == 0, argv
 
 
 def _python(code: str) -> subprocess.CompletedProcess:
@@ -514,9 +623,8 @@ def test_dugdale_runs_leave_scipy_unloaded():
 def test_cli_runs_with_scipy_blocked(config_path, tmp_path):
     # with every scipy import made to fail, each bar command and the
     # plate's prefix sweep run an exponential config to the end
-    cfg = config_path(README_BAR.replace("dugdale", "exponential")
-                      .replace("elements = 8\n", "elements = 8\ncrack = 0.0:0.2, 1.0:0.4\n")
-                      + "\n[planar]\nn = 16\nload = 0.3\n")
+    cfg = config_path(README_CONFIG.replace("dugdale", "exponential")
+                      .replace("elements = 8\n", "elements = 8\ncrack = 0.0:0.2, 1.0:0.4\n"))
     runs = [[command, "--config", cfg, "--out", str(tmp_path / f"{command}.csv"), *check]
             for command, check in (("evolve", ["--check"]), ("griffith", ["--check"]),
                                    ("sweep", []), ("planar", ["--check"]))]

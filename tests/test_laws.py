@@ -183,8 +183,9 @@ def test_float_forms_match_array_forms(kind):
     slope = np.array([law._slope(x) for x in s.tolist()])
     assert np.array_equal(value, law(s)) and np.array_equal(slope, law.deriv(s))
     kappa = 0.7
-    d = rng.uniform(-2.0, 3.0, (3, 1))
-    weights = rng.uniform(0.0, 3.0, 3)
+    # the last pair puts the exponential law's z at -exp(-1.0), the branch point
+    d = np.append(rng.uniform(-2.0, 3.0, 3), 0.5)[:, None]
+    weights = np.append(rng.uniform(0.0, 3.0, 3), 0.35)
     points = np.array([[law._stationary(kappa, x, w) for w in weights.tolist()]
                        for x in d[:, 0].tolist()])
     # the oracle's first row: the vertex, or the W_0 points
@@ -199,8 +200,10 @@ def test_float_forms_match_array_forms(kind):
         assert np.array_equal(np.isfinite(points), real) and real.any()
         w = law.a * (points - d)[real]
         eps = np.finfo(float).eps
-        bound = 4.0 * eps * (np.abs(points[real]) + np.abs(w) / (law.a * (1.0 + w)))
+        with np.errstate(divide="ignore"):  # W = -1 at the branch point
+            bound = 4.0 * eps * (np.abs(points[real]) + np.abs(w) / (law.a * (1.0 + w)))
         assert np.all(np.abs(points[real] - want_points[real]) <= bound)
+        assert points[-1, -1] == want_points[-1, -1] == 0.0
     assert type(law._value(0.5)) is float and type(law._slope(0.5)) is float
 
     # the bulk density: inside, at and beyond the threshold, both signs
