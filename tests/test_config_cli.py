@@ -56,26 +56,6 @@ README_BLOCKS = re.findall(r"```(\w+)\n(.*?)```", README.read_text(), re.S)
 (README_CONFIG,) = [text for lang, text in README_BLOCKS if lang == "ini"]
 
 
-@pytest.fixture
-def config_path(tmp_path):
-    def write(text):
-        path = tmp_path / "run.ini"
-        path.write_text(text)
-        return str(path)
-
-    return write
-
-
-@pytest.fixture
-def no_solve(monkeypatch):
-    """Every solver entry point of the CLI fails the test when reached."""
-    def solve(*args, **kwargs):
-        raise AssertionError("solver reached")
-
-    for name in ("evolve", "size_effect_sweep", "prefix_crack_sweep", "evolve_tearing"):
-        monkeypatch.setattr(f"cohesivefrac.cli.{name}", solve)
-
-
 class TestLoadConfig:
     def test_full_roundtrip(self, config_path):
         cfg = load_config(config_path(FULL_CONFIG))

@@ -18,6 +18,7 @@ from cohesivefrac.planar2d import (
     PlanarNonconvergence,
     PlanarNumericError,
     _blocks,
+    _lip_bulk,
     _lip_energy,
     _lip_operator,
     _lip_subproblem,
@@ -612,9 +613,20 @@ class TestTearing:
         steps = evolve_tearing(Grid2D(16, psi), [0.2, 0.5, 0.9], plain_laws(DUGDALE))
         for a, b in zip(steps, steps[1:]):
             assert np.all(b.psi >= a.psi - 1e-15)
-        # the memo of solved subproblems may hold a step's jumps
-        with pytest.raises(ValueError):
-            steps[-1].nodal_jumps[0] = 1.0
+
+    def test_step_field_is_built_on_first_read(self):
+        # a step keeps only its jumps; the field is rebuilt from them when read
+        steps = evolve_tearing(Grid2D.precracked(16, 0.5, 0.1), [0.3, 0.6], plain_laws(DUGDALE))
+        for step in steps:
+            assert not hasattr(step, "field")
+            field = Field2D(Grid2D(16, step.psi), *_blocks(16, step.time, step.nodal_jumps))
+            assert np.array_equal(field.nodal_jumps(), step.nodal_jumps)
+            assert field.edge_bulk() == pytest.approx(
+                _lip_bulk(16, step.time, step.nodal_jumps), rel=1e-10)
+            # the field is built from the jumps, and the memo of solved
+            # subproblems may hold them, so they cannot change under either
+            with pytest.raises(ValueError):
+                step.nodal_jumps[0] = 1.0
 
     @pytest.mark.parametrize("kind", list(LawKind))
     def test_uses_only_the_array_forms_of_the_law(self, kind):
