@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import math
 import sys
@@ -233,7 +234,9 @@ def _run_relax_check(args) -> int:
     return 0 if err < 1e-3 else 4
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: each parse fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="cohesivefrac",
         description="Quasistatic cohesive fracture: traces, size sweeps, planar runs.",
@@ -259,8 +262,11 @@ def main(argv=None) -> int:
     relax = sub.add_parser("relax-check", help="relaxed bulk density vs grid oracle")
     relax.add_argument("--a", type=float, required=True, help="law slope")
     relax.add_argument("--grid", type=float, default=1e-4, help="oracle grid step")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.command == "evolve":
             return _run_trace(args, "cohesive")

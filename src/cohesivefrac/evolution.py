@@ -39,7 +39,7 @@ from cohesivefrac.bar1d import (
     make_displacement,
 )
 from cohesivefrac.laws import RescaledLaws
-from cohesivefrac.solver1d import _cohesive_step, _griffith_path
+from cohesivefrac.solver1d import _cohesive_path, _griffith_path
 
 __all__ = [
     "LoadProgram",
@@ -91,8 +91,8 @@ class LoadProgram:
         times = np.linspace(0.0, horizon, n + 1)
         return LoadProgram(
             times,
-            np.array([float(g_left(t)) for t in times]),
-            np.array([float(g_right(t)) for t in times]),
+            np.array([float(g_left(t)) for t in times.tolist()]),
+            np.array([float(g_right(t)) for t in times.tolist()]),
         )
 
     @staticmethod
@@ -182,9 +182,9 @@ def evolve(
 ) -> EvolutionTrace:
     """Run the incremental minimization scheme over the whole program.
 
-    In cohesive mode each step solves the float kernel on the datum
-    difference and the memory, then updates the memory to
-    ``psi' = psi v |jump|``.  In griffith mode the whole path has a closed
+    In cohesive mode one path on floats runs every step
+    (:func:`cohesivefrac.solver1d._cohesive_path`), each updating the
+    memory to ``psi' = psi v |jump|``.  In griffith mode the whole path has a closed
     form (:func:`cohesivefrac.solver1d._griffith_path`) and the memory is
     the running maximum of the openings.  The energies are closed forms
     in the slope and the memory: bulk
@@ -206,15 +206,8 @@ def evolve(
         slope, jumps = _griffith_path(laws, L, deltas, psi)
         memory = np.maximum.accumulate(np.vstack([psi, np.abs(jumps)]))
     else:
-        slopes, jump_rows, memory = [], [], [psi]
-        for delta in deltas.tolist():
-            slope, jumps, psi = _cohesive_step(laws, L, delta, psi)
-            slopes.append(slope)
-            jump_rows.append(jumps)
-            memory.append(psi)
-        slope = np.array(slopes)
-        jumps = np.array(jump_rows).reshape(slope.size, len(sites))
-        memory = np.array(memory).reshape(slope.size + 1, len(sites))
+        slope, jumps, memory = _cohesive_path(laws, L, deltas, psi)
+        memory = np.vstack([psi, memory])
     if not np.all(np.diff(memory, axis=0) >= 0.0):
         raise RuntimeError("irreversibility violated: an opening memory decreased")
 

@@ -19,10 +19,10 @@ Two routes are provided and kept deliberately independent:
   serve this kernel alone): a Dugdale step makes no numpy call.  A step
   is therefore a function of the bar length, the signed datum
   difference and the memory vector over the jump sites, and returns one
-  slope and one oriented jump per site: :func:`_cohesive_step` works on
-  those floats alone.  The brittle problem needs no step solve: its
-  whole path over a program has a closed form, :func:`_griffith_path`,
-  on arrays.  :func:`incremental_minimize` and :func:`griffith_minimize`
+  slope and one oriented jump per site: :func:`_cohesive_path` runs a
+  whole program of them on floats.  The brittle problem needs no step
+  solve: its whole path has a closed form, :func:`_griffith_path`, on
+  arrays.  :func:`incremental_minimize` and :func:`griffith_minimize`
   wrap one step of each in displacement objects for library callers.
 
 * :func:`brute_force_minimize` quantizes jump vectors over the active
@@ -82,79 +82,100 @@ class BudgetError(RuntimeError):
     """The requested brute-force enumeration exceeds the search budget."""
 
 
-def _excess_minimum(laws, L, c, p):
-    """The excess at the exact minimum of the branch of an owner with memory ``p``.
+def _excess_rule(laws: RescaledLaws, L: float):
+    """The branch price of an owner with the laws bound once: ``excess(c, p)``.
 
-    The branch minimizes ``bw*L*f((c - e)/L) + sw*(phi(p + e) - phi(p))``
-    over the excess ``e`` in ``[0, c]``, where ``c`` is the datum
-    difference left over once every memory site is refilled.  Below
-    ``c - L*threshold`` the bulk is affine and the branch concave, so it
-    has no interior minimum there; above, the bulk is ``(bw/L)*(c - e)**2``
-    and the candidate is the local minimum from the law's
-    ``_stationary``, if it lies inside ``(0, c)``.  The
-    bulk threshold is a C1 join and the Dugdale saturation a concave
-    kink, so neither holds a minimum that is not already a candidate: the
-    ends and the local minimum suffice.  Every candidate is priced on floats.
-    ``e = 0``, the plain refill, wins whenever it is within ``TIE_TOL`` of
-    the minimum; other ties go to the smaller excess.
+    ``excess(c, p)`` is the excess ``e`` in ``[0, c]`` that minimizes the
+    branch ``bw*L*f((c - e)/L) + sw*(phi(p + e) - phi(p))`` of an owner
+    with memory ``p``, where ``c`` is the datum difference left over once
+    every memory site is refilled.  Below ``c - L*threshold`` the bulk is
+    affine and the branch concave, so it has no interior minimum there;
+    above, the bulk is ``(bw/L)*(c - e)**2`` and the candidate is the
+    local minimum from the law's ``_stationary``, if it lies inside
+    ``(0, c)``.  The bulk threshold is a C1 join and the Dugdale
+    saturation a concave kink, so neither holds a minimum that is not
+    already a candidate: the ends and the local minimum suffice.  Every
+    candidate is priced on floats.  ``e = 0``, the plain refill, wins
+    whenever it is within ``TIE_TOL`` of the minimum; other ties go to
+    the smaller excess.
     """
-    phi, bulk, bw, sw = laws.phi, laws.bulk, laws.bulk_weight, laws.surface_weight
-    base = phi._value(p)
-    inner = phi._stationary(bw / L, c, sw * phi._slope(p) / phi.a)
-    excess = [0.0, c, inner] if 0.0 < inner < c else [0.0, c]
-    energy = [bw * L * bulk._value((c - e) / L) + sw * (phi._value(p + e) - base)
-              for e in excess]
-    # the lowest energy, then the smaller excess
-    low, e = min(zip(energy, excess))
-    return 0.0 if energy[0] <= low + TIE_TOL else e
+    phi, bulk_value, bw, sw = laws.phi, laws.bulk._value, laws.bulk_weight, laws.surface_weight
+    phi_value, phi_slope, stationary, a = phi._value, phi._slope, phi._stationary, phi.a
+    bw_L, kappa = bw * L, bw / L
+
+    def excess(c: float, p: float) -> float:
+        base = phi_value(p)
+        inner = stationary(kappa, c, sw * phi_slope(p) / a)
+        # one term vanishes exactly at each end: the refill adds no
+        # surface and the whole excess leaves no bulk
+        refill = bw_L * bulk_value(c / L)
+        # the lowest energy, then the smaller excess
+        low, e = min((refill, 0.0), (sw * (phi_value(p + c) - base), c))
+        if 0.0 < inner < c:
+            priced = bw_L * bulk_value((c - inner) / L) + sw * (phi_value(p + inner) - base)
+            low, e = min((low, e), (priced, inner))
+        return 0.0 if refill <= low + TIE_TOL else e
+
+    return excess
 
 
-def _memory_refill(psi: list, amount: float) -> list:
-    """Openings that refill free memory leftmost-first until ``amount`` is used."""
-    jumps = [0.0] * len(psi)
-    left = amount
-    for k, p in enumerate(psi):
-        if left <= 0.0:
-            break
-        take = min(p, left)
-        if take > 0.0:
-            jumps[k] = take
-            left -= take
-    return jumps
+def _excess_minimum(laws: RescaledLaws, L: float, c: float, p: float) -> float:
+    """The excess at the minimum of one owner's branch, by the rule of :func:`_excess_rule`."""
+    return _excess_rule(laws, L)(c, p)
+
+
+def _cohesive_path(laws: RescaledLaws, L: float, deltas, psi: list) -> tuple:
+    """A whole cohesive program on floats: ``(slopes, oriented jumps, memory)``.
+
+    ``deltas`` are the signed datum differences of the steps and ``psi``
+    the opening memory per jump site before the first one, in site order;
+    each step gives a slope, a row of jumps and the memory after it.  A
+    step refills the memory leftmost-first up to ``min(sum psi, |delta|)``;
+    past the free capacity the whole excess goes to the owner, the site
+    of largest memory (the leftmost of those, the leftmost site when
+    there is no memory), at the minimum of :func:`_excess_rule`.  The
+    jumps carry the sign of the datum.  A refill opens no site past its
+    memory, so only the owner's memory can rise: the owner is found once.
+    """
+    excess_at = _excess_rule(laws, L)
+    deltas = np.asarray(deltas, dtype=float)
+    owner = max(range(len(psi)), key=psi.__getitem__)
+    psi_total = sum(psi)
+    totals, rows, memory = [], [], []
+    for D in np.abs(deltas).tolist():
+        # reopening up to the memory costs no surface and lowers the bulk
+        total_jump = left = min(psi_total, D)
+        jumps = [0.0] * len(psi)
+        for k, p in enumerate(psi):
+            if left <= 0.0:
+                break
+            take = min(p, left)
+            if take > 0.0:
+                jumps[k] = take
+                left -= take
+        if D > psi_total:
+            excess = excess_at(D - psi_total, psi[owner])
+            jumps[owner] += excess
+            total_jump += excess
+            if jumps[owner] > psi[owner]:
+                psi = psi.copy()
+                psi[owner] = jumps[owner]
+                psi_total = sum(psi)
+        totals.append(total_jump)
+        rows.append(jumps)
+        memory.append(psi)
+    sigma = np.where(deltas < 0.0, -1.0, 1.0)
+    # psi_total + excess may round above D; the slope keeps the datum's sign
+    slopes = sigma * np.maximum(np.abs(deltas) - totals, 0.0) / L
+    jumps = np.array(rows).reshape(deltas.size, len(psi))
+    jumps = np.where(jumps != 0.0, sigma[:, None] * jumps, 0.0)
+    return slopes, jumps, np.array(memory).reshape(deltas.size, len(psi))
 
 
 def _cohesive_step(laws: RescaledLaws, L: float, delta: float, psi: list) -> tuple:
-    """One cohesive step on floats: ``(slope, oriented jumps, memory after)``.
-
-    ``psi`` is the opening memory per jump site, in site order, and
-    ``delta`` the signed datum difference.  The memory refills
-    leftmost-first up to ``min(sum psi, |delta|)``; past the free
-    capacity the whole excess goes to the owner, the site of largest
-    memory (the leftmost of those, the leftmost site when there is no
-    memory).  The jumps carry the sign of ``delta``.  A refill opens no
-    site past its memory, so only the owner's memory can rise: the
-    memory after the step is ``psi`` itself, or a copy with the owner's
-    entry raised to its opening.
-    """
-    if delta == 0.0:
-        return 0.0, [0.0] * len(psi), psi
-    sigma = 1.0 if delta > 0.0 else -1.0
-    D = abs(delta)
-    psi_total = sum(psi)
-    # reopening up to the memory costs no surface and lowers the bulk
-    total_jump = min(psi_total, D)
-    jumps = _memory_refill(psi, total_jump)
-    memory = psi
-    if D > psi_total:
-        owner = max(range(len(psi)), key=psi.__getitem__)
-        excess = _excess_minimum(laws, L, D - psi_total, psi[owner])
-        jumps[owner] += excess
-        total_jump += excess
-        memory = list(psi)
-        memory[owner] = max(psi[owner], jumps[owner])
-    # psi_total + excess may round above D; the slope keeps the datum's sign
-    slope = sigma * max(D - total_jump, 0.0) / L
-    return slope, [sigma * j if j != 0.0 else 0.0 for j in jumps], memory
+    """One step of :func:`_cohesive_path`: ``(slope, oriented jumps, memory after)``."""
+    slopes, jumps, memory = _cohesive_path(laws, L, [delta], psi)
+    return float(slopes[0]), jumps[0].tolist(), memory[0].tolist()
 
 
 def _griffith_path(laws: RescaledLaws, L: float, deltas, psi: list) -> tuple:

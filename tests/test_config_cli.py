@@ -311,6 +311,24 @@ class TestMain:
             main(["evolve", "--config", config_path(FULL_CONFIG), "--seed", "1"])
         assert err.value.code == 2
 
+    def test_calls_in_one_process_share_no_arguments(self, config_path, monkeypatch, capsys):
+        # the parser is built once; every call parses into a fresh namespace
+        from cohesivefrac import cli
+
+        seen = []
+        monkeypatch.setattr(cli, "_run_sweep", lambda args: seen.append(vars(args)) or 0)
+        cfg = config_path(FULL_CONFIG)
+        assert main(["relax-check", "--a", "2.0"]) == 0
+        assert main(["sweep", "--config", cfg, "--alpha", "0.25", "--check"]) == 0
+        assert main(["sweep", "--config", cfg]) == 0
+        fresh = {"command": "sweep", "config": cfg, "out": None, "check": False,
+                 "alpha": None, "h": None}
+        assert seen[1] == fresh
+        with pytest.raises(SystemExit) as err:
+            main(["relax-check", "--a", "2.0", "--alpha", "0.5"])
+        assert err.value.code == 2
+        assert cli._parser() is cli._parser()
+
     def test_relax_check_grid_cap(self, capsys):
         # 2.4e10 grid points: refused at once, before any scan
         t0 = time.perf_counter()

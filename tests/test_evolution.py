@@ -283,23 +283,25 @@ class TestErrorPropagation:
         import cohesivefrac.evolution as evo
 
         # a memory update that forgets: psi' = |jump| in place of psi v |jump|
-        step = evo._cohesive_step
+        path = evo._cohesive_path
 
-        def forgetting_step(*args):
-            slope, jumps, _ = step(*args)
-            return slope, jumps, [abs(j) for j in jumps]
+        def forgetting_path(*args):
+            slopes, jumps, _ = path(*args)
+            return slopes, jumps, np.abs(jumps)
 
-        monkeypatch.setattr(evo, "_cohesive_step", forgetting_step)
+        monkeypatch.setattr(evo, "_cohesive_path", forgetting_path)
         program = LoadProgram(np.array([0.0, 1.0]), np.zeros(2), np.array([2.0, 0.0]))
         with pytest.raises(RuntimeError, match="irreversibility"):
             evolve(bar(), CrackState(), program, DUGDALE2, "cohesive")
 
 
-PROGRAMS = {
-    "ramp": LoadProgram.linear_ramp(2.0, 0.05),
-    "negative": LoadProgram.sampled(lambda t: 0.2, lambda t: -1.5 * t, 1.5, 0.05),
-    "cyclic": LoadProgram.sampled(lambda t: 0.0, lambda t: 1.6 * np.sin(3.0 * t), 3.0, 0.05),
+# (g_left, g_right, horizon, delta) of each sampled program
+SAMPLED = {
+    "ramp": (lambda t: 0.0, lambda t: 1.0 * t, 2.0, 0.05),
+    "negative": (lambda t: 0.2, lambda t: -1.5 * t, 1.5, 0.05),
+    "cyclic": (lambda t: 0.0, lambda t: 1.6 * np.sin(3.0 * t), 3.0, 0.05),
 }
+PROGRAMS = {name: LoadProgram.sampled(*spec) for name, spec in SAMPLED.items()}
 LAWS = {
     "dugdale": DUGDALE2,
     "exponential": EXPONENTIAL2,
@@ -363,3 +365,76 @@ def test_any_program_keeps_slack_and_memory_invariants(values, psi, exponential)
     initial = domain.initial_crack_state()
     memory = np.vstack([[initial.value(s) for s in domain.jump_sites()], trace.psi])
     assert np.all(np.diff(memory, axis=0) >= 0.0)
+
+
+@pytest.mark.parametrize("name", SAMPLED)
+def test_sampled_equals_evaluation_at_numpy_times(name):
+    # the callables see Python floats; the same products at the grid's
+    # np.float64 scalars give the same samples
+    g_left, g_right, horizon, delta = SAMPLED[name]
+    program = PROGRAMS[name]
+    assert program.times.tobytes() == np.linspace(0.0, horizon, program.times.size).tobytes()
+    for g, column in ((g_left, program.left), (g_right, program.right)):
+        want = np.array([float(g(t)) for t in program.times])
+        assert column.tobytes() == want.tobytes()
+
+
+def _reference_excess(laws, L, c, p):
+    """The branch price as one list of candidates, every term evaluated."""
+    phi, bulk, bw, sw = laws.phi, laws.bulk, laws.bulk_weight, laws.surface_weight
+    base = phi._value(p)
+    inner = phi._stationary(bw / L, c, sw * phi._slope(p) / phi.a)
+    excess = [0.0, c, inner] if 0.0 < inner < c else [0.0, c]
+    energy = [bw * L * bulk._value((c - e) / L) + sw * (phi._value(p + e) - base)
+              for e in excess]
+    low, e = min(zip(energy, excess))
+    return 0.0 if energy[0] <= low + TIE_TOL else e
+
+
+def _reference_path(laws, L, deltas, psi):
+    """The cohesive path step by step, the owner and ``sum(psi)`` found anew each step."""
+    slopes, jump_rows, memory = [], [], []
+    for delta in np.asarray(deltas).tolist():
+        jumps = [0.0] * len(psi)
+        slope = 0.0
+        if delta != 0.0:
+            sigma = 1.0 if delta > 0.0 else -1.0
+            D = abs(delta)
+            psi_total = sum(psi)
+            total_jump = left = min(psi_total, D)
+            for k, p in enumerate(psi):
+                take = min(p, left)
+                if left > 0.0 and take > 0.0:
+                    jumps[k] = take
+                    left -= take
+            if D > psi_total:
+                owner = max(range(len(psi)), key=psi.__getitem__)
+                excess = _reference_excess(laws, L, D - psi_total, psi[owner])
+                jumps[owner] += excess
+                total_jump += excess
+                psi = list(psi)
+                psi[owner] = max(psi[owner], jumps[owner])
+            slope = sigma * max(D - total_jump, 0.0) / L
+            jumps = [sigma * j if j != 0.0 else 0.0 for j in jumps]
+        slopes.append(slope)
+        jump_rows.append(jumps)
+        memory.append(psi)
+    return np.array(slopes), np.array(jump_rows), np.array(memory)
+
+
+@pytest.mark.parametrize("law", LAWS)
+@pytest.mark.parametrize("crack", [(), ((0.25, 0.3), (0.5, 0.2))])
+@pytest.mark.parametrize("name", PROGRAMS)
+def test_path_equals_the_step_by_step_reference(name, crack, law, monkeypatch):
+    # every column, bit for bit; the precrack's refills span both sites
+    import cohesivefrac.evolution as evo
+
+    domain = Domain1D.uniform(1.0, 8, crack=crack)
+    args = (domain, domain.initial_crack_state(), PROGRAMS[name], LAWS[law], "cohesive")
+    trace = evolve(*args)
+    monkeypatch.setattr(evo, "_cohesive_path", _reference_path)
+    reference = evolve(*args)
+    for column in ("slope", "jumps", "psi", "bulk", "surface", "slack", "work"):
+        assert getattr(trace, column).tobytes() == getattr(reference, column).tobytes(), column
+    if crack:
+        assert np.count_nonzero(trace.jumps[:, [2, 4]], axis=1).max() == 2
