@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import itertools
 import math
 import sys
 
@@ -55,11 +54,23 @@ TEAR_HEADER = (
 )
 
 
-def _cells(value):
-    """The text of one block entry: a list for a column, a str for a constant."""
-    if np.ndim(value):
-        return [f"{v:.12g}" for v in np.asarray(value).tolist()]
-    return value if isinstance(value, str) else f"{value:.12g}"
+def _block_rows(block) -> str:
+    """The CSV text of one block: one ``%`` row template, applied once per row."""
+    fields, columns = [], []
+    for value in block:
+        if np.ndim(value):
+            fields.append("%.12g")
+            columns.append(np.asarray(value).tolist())
+        else:
+            text = value if isinstance(value, str) else f"{value:.12g}"
+            fields.append(text.replace("%", "%%"))
+    template = ",".join(fields) + "\n"
+    lengths = sorted({len(c) for c in columns})
+    if len(lengths) > 1:
+        raise ValueError(f"columns of one block differ in length: {lengths}")
+    if not columns:
+        return template % ()
+    return "".join(map(template.__mod__, zip(*columns)))
 
 
 def emit_csv(header, blocks, path) -> None:
@@ -68,22 +79,19 @@ def emit_csv(header, blocks, path) -> None:
     A block gives one entry per header field.  An array (or list) is a
     column with one value per row; a string or a number is a constant of
     the block, written on each of its rows (a block of constants alone is
-    one row).  Each column is formatted once over its ``tolist()`` values
-    and each constant once.  Strings go out as they are and numbers at 12
-    significant digits.  That one format serves floats and writes integers
-    below 10**12, such as the ``n_jumps`` column, exactly.  Columns of
-    unequal length within a block raise ``ValueError``.
+    one row).  Each block becomes one ``%`` row template: ``%.12g`` for
+    each column, and each constant formatted once into the template's
+    text with its ``%`` escaped, so that a row is one ``template % row``
+    over the columns' ``tolist()`` values.  Strings go out as they are
+    and numbers at 12 significant digits.  That one format serves floats
+    and writes integers below 10**12, such as the ``n_jumps`` column,
+    exactly.  Every block is formatted before the file is opened:
+    columns of unequal length within a block raise ``ValueError`` and
+    leave ``path`` untouched.
     """
+    text = "".join([",".join(header) + "\n", *map(_block_rows, blocks)])
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for block in blocks:
-            cells = [_cells(v) for v in block]
-            lengths = {len(c) for c in cells if isinstance(c, list)}
-            if len(lengths) > 1:
-                raise ValueError(f"columns of one block differ in length: {sorted(lengths)}")
-            n = lengths.pop() if lengths else 1
-            columns = [c if isinstance(c, list) else itertools.repeat(c, n) for c in cells]
-            fh.writelines(",".join(row) + "\n" for row in zip(*columns))
+        fh.write(text)
 
 
 def trace_columns(trace: EvolutionTrace) -> tuple:

@@ -135,17 +135,22 @@ def _cohesive_path(laws: RescaledLaws, L: float, deltas, psi: list) -> tuple:
     of largest memory (the leftmost of those, the leftmost site when
     there is no memory), at the minimum of :func:`_excess_rule`.  The
     jumps carry the sign of the datum.  A refill opens no site past its
-    memory, so only the owner's memory can rise: the owner is found once.
+    memory, so only the owner's memory can rise: the owner is found once,
+    the jumps are collected in one flat list, and the memory is the
+    initial row on every step with the owner's column filled in.
     """
     excess_at = _excess_rule(laws, L)
     deltas = np.asarray(deltas, dtype=float)
-    owner = max(range(len(psi)), key=psi.__getitem__)
+    n = len(psi)
+    memory = np.tile(np.asarray(psi, dtype=float), (deltas.size, 1))
+    psi = list(psi)
+    owner = max(range(n), key=psi.__getitem__)
     psi_total = sum(psi)
-    totals, rows, memory = [], [], []
+    totals, flat, owned = [], [], []
     for D in np.abs(deltas).tolist():
         # reopening up to the memory costs no surface and lowers the bulk
         total_jump = left = min(psi_total, D)
-        jumps = [0.0] * len(psi)
+        jumps = [0.0] * n
         for k, p in enumerate(psi):
             if left <= 0.0:
                 break
@@ -158,18 +163,18 @@ def _cohesive_path(laws: RescaledLaws, L: float, deltas, psi: list) -> tuple:
             jumps[owner] += excess
             total_jump += excess
             if jumps[owner] > psi[owner]:
-                psi = psi.copy()
                 psi[owner] = jumps[owner]
                 psi_total = sum(psi)
         totals.append(total_jump)
-        rows.append(jumps)
-        memory.append(psi)
+        flat += jumps
+        owned.append(psi[owner])
     sigma = np.where(deltas < 0.0, -1.0, 1.0)
     # psi_total + excess may round above D; the slope keeps the datum's sign
     slopes = sigma * np.maximum(np.abs(deltas) - totals, 0.0) / L
-    jumps = np.array(rows).reshape(deltas.size, len(psi))
+    jumps = np.array(flat).reshape(deltas.size, n)
     jumps = np.where(jumps != 0.0, sigma[:, None] * jumps, 0.0)
-    return slopes, jumps, np.array(memory).reshape(deltas.size, len(psi))
+    memory[:, owner] = owned
+    return slopes, jumps, memory
 
 
 def _cohesive_step(laws: RescaledLaws, L: float, delta: float, psi: list) -> tuple:

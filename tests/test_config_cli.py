@@ -176,6 +176,38 @@ class TestEmitCsv:
         with pytest.raises(ValueError, match="differ in length: \\[1, 2\\]"):
             emit_csv(("a", "b"), [(np.zeros(2), np.zeros(1))], tmp_path / "bad.csv")
 
+    def test_a_bad_block_writes_nothing(self, tmp_path):
+        # good blocks before the bad one: no header, no rows, no truncation
+        blocks = [(np.ones(2), 1.0), (np.zeros(3), 2.0), (np.zeros(2), np.zeros(1))]
+        fresh = tmp_path / "fresh.csv"
+        with pytest.raises(ValueError, match="differ in length"):
+            emit_csv(("a", "b"), blocks, fresh)
+        assert not fresh.exists()
+        kept = tmp_path / "kept.csv"
+        kept.write_bytes(b"a,b\n1,2\n")
+        with pytest.raises(ValueError, match="differ in length"):
+            emit_csv(("a", "b"), blocks, kept)
+        assert kept.read_bytes() == b"a,b\n1,2\n"
+
+    def test_percent_in_a_string_constant_goes_out_as_is(self, tmp_path):
+        path = tmp_path / "pct.csv"
+        emit_csv(("x", "s", "t"), [(np.array([0.5, 2.0]), "50%", "%s%%d"), ("%", 1.5, "%.12g")],
+                 path)
+        assert path.read_bytes() == b"x,s,t\n0.5,50%,%s%%d\n2,50%,%s%%d\n%,1.5,%.12g\n"
+
+    def test_integer_column_next_to_a_float_column(self, tmp_path):
+        path = tmp_path / "mixed.csv"
+        counts = np.array([0, 3, 10**12 - 1, -4], dtype=np.int64)
+        values = np.array([1.0 / 3.0, -0.0, 1e21, 2.5e-300])
+        emit_csv(("n", "v", "c"), [(counts, values, 7)], path)
+        assert path.read_bytes() == (
+            b"n,v,c\n"
+            b"0,0.333333333333,7\n"
+            b"3,-0,7\n"
+            b"999999999999,1e+21,7\n"
+            b"-4,2.5e-300,7\n"
+        )
+
 
 class TestMain:
     def test_evolve_writes_trace_and_reruns_identically(self, config_path, tmp_path):

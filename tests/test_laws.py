@@ -423,6 +423,28 @@ class TestRelaxOracle:
         with pytest.raises(ValueError, match=r"at least one point, got shape \(0,\)"):
             relax_bulk_oracle(base, 2.0, np.array([]))
 
+    # the chunk size tunes speed only.  Chunks of 1 take one numpy pass per
+    # grid point (0.6 million at a = 10 and step 2e-4), so they run on the
+    # coarser grid alone
+    @pytest.mark.parametrize("a", LAW_SLOPES)
+    @pytest.mark.parametrize("step, chunks", [
+        (2e-4, (7, laws._ORACLE_CHUNK, 1 << 16)),
+        (1e-2, (1, 7, laws._ORACLE_CHUNK, 1 << 16)),
+    ], ids=["step2e-4", "step1e-2"])
+    def test_chunk_size_never_changes_the_relax_check_result(self, monkeypatch, a, step, chunks):
+        xi = np.linspace(-5.0 * a, 5.0 * a, 201)  # as in ``cohesivefrac relax-check``
+        want = relax_bulk_oracle(lambda x: x * x, a, xi, step)
+        for chunk in chunks:
+            monkeypatch.setattr(laws, "_ORACLE_CHUNK", chunk)
+            assert np.array_equal(relax_bulk_oracle(lambda x: x * x, a, xi, step), want), chunk
+
+    def test_chunk_size_never_changes_a_non_convex_result(self, monkeypatch):
+        xi = np.random.default_rng(3).uniform(-3.0, 3.0, 25)
+        want = relax_bulk_oracle(_wavy, 0.7, xi, grid_step=1e-3)
+        for chunk in (1, 7, laws._ORACLE_CHUNK, 1 << 16):
+            monkeypatch.setattr(laws, "_ORACLE_CHUNK", chunk)
+            assert np.array_equal(relax_bulk_oracle(_wavy, 0.7, xi, grid_step=1e-3), want), chunk
+
     def test_scalar_returns_float(self):
         got = relax_bulk_oracle(_wavy, 2.0, 0.37, grid_step=1e-3)
         assert isinstance(got, float)

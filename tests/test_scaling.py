@@ -75,6 +75,26 @@ class TestBrittleSweep:
         surface = brittle_report.rows[-1].trace.surface
         assert np.max(np.abs(surface - np.round(surface))) <= 0.05
 
+    @pytest.mark.parametrize("h_list, delta_list, calls", [
+        # the benchmark ladder: the reference reuses the h = 1000 row's grid
+        ([1.0, 10.0, 100.0, 1000.0], None, [1.0, 0.1, 0.01, 0.001]),
+        ([1.0, 16.0, 256.0], [0.05, 0.05, 0.05], [0.05]),
+    ])
+    def test_program_is_sampled_once_per_distinct_step(self, monkeypatch, h_list, delta_list,
+                                                       calls):
+        sampled = []
+        program = BarProblem.program
+
+        def counted(self, delta):
+            sampled.append(delta)
+            return program(self, delta)
+
+        monkeypatch.setattr(BarProblem, "program", counted)
+        report = size_effect_sweep(tearing_base(), 0.5, h_list, delta_list)
+        assert sampled == calls
+        # rows at one step share its program
+        assert len({id(r.trace.program) for r in report.rows}) == len(calls)
+
 
 @pytest.fixture(scope="module")
 def elastic_report():

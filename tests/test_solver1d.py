@@ -14,6 +14,7 @@ from cohesivefrac.solver1d import (
     TIE_TOL,
     BudgetError,
     NonconvergenceError,
+    _cohesive_path,
     _cohesive_step,
     _excess_minimum,
     brute_force_minimize,
@@ -289,6 +290,38 @@ class TestOwnerRule:
         assert u.jumps == pytest.approx({2: 0.6 * sign, 3: 2.4 * sign})
         assert np.allclose(u.slope, 0.0, atol=1e-12)
         assert energy_of(u, domain, crack, DUGDALE2) == pytest.approx(2.0, abs=1e-12)
+
+
+class TestPathSummation:
+    """The free capacity is ``sum(psi)`` in site order, rounding and all."""
+
+    # three memory sites whose left-to-right float sum rounds up:
+    # 0.6000000000000001, where math.fsum gives 0.6
+    PSI = [0.1, 0.2, 0.3, 0.0, 0.0]
+    # the datum at that float sum, a larger one the refill meets with a
+    # slope, a reversed refill, and an excess that raises the owner (site 2)
+    DELTAS = [0.1 + 0.2 + 0.3, 1.0, -0.5, 1.5]
+
+    @pytest.mark.parametrize("laws, risen, slope", [
+        (DUGDALE2, 1.2, 0.0),
+        (EXPONENTIAL2, 1.0860654177929308, 0.1139345822070692),
+    ], ids=["dugdale", "exponential"])
+    def test_slopes_jumps_and_memory_bit_for_bit(self, laws, risen, slope):
+        slopes, jumps, memory = _cohesive_path(laws, 1.0, self.DELTAS, self.PSI)
+        # at the float sum the refill is exact: no slope, no excess
+        want_slopes = np.array([0.0, 0.3999999999999999, -0.0, slope])
+        assert slopes.tobytes() == want_slopes.tobytes()
+        want_jumps = np.array([
+            [0.1, 0.2, 0.3, 0.0, 0.0],
+            [0.1, 0.2, 0.3, 0.0, 0.0],
+            [-0.1, -0.2, -0.2, 0.0, 0.0],
+            [0.1, 0.2, risen, 0.0, 0.0],
+        ])
+        assert jumps.tobytes() == want_jumps.tobytes()
+        # every column but the owner's keeps its initial memory
+        want_memory = np.tile(self.PSI, (4, 1))
+        want_memory[3, 2] = risen
+        assert memory.tobytes() == want_memory.tobytes()
 
 
 class TestBruteForce:
