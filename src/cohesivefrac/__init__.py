@@ -43,13 +43,7 @@ from cohesivefrac.scaling import (
     classify_regime,
     size_effect_sweep,
 )
-from cohesivefrac.solver1d import (
-    BudgetError,
-    NonconvergenceError,
-    brute_force_minimize,
-    griffith_minimize,
-    incremental_minimize,
-)
+from cohesivefrac.solver1d import BudgetError, brute_force_minimize
 
 __version__ = "0.1.0"
 
@@ -69,7 +63,6 @@ __all__ = [
     "Grid2D",
     "LawKind",
     "LoadProgram",
-    "NonconvergenceError",
     "PlanarNonconvergence",
     "PlanarNumericError",
     "Regime",
@@ -83,8 +76,6 @@ __all__ = [
     "evolve",
     "evolve_tearing",
     "first_crack_time",
-    "griffith_minimize",
-    "incremental_minimize",
     "load_config",
     "plain_laws",
     "prefix_crack_sweep",

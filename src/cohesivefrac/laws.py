@@ -278,12 +278,13 @@ class RescaledLaws:
 def rescale_laws(law: CohesiveLaw, h: float, alpha: float) -> RescaledLaws:
     """Pull the laws of a body of diameter ``h`` back to the unit body.
 
-    The initial slope ``law.a`` sets both rescaled slopes.  ``h >= 1`` is
-    the size ratio and ``alpha`` in (0, 2) the boundary-datum scaling
-    exponent.  ``h = 1`` returns identity weights regardless of ``alpha``.
+    The initial slope ``law.a`` sets both rescaled slopes.  ``h`` in
+    [1, inf) is the size ratio and ``alpha`` in (0, 2) the boundary-datum
+    scaling exponent.  ``h = 1`` returns identity weights regardless of
+    ``alpha``.
     """
-    if h < 1.0:
-        raise ValueError(f"size ratio must satisfy h >= 1, got {h}")
+    if not 1.0 <= h < math.inf:
+        raise ValueError(f"size ratio must satisfy 1 <= h < inf, got {h}")
     if not (0.0 < alpha < 2.0):
         raise ValueError(f"scaling exponent must lie in (0, 2), got {alpha}")
     if alpha <= 0.5:

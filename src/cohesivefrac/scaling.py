@@ -43,8 +43,7 @@ __all__ = [
     "classify_regime",
     "nonincreasing",
     "half_saturation_opening",
-    "uniform_bound_constant",
-    "total_variation_constant",
+    "uniform_bounds",
     "piecewise_constant_minimum",
     "trace_jump_counts",
 ]
@@ -240,36 +239,31 @@ def half_saturation_opening(law: CohesiveLaw) -> float:
     return math.log(2.0) / law.a
 
 
-def uniform_bound_constant(base: BarProblem) -> float:
-    """Energy bound C' from the data: the evolutions stay below it at every h.
+def uniform_bounds(base: BarProblem) -> tuple[float, float]:
+    """The energy bound C' and the total-variation bound C'' of the evolutions.
 
-    C' = |grad g(0)|^2 + #initial sites + 2 max|grad g| TV(grad g) + 1,
-    with the affine lifting of the boundary pair as the data gradient,
-    sampled every ``BOUND_DELTA``.
+    Both hold at every h and come from the data sampled once, every
+    ``BOUND_DELTA``, with the affine lifting of the boundary pair as the
+    data gradient:
+
+    C' = |grad g(0)|^2 + #initial sites + 2 max|grad g| TV(grad g) + 1.
+
+    C'' splits |Dv| into gradient, small openings (below the
+    half-saturation opening, each worth at most (s/phi(s)) phi <= 2 s-bar
+    per unit of surface energy) and large openings (at most C' of them,
+    each bounded through the sup norm by the data).
     """
     program = base.program(BOUND_DELTA)
-    grads = program.deltas() / base.domain.length
+    L = base.domain.length
+    grads = program.deltas() / L
     tv = float(np.sum(np.abs(np.diff(grads))))
     gmax = float(np.max(np.abs(grads)))
     n_sites = len(base.domain.initial_crack_state().sites)
-    return float(grads[0] ** 2) + n_sites + 2.0 * gmax * tv + 1.0
-
-
-def total_variation_constant(base: BarProblem) -> float:
-    """Total-variation bound C'' for the evolutions, from C' and the law.
-
-    Splits |Dv| into gradient, small openings (below the half-saturation
-    opening, each worth at most (s/phi(s)) phi <= 2 s-bar per unit of
-    surface energy) and large openings (at most C' of them, each bounded
-    through the sup norm by the data).
-    """
-    c_prime = uniform_bound_constant(base)
-    s_bar = half_saturation_opening(base.law)
-    a_bar = 2.0 * s_bar
-    program = base.program(BOUND_DELTA)
+    c_prime = float(grads[0] ** 2) + n_sites + 2.0 * gmax * tv + 1.0
+    a_bar = 2.0 * half_saturation_opening(base.law)
     c_g = max(float(np.max(np.abs(program.left))), float(np.max(np.abs(program.right))))
-    L = base.domain.length
-    return (c_prime + L) + (a_bar + 4.0 * c_g) * c_prime + c_prime / base.law.a
+    c_second = (c_prime + L) + (a_bar + 4.0 * c_g) * c_prime + c_prime / base.law.a
+    return c_prime, c_second
 
 
 def piecewise_constant_minimum(g) -> int:

@@ -22,12 +22,11 @@ Two routes are provided and kept deliberately independent:
   slope and one oriented jump per site: :func:`_cohesive_path` runs a
   whole program of them on floats.  The brittle problem needs no step
   solve: its whole path has a closed form, :func:`_griffith_path`, on
-  arrays.  :func:`incremental_minimize` and :func:`griffith_minimize`
-  wrap one step of each in displacement objects for library callers.
+  arrays.  :func:`cohesivefrac.evolution.evolve` runs both.
 
 * :func:`brute_force_minimize` quantizes jump vectors over the active
   sites and enumerates them exhaustively.  It knows nothing about the
-  branch structure above and is the certification oracle for it.
+  branch structure above and is the oracle the tests certify it against.
 
 Ties go to the smaller total jump: the refill wins over any excess
 within ``TIE_TOL``.  The excess goes to the site of largest memory, the
@@ -46,36 +45,17 @@ from cohesivefrac.bar1d import (
     Displacement1D,
     Domain1D,
     make_displacement,
-    total_energy,
 )
 from cohesivefrac.laws import RescaledLaws
 
 __all__ = [
-    "NonconvergenceError",
     "BudgetError",
-    "incremental_minimize",
     "brute_force_minimize",
-    "griffith_minimize",
-    "certify_minimality",
 ]
 
 TIE_TOL = 1e-12
-# how far the structured energy may sit above the oracle's
-CERTIFICATION_TOL = 1e-9
 # most sites the brute-force oracle enumerates at once
 MAX_ACTIVE_SITES = 3
-
-
-class NonconvergenceError(RuntimeError):
-    """The oracle beat the structured solver beyond the certification tolerance."""
-
-    def __init__(self, structured_energy: float, oracle_energy: float):
-        self.structured_energy = structured_energy
-        self.oracle_energy = oracle_energy
-        super().__init__(
-            f"structured minimum {structured_energy!r} exceeds "
-            f"oracle minimum {oracle_energy!r}"
-        )
 
 
 class BudgetError(RuntimeError):
@@ -117,11 +97,6 @@ def _excess_rule(laws: RescaledLaws, L: float):
         return 0.0 if refill <= low + TIE_TOL else e
 
     return excess
-
-
-def _excess_minimum(laws: RescaledLaws, L: float, c: float, p: float) -> float:
-    """The excess at the minimum of one owner's branch, by the rule of :func:`_excess_rule`."""
-    return _excess_rule(laws, L)(c, p)
 
 
 def _cohesive_path(laws: RescaledLaws, L: float, deltas, psi: list) -> tuple:
@@ -177,12 +152,6 @@ def _cohesive_path(laws: RescaledLaws, L: float, deltas, psi: list) -> tuple:
     return slopes, jumps, memory
 
 
-def _cohesive_step(laws: RescaledLaws, L: float, delta: float, psi: list) -> tuple:
-    """One step of :func:`_cohesive_path`: ``(slope, oriented jumps, memory after)``."""
-    slopes, jumps, memory = _cohesive_path(laws, L, [delta], psi)
-    return float(slopes[0]), jumps[0].tolist(), memory[0].tolist()
-
-
 def _griffith_path(laws: RescaledLaws, L: float, deltas, psi: list) -> tuple:
     """A whole brittle program in closed form: ``(slopes, oriented jumps)``.
 
@@ -209,37 +178,6 @@ def _griffith_path(laws: RescaledLaws, L: float, deltas, psi: list) -> tuple:
     jumps = np.zeros((deltas.size, len(psi)))
     jumps[first:, site] = steps[first:]
     return slopes, jumps
-
-
-def _displacement(domain: Domain1D, g, slope: float, jumps) -> Displacement1D:
-    oriented = {s: j for s, j in zip(domain.jump_sites(), jumps) if j != 0.0}
-    return make_displacement(domain, g, slope, oriented)
-
-
-def incremental_minimize(
-    domain: Domain1D, crack: CrackState, g, laws: RescaledLaws
-) -> Displacement1D:
-    """Minimize the one-step cohesive energy over the slope and jump sites.
-
-    The returned displacement carries a constant slope and jumps only at
-    memory sites plus at most one fresh site.
-    """
-    psi = [crack.value(s) for s in domain.jump_sites()]
-    slope, jumps, _ = _cohesive_step(laws, domain.length, float(g[1]) - float(g[0]), psi)
-    return _displacement(domain, g, slope, jumps)
-
-
-def griffith_minimize(domain: Domain1D, crack_sites, g, laws: RescaledLaws) -> Displacement1D:
-    """One-step brittle minimization: unit cost per fresh site, free reopening.
-
-    With any existing crack site the datum difference is absorbed there at
-    zero cost.  Otherwise the elastic state competes with a single fully
-    opened fresh site; ties prefer the elastic state.
-    """
-    cracked = set(crack_sites)
-    psi = [float(s in cracked) for s in domain.jump_sites()]
-    slopes, jumps = _griffith_path(laws, domain.length, [float(g[1]) - float(g[0])], psi)
-    return _displacement(domain, g, float(slopes[0]), jumps[0].tolist())
 
 
 def _candidate_values(limit: float, step: float, specials) -> np.ndarray:
@@ -333,24 +271,3 @@ def brute_force_minimize(
     slope = (delta - sum(oriented.values())) / L
     return make_displacement(domain, (float(g[0]), float(g[1])), slope, oriented)
 
-
-def certify_minimality(
-    u: Displacement1D,
-    domain: Domain1D,
-    crack: CrackState,
-    g,
-    laws: RescaledLaws,
-    jump_grid_step: float = 1e-3,
-) -> tuple[float, float]:
-    """Compare a candidate state against the brute-force oracle.
-
-    Returns ``(candidate_energy, oracle_energy)``; raises
-    :class:`NonconvergenceError` when the oracle, on a jump grid of step
-    ``jump_grid_step``, wins by more than ``CERTIFICATION_TOL``.
-    """
-    e_struct = total_energy(u, crack, laws, domain).total
-    v = brute_force_minimize(domain, crack, g, laws, jump_grid_step)
-    e_oracle = total_energy(v, crack, laws, domain).total
-    if e_struct > e_oracle + CERTIFICATION_TOL:
-        raise NonconvergenceError(e_struct, e_oracle)
-    return e_struct, e_oracle

@@ -40,11 +40,11 @@ from cohesivefrac.scaling import (
     classify_regime,
     piecewise_constant_minimum,
     size_effect_sweep,
-    total_variation_constant,
     trace_jump_counts,
-    uniform_bound_constant,
+    uniform_bounds,
 )
-from cohesivefrac.solver1d import brute_force_minimize, incremental_minimize
+from cohesivefrac.solver1d import brute_force_minimize
+from bar_step import one_step
 from planar_step_oracle import step_minimum
 
 DUGDALE = CohesiveLaw(LawKind.DUGDALE, 2.0)
@@ -121,7 +121,7 @@ def test_random_bars_never_beaten_by_oracle():
         laws = plain_laws(CohesiveLaw(kind, a))
         # two active sites blow past the candidate budget at the fine step
         step = 4e-3 if crack.psi else 1e-3
-        u = incremental_minimize(domain, crack, g, laws)
+        u = one_step(domain, crack, g, laws)
         v = brute_force_minimize(domain, crack, g, laws, step)
         e_u = total_energy(u, crack, laws, domain).total
         e_v = total_energy(v, crack, laws, domain).total
@@ -202,8 +202,7 @@ def test_brittle_scaling_ladder(brittle_run):
 
 def test_uniform_energy_and_variation_bounds(brittle_run):
     base, report, _ = brittle_run
-    c_energy = uniform_bound_constant(base)
-    c_variation = total_variation_constant(base)
+    c_energy, c_variation = uniform_bounds(base)
     violations = sum(
         1
         for row in report.rows

@@ -23,7 +23,7 @@ from cohesivefrac.cli import (
 )
 from cohesivefrac.config import ConfigError, RunConfig, load_config
 from cohesivefrac.laws import LawKind
-from cohesivefrac.planar2d import PlanarNumericError, evolve_tearing
+from cohesivefrac.planar2d import Field2D, PlanarNumericError, evolve_tearing
 
 FULL_CONFIG = """
 [domain]
@@ -250,6 +250,20 @@ class TestMain:
         assert lines[0] == ",".join(SWEEP_HEADER)
         assert {row.split(",")[0] for row in lines[1:]} == {"1", "10"}
 
+    def test_sweep_check_exits_4_when_inconclusive(self, config_path, tmp_path, capsys):
+        # at h = 1 the exponential bar stays a finite distance from the
+        # brittle reference, so no limit is read; the CSV is still written
+        cfg = config_path("[domain]\nelements = 4\n\n[law]\nkind = exponential\na = 2.0\n\n"
+                          "[program]\nhorizon = 2.0\n\n[sweep]\n")
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", cfg, "--alpha", "0.5", "--h", "1", "--check",
+                     "--out", str(out)]) == 4
+        assert capsys.readouterr().out.split() == ["regime=inconclusive"]
+        lines = out.read_text().splitlines()
+        assert lines[0] == ",".join(SWEEP_HEADER)
+        assert len(lines) > 1
+        assert all(row.endswith(",inconclusive") for row in lines[1:])
+
     @pytest.mark.parametrize("kind, total", [("dugdale", 1485.9355954574141),
                                              ("exponential", 1485.838837026886)])
     def test_benchmark_ladder_is_pinned(self, kind, total, config_path, tmp_path, capsys):
@@ -276,6 +290,14 @@ class TestMain:
         assert len(lines) == 1 + 8 + 1  # one row per prefix length 0..n
         bulk = np.array([float(r.split(",")[1]) for r in lines[1:]])
         assert np.all(np.diff(bulk) <= 1e-12)
+
+    def test_planar_check_fails_on_a_bulk_mismatch(self, config_path, monkeypatch, capsys):
+        edge_bulk = Field2D.edge_bulk
+        monkeypatch.setattr(Field2D, "edge_bulk", lambda field: edge_bulk(field) + 1e-3)
+        assert main(["planar", "--config", config_path(FULL_CONFIG), "--check"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out.split() == ["ell=1"]
+        assert captured.err == "check failed: compliance monotone True, field bulk mismatch 0.001\n"
 
     @pytest.mark.parametrize("config, ell, digest", [
         # the planar benchmark's prefix inputs at seed 0
@@ -636,10 +658,10 @@ def test_dugdale_runs_leave_scipy_unloaded():
     # step, first Dugdale, then exponential
     code = "\n".join((
         "from cohesivefrac import *",
-        "from cohesivefrac.solver1d import _cohesive_step",
+        "from cohesivefrac.solver1d import _cohesive_path",
         "for kind in LawKind:",
         "    laws = plain_laws(CohesiveLaw(kind, 2.0))",
-        "    _cohesive_step(laws, 1.0, 1.5, [0.0, 0.2, 0.0])  # 1.5 exceeds the memory",
+        "    _cohesive_path(laws, 1.0, [1.5], [0.0, 0.2, 0.0])  # 1.5 exceeds the memory",
         "    trace = evolve(Domain1D.uniform(1.0, 4), CrackState(),",
         "                   LoadProgram.linear_ramp(2.0, 0.1), laws)",
         "    assert trace.jumps.any()",

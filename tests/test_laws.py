@@ -241,8 +241,9 @@ def test_bulk_derivative_is_clipped_gradient(xi, a):
 
 class TestRescale:
     def test_rejects_small_h_and_bad_alpha(self):
-        with pytest.raises(ValueError):
-            rescale_laws(dugdale(), 0.5, 0.5)
+        for h in (0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"size ratio must satisfy 1 <= h < inf, got {h}"):
+                rescale_laws(dugdale(), h, 0.5)
         for alpha in (0.0, -1.0, 2.0, 2.5):
             with pytest.raises(ValueError):
                 rescale_laws(dugdale(), 4.0, alpha)

@@ -7,16 +7,21 @@ from cohesivefrac.bar1d import CrackState, Domain1D
 from cohesivefrac.evolution import LoadProgram, evolve
 from cohesivefrac.laws import CohesiveLaw, LawKind, plain_laws
 from cohesivefrac.scaling import (
+    BOUND_DELTA,
+    BOUND_SLACK,
+    BULK_TOL,
+    MONOTONE_TOL,
     BarProblem,
     Regime,
+    RegimeRow,
+    ScalingReport,
     classify_regime,
     half_saturation_opening,
     nonincreasing,
     piecewise_constant_minimum,
     size_effect_sweep,
-    total_variation_constant,
     trace_jump_counts,
-    uniform_bound_constant,
+    uniform_bounds,
 )
 
 DUGDALE = CohesiveLaw(LawKind.DUGDALE, 2.0)
@@ -65,8 +70,7 @@ class TestBrittleSweep:
         assert classify_regime(brittle_report) is Regime.BRITTLE_LIMIT
 
     def test_uniform_bounds_hold(self, brittle_report):
-        c_prime = uniform_bound_constant(tearing_base())
-        c_second = total_variation_constant(tearing_base())
+        c_prime, c_second = uniform_bounds(tearing_base())
         for row in brittle_report.rows:
             assert row.max_total <= c_prime
             assert row.max_tv <= c_second
@@ -174,6 +178,34 @@ class TestClassification:
         assert report.rows[0].gap_sup > 0.05
         assert classify_regime(report) is Regime.INCONCLUSIVE
 
+    @staticmethod
+    def hand_built(alpha, bulk_gaps=(0.0, 0.0), grads=(0.0, 0.0), bound=0.5):
+        # rows carry only the diagnostics the classifier reads
+        return ScalingReport(alpha, tuple(
+            RegimeRow(h=2.0**k, trace=None, gap_sup=0.0, bulk_gap_sup=b, initial_grad_l1=g,
+                      rupture_bound=bound, max_total=0.0, max_tv=0.0)
+            for k, (b, g) in enumerate(zip(bulk_gaps, grads))
+        ))
+
+    @pytest.mark.parametrize("bulk_gaps, regime", [
+        ((0.5, BULK_TOL / 2), Regime.ELASTIC_LIMIT),
+        # the last bulk gap at the tolerance
+        ((0.5, BULK_TOL), Regime.INCONCLUSIVE),
+        # small, but growing by more than the noise
+        ((0.01, 0.01 + 2.0 * MONOTONE_TOL), Regime.INCONCLUSIVE),
+        ((0.01, 0.01 + MONOTONE_TOL / 2), Regime.ELASTIC_LIMIT),
+    ])
+    def test_elastic_limit_needs_a_small_nonincreasing_bulk_gap(self, bulk_gaps, regime):
+        assert classify_regime(self.hand_built(0.25, bulk_gaps=bulk_gaps)) is regime
+
+    @pytest.mark.parametrize("excess, regime", [
+        (BOUND_SLACK / 2, Regime.RUPTURE),
+        (2.0 * BOUND_SLACK, Regime.INCONCLUSIVE),
+    ])
+    def test_rupture_needs_every_gradient_within_its_bound(self, excess, regime):
+        report = self.hand_built(0.75, grads=(0.1, 0.5 + excess))
+        assert classify_regime(report) is regime
+
     def test_h_list_must_increase(self):
         with pytest.raises(ValueError):
             size_effect_sweep(tearing_base(), 0.5, [10.0, 1.0])
@@ -198,7 +230,21 @@ class TestBoundHelpers:
         )
 
     def test_uniform_bound_constant_on_the_ramp(self):
-        assert uniform_bound_constant(tearing_base()) == pytest.approx(9.0, abs=1e-6)
+        assert uniform_bounds(tearing_base())[0] == pytest.approx(9.0, abs=1e-6)
+
+    def test_uniform_bounds_sample_the_data_once(self, monkeypatch):
+        sampled = []
+        program = BarProblem.program
+
+        def counted(self, delta):
+            sampled.append(delta)
+            return program(self, delta)
+
+        monkeypatch.setattr(BarProblem, "program", counted)
+        c_prime, c_second = uniform_bounds(tearing_base())
+        assert sampled == [BOUND_DELTA]
+        # (C' + L) + (2 s-bar + 4 max|g|) C' + C'/a with C' = 9, s-bar = 1/4
+        assert c_second == pytest.approx(10.0 + 8.5 * 9.0 + 4.5, abs=1e-6)
 
     def test_zero_datum_needs_no_jump(self):
         assert piecewise_constant_minimum((0.3, 0.3)) == 0

@@ -13,15 +13,11 @@ from cohesivefrac.laws import BulkDensity, CohesiveLaw, LawKind, RescaledLaws, p
 from cohesivefrac.solver1d import (
     TIE_TOL,
     BudgetError,
-    NonconvergenceError,
     _cohesive_path,
-    _cohesive_step,
-    _excess_minimum,
+    _excess_rule,
     brute_force_minimize,
-    certify_minimality,
-    griffith_minimize,
-    incremental_minimize,
 )
+from bar_step import one_step
 from stationary_oracle import stationary_points
 
 DUGDALE2 = plain_laws(CohesiveLaw(LawKind.DUGDALE, 2.0))
@@ -42,7 +38,7 @@ def energy_of(u, domain, crack, laws):
 
 
 def _excess_minimum_oracle(laws, L, c, p):
-    """``_excess_minimum`` with its candidates priced as one numpy array.
+    """``_excess_rule(laws, L)(c, p)`` with its candidates priced as one numpy array.
 
     Every candidate is clamped onto ``[0, c]`` (a point that is not real
     onto ``c``), sorted, and the first of the lowest energies wins unless
@@ -63,7 +59,7 @@ def _excess_minimum_oracle(laws, L, c, p):
 class TestStructured:
     def test_small_load_stays_elastic(self):
         domain = bar()
-        u = incremental_minimize(domain, CrackState(), (0.0, 0.5), DUGDALE2)
+        u = one_step(domain, CrackState(), (0.0, 0.5), DUGDALE2)
         assert u.jumps == {}
         assert np.allclose(u.slope, 0.5)
         assert energy_of(u, domain, CrackState(), DUGDALE2) == pytest.approx(
@@ -72,7 +68,7 @@ class TestStructured:
 
     def test_large_load_breaks_in_one_jump(self):
         domain = bar()
-        u = incremental_minimize(domain, CrackState(), (0.0, 2.0), DUGDALE2)
+        u = one_step(domain, CrackState(), (0.0, 2.0), DUGDALE2)
         assert len(u.jumps) == 1
         assert list(u.jumps.values())[0] == pytest.approx(2.0, abs=1e-9)
         assert np.allclose(u.slope, 0.0, atol=1e-12)
@@ -82,7 +78,7 @@ class TestStructured:
 
     def test_exponential_interior_optimum(self):
         domain = bar()
-        u = incremental_minimize(domain, CrackState(), (0.0, 2.0), EXPONENTIAL2)
+        u = one_step(domain, CrackState(), (0.0, 2.0), EXPONENTIAL2)
         assert len(u.jumps) == 1
         assert list(u.jumps.values())[0] == pytest.approx(EXP_DELTA2_JUMP, abs=1e-5)
         total = energy_of(u, domain, CrackState(), EXPONENTIAL2)
@@ -91,7 +87,7 @@ class TestStructured:
     def test_memory_reopens_for_free(self):
         domain = bar(crack=((0.5, 0.6),))
         crack = domain.initial_crack_state()
-        u = incremental_minimize(domain, crack, (0.0, 0.5), DUGDALE2)
+        u = one_step(domain, crack, (0.0, 0.5), DUGDALE2)
         assert u.jumps == pytest.approx({2: 0.5})
         total = energy_of(u, domain, crack, DUGDALE2)
         # elastic competitor pays 0.25 bulk on top of the sunk phi(0.6) = 1
@@ -100,14 +96,14 @@ class TestStructured:
     def test_memory_fills_leftmost_first(self):
         domain = bar(crack=((0.25, 0.3), (0.75, 0.3)))
         crack = domain.initial_crack_state()
-        u = incremental_minimize(domain, crack, (0.0, 0.4), DUGDALE2)
+        u = one_step(domain, crack, (0.0, 0.4), DUGDALE2)
         assert u.jumps == pytest.approx({1: 0.3, 3: 0.1})
         assert np.allclose(u.slope, 0.0, atol=1e-12)
 
     def test_exceeding_memory_runs_to_full_break(self):
         domain = bar(crack=((0.5, 0.2),))
         crack = domain.initial_crack_state()
-        u = incremental_minimize(domain, crack, (0.0, 2.0), DUGDALE2)
+        u = one_step(domain, crack, (0.0, 2.0), DUGDALE2)
         assert u.jumps == pytest.approx({2: 2.0}, abs=1e-9)
         total = energy_of(u, domain, crack, DUGDALE2)
         assert total == pytest.approx(1.0, abs=1e-9)
@@ -115,7 +111,7 @@ class TestStructured:
     def test_zero_load_with_memory_keeps_sunk_cost(self):
         domain = bar(crack=((0.25, 0.1), (0.5, 0.3)))
         crack = domain.initial_crack_state()
-        u = incremental_minimize(domain, crack, (0.7, 0.7), DUGDALE2)
+        u = one_step(domain, crack, (0.7, 0.7), DUGDALE2)
         assert u.jumps == {}
         assert np.allclose(u.slope, 0.0)
         total = energy_of(u, domain, crack, DUGDALE2)
@@ -124,38 +120,21 @@ class TestStructured:
     def test_tie_prefers_elastic(self):
         # Dugdale at delta = 1: elastic and full jump both cost exactly 1
         domain = bar()
-        u = incremental_minimize(domain, CrackState(), (0.0, 1.0), DUGDALE2)
+        u = one_step(domain, CrackState(), (0.0, 1.0), DUGDALE2)
         assert u.jumps == {}
         assert np.allclose(u.slope, 1.0)
 
     def test_negative_load_mirrors(self):
         domain = bar()
-        u = incremental_minimize(domain, CrackState(), (0.0, -2.0), DUGDALE2)
+        u = one_step(domain, CrackState(), (0.0, -2.0), DUGDALE2)
         assert list(u.jumps.values())[0] == pytest.approx(-2.0, abs=1e-9)
 
     def test_returned_state_is_consistent(self):
         domain = bar(crack=((0.5, 0.4),))
         crack = domain.initial_crack_state()
         for g in [(0.0, 0.3), (0.0, 1.7), (-0.2, 0.9)]:
-            u = incremental_minimize(domain, crack, g, EXPONENTIAL2)
+            u = one_step(domain, crack, g, EXPONENTIAL2)
             assert abs(consistency_residual(u, domain, g)) < 1e-9
-
-    def test_certified_run_passes(self):
-        domain = bar(crack=((0.5, 0.6),))
-        crack = domain.initial_crack_state()
-        for g in [(0.0, 0.5), (0.0, 1.3), (0.0, 2.4), (0.0, -0.8)]:
-            u = incremental_minimize(domain, crack, g, EXPONENTIAL2)
-            certify_minimality(u, domain, crack, g, EXPONENTIAL2, jump_grid_step=2e-3)
-
-    def test_certification_rejects_bad_candidate(self):
-        from cohesivefrac.bar1d import make_displacement
-
-        domain = bar()
-        bad = make_displacement(domain, (0.0, 2.0), 2.0, {})
-        with pytest.raises(NonconvergenceError) as err:
-            certify_minimality(bad, domain, CrackState(), (0.0, 2.0), DUGDALE2)
-        assert err.value.structured_energy == pytest.approx(3.0, abs=1e-9)
-        assert err.value.oracle_energy == pytest.approx(1.0, abs=1e-9)
 
 
 class TestExcessMinima:
@@ -181,7 +160,8 @@ class TestExcessMinima:
             def energy(e):
                 return bw * L * laws.bulk((c - e) / L) + sw * (phi(shifts + e) - phi(shifts))
 
-            e_star = np.array([_excess_minimum(laws, L, c, p) for p in shifts])
+            excess = _excess_rule(laws, L)
+            e_star = np.array([excess(c, p) for p in shifts])
             got = energy(e_star[None, :])[0]
             want = energy(c * grid).min(axis=0)
             assert np.all((0.0 <= e_star) & (e_star <= c))
@@ -216,7 +196,7 @@ class TestExcessMinima:
             # a fresh site, a partly open one, or one whose law is (nearly) flat
             p = float(rng.choice([0.0, rng.uniform(0.0, 1.5 / phi.a), 2.0 / phi.a, 30.0 / phi.a]))
 
-            got, want = _excess_minimum(laws, L, c, p), _excess_minimum_oracle(laws, L, c, p)
+            got, want = _excess_rule(laws, L)(c, p), _excess_minimum_oracle(laws, L, c, p)
             assert type(got) is float
             if kind is LawKind.DUGDALE:
                 assert got == want
@@ -264,16 +244,18 @@ class TestOwnerRule:
                 psi[k] = float(rng.choice(pool))
             delta = float(rng.choice([-1.0, 1.0])) * (sum(psi) + rng.uniform(0.05, 3.0))
 
-            slope, jumps, memory = _cohesive_step(laws, L, delta, psi)
+            slopes, jumps, memory = _cohesive_path(laws, L, [delta], psi)
+            slope, jumps, memory = float(slopes[0]), jumps[0].tolist(), memory[0].tolist()
             assert memory == [max(p, abs(j)) for p, j in zip(psi, jumps)]
             got = bw * L * laws.bulk(slope) + sw * sum(
                 phi(max(abs(j), p)) for j, p in zip(jumps, psi)
             )
             sunk = sw * sum(phi(p) for p in psi)
             c = abs(delta) - sum(psi)
+            excess = _excess_rule(laws, L)
 
             def branch(p):
-                e = _excess_minimum(laws, L, c, p)
+                e = excess(c, p)
                 return bw * L * laws.bulk((c - e) / L) + sw * (phi(p + e) - phi(p))
 
             want = min(sunk + branch(p) for p in psi)
@@ -286,7 +268,7 @@ class TestOwnerRule:
         domain = bar(crack=((0.5, 0.6), (0.75, 0.8)))
         crack = domain.initial_crack_state()
         g = (0.0, 3.0 * sign)
-        u = incremental_minimize(domain, crack, g, DUGDALE2)
+        u = one_step(domain, crack, g, DUGDALE2)
         assert u.jumps == pytest.approx({2: 0.6 * sign, 3: 2.4 * sign})
         assert np.allclose(u.slope, 0.0, atol=1e-12)
         assert energy_of(u, domain, crack, DUGDALE2) == pytest.approx(2.0, abs=1e-12)
@@ -401,7 +383,7 @@ class TestAgreement:
             g = (float(rng.uniform(-0.5, 0.5)), float(rng.uniform(-2.0, 2.0)))
 
             step = step_by_active_sites[n_mem + 1]
-            u = incremental_minimize(domain, crack, g, laws)
+            u = one_step(domain, crack, g, laws)
             v = brute_force_minimize(domain, crack, g, laws, step)
             e_struct = energy_of(u, domain, crack, laws)
             e_oracle = energy_of(v, domain, crack, laws)
@@ -423,7 +405,7 @@ class TestAgreement:
         domain = bar(crack=crack_spec)
         crack = domain.initial_crack_state()
         laws = EXPONENTIAL2 if exponential else DUGDALE2
-        u = incremental_minimize(domain, crack, (0.0, delta), laws)
+        u = one_step(domain, crack, (0.0, delta), laws)
         increments = [u.slope, *u.jumps.values()]
         assert all(np.sign(v) in (0.0, np.sign(delta)) for v in increments)
 
@@ -431,7 +413,7 @@ class TestAgreement:
     @given(delta=st.floats(0.0, 3.0))
     def test_dugdale_monotone_load_dichotomy(self, delta):
         domain = bar()
-        u = incremental_minimize(domain, CrackState(), (0.0, delta), DUGDALE2)
+        u = one_step(domain, CrackState(), (0.0, delta), DUGDALE2)
         if delta**2 < 1.0 - 1e-9:
             assert u.jumps == {}
         elif delta**2 > 1.0 + 1e-9:
@@ -442,24 +424,24 @@ class TestAgreement:
 class TestGriffith:
     def test_elastic_below_threshold(self):
         domain = bar()
-        u = griffith_minimize(domain, (), (0.0, 0.9), DUGDALE2)
+        u = one_step(domain, CrackState(), (0.0, 0.9), DUGDALE2, "griffith")
         assert u.jumps == {}
         assert np.allclose(u.slope, 0.9)
 
     def test_tie_prefers_elastic(self):
         domain = bar()
-        u = griffith_minimize(domain, (), (0.0, 1.0), DUGDALE2)
+        u = one_step(domain, CrackState(), (0.0, 1.0), DUGDALE2, "griffith")
         assert u.jumps == {}
 
     def test_breaks_above_threshold(self):
         domain = bar()
-        u = griffith_minimize(domain, (), (0.0, 1.1), DUGDALE2)
+        u = one_step(domain, CrackState(), (0.0, 1.1), DUGDALE2, "griffith")
         assert len(u.jumps) == 1
         assert list(u.jumps.values())[0] == pytest.approx(1.1)
         assert np.allclose(u.slope, 0.0)
 
     def test_existing_site_absorbs_everything(self):
         domain = bar(crack=((0.5, 1.0),))
-        u = griffith_minimize(domain, [2], (0.0, 0.4), DUGDALE2)
+        u = one_step(domain, domain.initial_crack_state(), (0.0, 0.4), DUGDALE2, "griffith")
         assert u.jumps == pytest.approx({2: 0.4})
         assert np.allclose(u.slope, 0.0)
