@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -36,7 +36,6 @@ __all__ = [
     "Displacement1D",
     "EnergyBreakdown",
     "total_energy",
-    "griffith_energy",
     "consistency_residual",
     "make_displacement",
 ]
@@ -53,56 +52,56 @@ def _as_index(value, what: str) -> int:
 
 @dataclass(frozen=True)
 class Domain1D:
-    """Meshed bar, held at both ends, with a preexisting crack.
+    """Uniformly meshed bar, held at both ends, with a preexisting crack.
 
-    ``nodes`` are the M+1 mesh nodes, strictly increasing from 0 to the bar
-    length.  ``preexisting_crack`` pairs a node index with the initial
-    opening memory at that site; sites must be distinct nodes, and the
-    initial opening must be positive and finite (zero memory means the
-    site simply is not part of the initial crack).
+    The bar ``(0, length)`` has ``n_elements`` equal elements, and its
+    nodes ``0..n_elements`` are the jump sites.  ``preexisting_crack``
+    pairs a node index with the initial opening memory at that site;
+    sites must be distinct nodes, and the initial opening must be positive
+    and finite (zero memory means the site simply is not part of the
+    initial crack).
     """
 
-    nodes: np.ndarray
+    length: float
+    n_elements: int
     preexisting_crack: tuple = ()
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "length", float(self.length))
+        object.__setattr__(self, "n_elements", _as_index(self.n_elements, "element count"))
         object.__setattr__(
             self,
             "preexisting_crack",
             tuple((_as_index(s, "crack site index"), float(v)) for s, v in self.preexisting_crack),
         )
-        if nodes.ndim != 1 or nodes.size < 2:
-            raise ValueError("mesh needs at least two nodes")
-        if nodes[0] != 0.0 or np.any(np.diff(nodes) <= 0.0):
-            raise ValueError("mesh nodes must increase strictly from 0")
+        if not 0.0 < self.length < math.inf:
+            raise ValueError(f"bar length must be positive and finite, got {self.length!r}")
+        if self.n_elements < 1:
+            raise ValueError(f"need at least one element, got {self.n_elements}")
         sites = [site for site, _ in self.preexisting_crack]
         for site, gamma in self.preexisting_crack:
             if not self.is_jump_site(site):
                 raise ValueError(f"crack site {site} is not a valid jump site")
             if sites.count(site) > 1:
-                raise ValueError(f"two entries on crack site {site} (x = {nodes[site]:g})")
+                x = site * self.length / self.n_elements
+                raise ValueError(f"two entries on crack site {site} (x = {x:g})")
             if not (gamma > 0.0 and math.isfinite(gamma)):
                 raise ValueError(f"preexisting opening must be positive and finite, got {gamma}")
 
     @staticmethod
     def uniform(length: float, elements: int, crack=()):
-        """Uniform mesh; ``crack`` pairs are (coordinate, opening), snapped to nodes."""
-        elements = _as_index(elements, "element count")
-        if length <= 0.0 or elements < 1:
-            raise ValueError("need positive length and at least one element")
-        nodes = np.linspace(0.0, length, elements + 1)
-        snapped = tuple((int(np.argmin(np.abs(nodes - x))), float(v)) for x, v in crack)
-        return Domain1D(nodes, snapped)
-
-    @property
-    def length(self) -> float:
-        return float(self.nodes[-1])
-
-    @property
-    def n_elements(self) -> int:
-        return self.nodes.size - 1
+        """Uniform mesh; ``crack`` pairs are (coordinate, opening), each
+        coordinate on the bar and snapped to its nearest node (the lower
+        one on a tie)."""
+        bar = Domain1D(length, elements)
+        nodes = np.linspace(0.0, bar.length, bar.n_elements + 1)
+        snapped = []
+        for x, v in crack:
+            if not 0.0 <= x <= bar.length:
+                raise ValueError(f"crack coordinate must lie on the bar [0, {bar.length:g}], "
+                                 f"got {x!r}")
+            snapped.append((int(np.argmin(np.abs(nodes - x))), float(v)))
+        return Domain1D(bar.length, bar.n_elements, tuple(snapped))
 
     def is_jump_site(self, site: int) -> bool:
         return 0 <= site <= self.n_elements
@@ -200,28 +199,6 @@ def total_energy(
         bulk=laws.bulk_weight * (domain.length * laws.bulk(u.slope)),
         surface=laws.surface_weight * surface,
     )
-
-
-def griffith_energy(
-    u: Displacement1D,
-    crack_sites: Iterable[int],
-    domain: Domain1D,
-    laws: RescaledLaws | None = None,
-) -> EnergyBreakdown:
-    """Brittle energy: quadratic bulk plus a unit count per crack site.
-
-    Every site in the current crack set costs 1 regardless of opening, and
-    each jump site outside it adds 1 (this is the counting measure of the
-    extended jump set).  With ``laws`` given, bulk and surface weights are
-    applied; the bulk density stays exactly quadratic.
-    """
-    u.validate(domain)
-    bw = laws.bulk_weight if laws is not None else 1.0
-    sw = laws.surface_weight if laws is not None else 1.0
-    existing = set(crack_sites)
-    bulk = bw * (domain.length * u.slope**2)
-    fresh = sum(1 for s in u.jumps if s not in existing)
-    return EnergyBreakdown(bulk=bulk, surface=sw * float(len(existing) + fresh))
 
 
 def consistency_residual(u: Displacement1D, domain: Domain1D, g) -> float:

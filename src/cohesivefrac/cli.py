@@ -127,12 +127,10 @@ def _check_exit(failures: list[str], slack: np.ndarray, violation: float) -> int
 def _run_trace(args, mode: str) -> int:
     cfg = load_config(args.config)
     cfg.require("domain", "law", "program")
-    program_cfg = cfg.program
-    if args.delta is not None:
-        program_cfg = dataclasses.replace(program_cfg, delta=args.delta)
+    prog = cfg.program
     domain = cfg.domain.build()
     law = cfg.law.build()
-    program = LoadProgram.linear_ramp(program_cfg.horizon, program_cfg.delta, program_cfg.rate)
+    program = LoadProgram.linear_ramp(prog.horizon, prog.delta, prog.rate)
     trace = evolve(domain, domain.initial_crack_state(), program, plain_laws(law), mode)
     if args.out:
         emit_csv(TRACE_HEADER, [trace_columns(trace)], args.out)
@@ -257,10 +255,8 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--check", action="store_true", help="verify invariants; exit 4 on failure")
         return p
 
-    for name, text in (("evolve", "run the 1D cohesive evolution"),
-                       ("griffith", "run the 1D Griffith evolution")):
-        add_common(sub.add_parser(name, help=text)).add_argument(
-            "--delta", type=float, help="override [program] delta")
+    add_common(sub.add_parser("evolve", help="run the 1D cohesive evolution"))
+    add_common(sub.add_parser("griffith", help="run the 1D Griffith evolution"))
     sweep = add_common(sub.add_parser("sweep", help="size-effect sweep with regime verdict"))
     sweep.add_argument("--alpha", type=float, help="override the scaling exponent")
     sweep.add_argument("--h", help="override the size ladder, e.g. 1,10,100")

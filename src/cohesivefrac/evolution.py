@@ -192,11 +192,16 @@ def evolve(
     ``sw sum phi(psi')``, summed site by site in site order (``sw`` times
     the number of cracked sites in griffith mode).  Priced with ``psi'``
     they equal the step's functional, which uses the memory before the
-    step, because ``|jump| v psi`` is ``psi'``.  Raises ``RuntimeError``
-    if the memory ever decreases.
+    step, because ``|jump| v psi`` is ``psi'``.  Memory at a site that is
+    not a node of the bar raises ``ValueError`` before any step; raises
+    ``RuntimeError`` if the memory ever decreases.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
+    off = sorted(s for s in initial_crack.sites if not domain.is_jump_site(s))
+    if off:
+        raise ValueError(f"memory at sites {off} off the bar, "
+                         f"whose sites are 0..{domain.n_elements}")
     L = domain.length
     sites = domain.jump_sites()
     deltas = program.deltas()

@@ -44,8 +44,6 @@ __all__ = [
     "nonincreasing",
     "half_saturation_opening",
     "uniform_bounds",
-    "piecewise_constant_minimum",
-    "trace_jump_counts",
 ]
 
 # last brittle gap and last elastic bulk gap below which the limit is reached
@@ -55,8 +53,6 @@ BULK_TOL = 0.1
 MONOTONE_TOL = 1e-6
 # rounding allowed above the hard rupture bound on the initial gradient
 BOUND_SLACK = 1e-9
-# smallest opening counted as a jump
-JUMP_TOL = 1e-12
 # time step at which the energy and variation bounds sample the data
 BOUND_DELTA = 1e-3
 
@@ -127,11 +123,6 @@ def _total_variation(trace: EvolutionTrace) -> float:
     interior = [0 < s < domain.n_elements for s in domain.jump_sites()]
     tv = domain.length * np.abs(trace.slope) + np.abs(trace.jumps[:, interior]).sum(axis=1)
     return float(np.max(tv))
-
-
-def trace_jump_counts(trace: EvolutionTrace) -> np.ndarray:
-    """Jumps above ``JUMP_TOL`` per step."""
-    return np.count_nonzero(np.abs(trace.jumps) > JUMP_TOL, axis=1)
 
 
 def size_effect_sweep(
@@ -264,14 +255,3 @@ def uniform_bounds(base: BarProblem) -> tuple[float, float]:
     c_g = max(float(np.max(np.abs(program.left))), float(np.max(np.abs(program.right))))
     c_second = (c_prime + L) + (a_bar + 4.0 * c_g) * c_prime + c_prime / base.law.a
     return c_prime, c_second
-
-
-def piecewise_constant_minimum(g) -> int:
-    """Fewest jump sites over piecewise-constant states matching the data.
-
-    0 when the data agree; otherwise one jump at any site of any bar
-    absorbs the whole datum difference.
-    """
-    if float(g[1]) - float(g[0]) == 0.0:
-        return 0
-    return 1

@@ -8,11 +8,11 @@ from cohesivefrac.bar1d import (
     Displacement1D,
     Domain1D,
     consistency_residual,
-    griffith_energy,
     make_displacement,
     total_energy,
 )
 from cohesivefrac.laws import CohesiveLaw, LawKind, plain_laws
+from bar_step import griffith_energy
 
 DUGDALE2 = plain_laws(CohesiveLaw(LawKind.DUGDALE, 2.0))
 
@@ -24,7 +24,7 @@ def bar(elements=4, crack=()):
 class TestDomain:
     def test_uniform_mesh(self):
         d = bar(4)
-        np.testing.assert_allclose(d.nodes, [0.0, 0.25, 0.5, 0.75, 1.0])
+        assert d == Domain1D(1.0, 4)
         assert d.length == 1.0
         assert d.n_elements == 4
         assert d.jump_sites() == [0, 1, 2, 3, 4]
@@ -35,18 +35,34 @@ class TestDomain:
         assert d.initial_crack_state().value(2) == 0.3
 
     def test_rejects_bad_mesh(self):
-        with pytest.raises(ValueError):
-            Domain1D(np.array([0.0, 0.5, 0.5, 1.0]))
-        with pytest.raises(ValueError):
-            Domain1D(np.array([0.1, 0.5, 1.0]))
+        with pytest.raises(ValueError, match="need at least one element, got 0"):
+            Domain1D(1.0, 0)
+        with pytest.raises(ValueError, match="bar length must be positive and finite"):
+            Domain1D(-1.0, 4)
+
+    @pytest.mark.parametrize("x, node", [
+        (0.125, 0), (0.375, 1), (0.625, 2), (0.875, 3),  # ties go to the lower node
+        (0.0, 0), (0.1249, 0), (0.1251, 1), (1.0, 4),
+    ])
+    def test_crack_snaps_to_the_nearest_node(self, x, node):
+        assert Domain1D.uniform(1.0, 4, crack=[(x, 0.3)]).preexisting_crack == ((node, 0.3),)
+
+    @pytest.mark.parametrize("x", [-5.0, 2.0, np.nan])
+    def test_rejects_crack_off_the_bar(self, x):
+        with pytest.raises(ValueError, match=f"crack coordinate must lie on the bar .*got {x!r}"):
+            Domain1D.uniform(1.0, 4, crack=[(x, 0.3)])
+
+    @pytest.mark.parametrize("length", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_bad_length(self, length):
+        with pytest.raises(ValueError, match=f"bar length must be positive and finite, got {length}"):
+            Domain1D.uniform(length, 4)
 
     @pytest.mark.parametrize("site", [-1, 5])
     def test_sites_are_the_nodes(self, site):
         # both ends are held, so the jump sites are the nodes 0..M and no other
-        nodes = np.linspace(0.0, 1.0, 5)
-        Domain1D(nodes, ((0, 0.5), (4, 0.5)))
+        Domain1D(1.0, 4, ((0, 0.5), (4, 0.5)))
         with pytest.raises(ValueError, match="not a valid jump site"):
-            Domain1D(nodes, ((site, 0.5),))
+            Domain1D(1.0, 4, ((site, 0.5),))
         with pytest.raises(ValueError, match="invalid site"):
             Displacement1D(0.0, {site: 0.1}).validate(bar(4))
 
@@ -67,10 +83,9 @@ class TestDomain:
             Domain1D.uniform(1.0, 4, crack=[(0.5, opening)])
 
     def test_crack_sites_are_never_truncated(self):
-        nodes = np.linspace(0.0, 1.0, 5)
         with pytest.raises(ValueError, match="crack site index must be an integer, got 1.5"):
-            Domain1D(nodes, ((1.5, 0.3),))
-        assert Domain1D(nodes, ((np.int64(1), 0.3),)).preexisting_crack == ((1, 0.3),)
+            Domain1D(1.0, 4, ((1.5, 0.3),))
+        assert Domain1D(1.0, 4, ((np.int64(1), 0.3),)).preexisting_crack == ((1, 0.3),)
 
     def test_element_count_is_never_truncated(self):
         with pytest.raises(ValueError, match="element count must be an integer, got 4.5"):

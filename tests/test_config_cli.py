@@ -66,7 +66,7 @@ class TestLoadConfig:
         assert cfg.sweep.h == (1.0, 10.0)
         assert cfg.planar.mode == "griffith" and cfg.planar.n == 8
         domain = cfg.domain.build()
-        assert domain.nodes.size == 9
+        assert domain.n_elements == 8
         law = cfg.law.build()
         assert law.a == 2.0
 
@@ -222,11 +222,10 @@ class TestMain:
         assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
         assert out.read_bytes() == first
 
-    def test_delta_override_changes_sampling(self, config_path, tmp_path):
-        cfg = config_path(FULL_CONFIG)
+    def test_program_delta_sets_sampling(self, config_path, tmp_path):
+        cfg = config_path(FULL_CONFIG.replace("delta = 0.1", "delta = 0.3"))
         out = tmp_path / "coarse.csv"
-        assert main(["evolve", "--config", cfg, "--out", str(out),
-                     "--delta", "0.3"]) == 0
+        assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
         # exact division bumps to 5 subintervals, so header + 6 samples
         lines = out.read_text().splitlines()
         assert len(lines) == 7
@@ -453,6 +452,7 @@ class TestBarRanges:
         ("sweep", "sweep", "h", "10, 1"),
         ("evolve", "program", "delta", "0"),
         ("evolve", "program", "delta", "-0.1"),
+        ("griffith", "program", "delta", "0"),
         ("evolve", "program", "horizon", "0"),
         ("evolve", "domain", "elements", "0"),
         ("evolve", "domain", "length", "0"),
@@ -514,12 +514,9 @@ class TestBarRanges:
         assert capsys.readouterr().err == (
             "config error: [sweep] h must be a comma-separated float list, got '1,x'\n")
 
-    def test_delta_override_range_checked(self, config_path, no_solve, capsys):
-        assert main(["evolve", "--config", _bar_config(config_path), "--delta", "0"]) == 2
-        assert capsys.readouterr().err.startswith("config error: [program] delta must be")
-
-    @pytest.mark.parametrize("command", ["sweep", "planar"])
-    def test_delta_flag_only_on_traces(self, command, config_path):
+    @pytest.mark.parametrize("command", ["evolve", "griffith", "sweep", "planar"])
+    def test_delta_is_not_a_flag(self, command, config_path):
+        # the step is set by [program] delta alone
         with pytest.raises(SystemExit) as err:
             main([command, "--config", config_path(FULL_CONFIG), "--delta", "0.5"])
         assert err.value.code == 2
@@ -638,6 +635,15 @@ def _python(code: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
+def test_readme_library_example_runs():
+    # the README's python block, as written, imports from the package's
+    # exports alone and prints the first crack time and the last total
+    (code,) = [text for lang, text in README_BLOCKS if lang == "python"]
+    run = _python(code)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "1.0049751243781095 1.0\n"
 
 
 def _loads_scipy(code: str) -> bool:

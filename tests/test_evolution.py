@@ -9,7 +9,6 @@ from cohesivefrac.bar1d import (
     CrackState,
     Displacement1D,
     Domain1D,
-    griffith_energy,
     total_energy,
 )
 from cohesivefrac.laws import CohesiveLaw, LawKind, plain_laws, rescale_laws
@@ -20,6 +19,7 @@ from cohesivefrac.evolution import (
     evolve,
     first_crack_time,
 )
+from bar_step import griffith_energy
 
 DUGDALE2 = plain_laws(CohesiveLaw(LawKind.DUGDALE, 2.0))
 EXPONENTIAL2 = plain_laws(CohesiveLaw(LawKind.EXPONENTIAL, 2.0))
@@ -278,6 +278,17 @@ class TestErrorPropagation:
         program = LoadProgram.linear_ramp(1.0, 0.5)
         with pytest.raises(ValueError):
             evolve(bar(), CrackState(), program, DUGDALE2, "plastic")
+
+    @pytest.mark.parametrize("mode", ["cohesive", "griffith"])
+    def test_memory_off_the_bar_rejected(self, mode, monkeypatch):
+        import cohesivefrac.evolution as evo
+
+        # no step runs: the site is named before either path is called
+        monkeypatch.setattr(evo, "_cohesive_path", None)
+        monkeypatch.setattr(evo, "_griffith_path", None)
+        program = LoadProgram.linear_ramp(2.0, 0.5)
+        with pytest.raises(ValueError, match=r"memory at sites \[5, 99\] off the bar"):
+            evolve(bar(), CrackState({99: 0.5, 2: 0.1, 5: 0.2}), program, DUGDALE2, mode)
 
     def test_memory_that_decreases_raises(self, monkeypatch):
         import cohesivefrac.evolution as evo

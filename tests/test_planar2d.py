@@ -393,6 +393,27 @@ class TestSweep:
         with pytest.raises(PlanarNumericError):
             prefix_crack_sweep(Grid2D(16), 0.3, plain_laws(DUGDALE))
 
+    @pytest.mark.parametrize("n, tear_times", [
+        (64, (0.452893, 0.418943)),
+        (128, (0.453342, 0.419695)),
+        (256, (0.453566, 0.420071)),
+    ])
+    def test_griffith_tear_time_in_closed_form(self, n, tear_times):
+        # E_k, the bulk of prefix k at unit load, is concave in k, so the
+        # Griffith energy t^2 E_k + (k - k0)/n over k >= k0 is least at k0
+        # or at n: a saturated precrack k0 = l0 n holds until
+        # t* = sqrt((1 - l0)/E_k0) and then tears fully
+        laws = plain_laws(DUGDALE)
+        unit = prefix_crack_sweep(Grid2D(n), 1.0, laws, mode="griffith").bulk
+        assert np.all(np.diff(unit, 2) <= 0.0)
+        for l0, want in zip((0.25, 0.5), tear_times):
+            k0 = round(l0 * n)
+            t_star = math.sqrt((1.0 - l0) / unit[k0])
+            assert t_star == pytest.approx(want, abs=5e-7)
+            grid = Grid2D.precracked(n, l0, 1.0)
+            for t, best in ((t_star * (1.0 - 1e-6), k0), (t_star * (1.0 + 1e-6), n)):
+                assert prefix_crack_sweep(grid, t, laws, mode="griffith").best_index == best
+
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_elastic_solve_and_sweep_reject_a_nonfinite_load_before_solving(bad, monkeypatch):
