@@ -113,7 +113,9 @@ class ProgramSection:
         _check_ranges("program", (
             ("horizon", self.horizon, 0.0 < self.horizon < math.inf, "finite and > 0"),
             ("delta", self.delta, 0.0 < self.delta < math.inf, "finite and > 0"),
-            ("rate", self.rate, math.isfinite(self.rate), "finite"),
+            # the ramp's last sample is rate * horizon
+            ("rate", self.rate, math.isfinite(self.rate * self.horizon),
+             "finite, with rate * horizon finite"),
         ))
 
 

@@ -70,7 +70,8 @@ def _as_checked_opening(s):
 # NaN where it is not real.  Only the unsaturated piece of phi counts;
 # on a saturated piece the point is ``d``.
 #
-# * Dugdale: the vertex ``d - w*a/(2*kappa)``.
+# * Dugdale: the vertex ``d - w*a/(2*kappa)``; ``d`` may be an array,
+#   which the bar's path uses to price a run of steps at one memory.
 # * Exponential: ``x = d + W_0(z)/a`` for ``z = -w*a**2*exp(-a*d)/(2*kappa)``,
 #   real for ``z >= -1/e``.  The second derivative there is
 #   ``2*kappa*(1 + W) >= 0``; the ``W_-1`` branch gives local maxima,

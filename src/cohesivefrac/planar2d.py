@@ -81,7 +81,7 @@ AM_MAX_ITERS = 400
 
 
 class PlanarNumericError(RuntimeError):
-    """Linear solve failed to reach the required residual."""
+    """A planar solve failed: a residual or KKT check missed, or an energy is not finite."""
 
 
 class PlanarNonconvergence(RuntimeError):
@@ -362,7 +362,8 @@ def prefix_crack_sweep(grid: Grid2D, t: float, laws: RescaledLaws, mode: str = "
     exactly.  Griffith surface counts fresh edge length only; the
     cohesive one pays ``phi(opening v psi)`` per edge.  Ties resolve to
     the smaller crack.  A load that is not finite raises ``ValueError``
-    before any solve.
+    before any solve; a finite one whose energy overflows at some prefix
+    length raises ``PlanarNumericError`` naming the first such length.
     """
     if mode not in ("cohesive", "griffith"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -375,24 +376,31 @@ def prefix_crack_sweep(grid: Grid2D, t: float, laws: RescaledLaws, mode: str = "
     op = _lip_operator(n)
     stiff, c, unit = op.stiffness, op.unit_load, _prefix_jumps(n)
     jumps = np.zeros(n + 1)  # k = 0 ties every node
-    for k in range(n + 1):
-        if k:
-            m = k if k < n else n + 1
-            x = unit[m - 1]
-            # the residual of S_oo (t x) = t c_o
-            residual = abs(t) * float(np.abs(c[:m] - stiff[:m, :m] @ x[:m]).max())
-            _check_residual(residual, max(1.0, abs(t), abs(t) * float(np.abs(c[:m]).max())))
-            jumps = 2.0 * t * x
-        bulk[k] = laws.bulk_weight * _lip_bulk(n, t, jumps)
-        if mode == "griffith":
-            fresh = int(np.sum(grid.psi[:k] == 0.0))
-            surface[k] = laws.surface_weight * delta * fresh
-        else:
-            # nodes past the prefix are tied, so their edges open by 0
-            surface[k] = laws.surface_weight * delta * float(
-                laws.phi(np.maximum(_edge_openings(jumps), grid.psi)).sum()
-            )
-    total = bulk + surface
+    # a load whose energies overflow is reported below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n + 1):
+            if k:
+                m = k if k < n else n + 1
+                x = unit[m - 1]
+                # the residual of S_oo (t x) = t c_o
+                residual = abs(t) * float(np.abs(c[:m] - stiff[:m, :m] @ x[:m]).max())
+                _check_residual(residual, max(1.0, abs(t), abs(t) * float(np.abs(c[:m]).max())))
+                jumps = 2.0 * t * x
+            bulk[k] = laws.bulk_weight * _lip_bulk(n, t, jumps)
+            if mode == "griffith":
+                fresh = int(np.sum(grid.psi[:k] == 0.0))
+                surface[k] = laws.surface_weight * delta * fresh
+            else:
+                # nodes past the prefix are tied, so their edges open by 0
+                surface[k] = laws.surface_weight * delta * float(
+                    laws.phi(np.maximum(_edge_openings(jumps), grid.psi)).sum()
+                )
+        total = bulk + surface
+    unpriced = np.flatnonzero(~np.isfinite(total))
+    if unpriced.size:
+        raise PlanarNumericError(
+            f"energy of prefix length {lengths[unpriced[0]]:.12g} is not finite at load {t:g}"
+        )
     best = 0
     for k in range(1, n + 1):
         if total[k] < total[best] - 1e-12:

@@ -15,14 +15,22 @@ Two routes are provided and kept deliberately independent:
   excess ``e`` the site of largest memory is never beaten as the owner:
   a step prices that one branch, a 1d problem solved exactly, whose
   minimum lies at an end of its interval or at a closed-form local
-  minimum of a smooth piece, with the float forms of the laws (which
-  serve this kernel alone): a Dugdale step makes no numpy call.  A step
+  minimum of a smooth piece, with the float forms of the laws.  A step
   is therefore a function of the bar length, the signed datum
   difference and the memory vector over the jump sites, and returns one
   slope and one oriented jump per site: :func:`_cohesive_path` runs a
-  whole program of them on floats.  The brittle problem needs no step
-  solve: its whole path has a closed form, :func:`_griffith_path`, on
-  arrays.  :func:`cohesivefrac.evolution.evolve` runs both.
+  whole program of them.  It takes the program in runs, blocks of
+  steps in which the rule cannot read a memory that changes, each
+  priced by a few array passes: fixed-memory runs (refills within the
+  memory, and steps that leave it as it is) and saturated-owner runs,
+  once the owner's memory saturates the law on its float forms
+  (``phi = 1`` with a zero slope), past which the rule is "the whole
+  excess, or nothing".  Each pass does, element by element, the IEEE
+  operations of the float rule and checks the memory it assumed, so
+  its results are bit for bit those of the float loop, which takes
+  every other step.  The brittle problem needs no step solve: its
+  whole path has a closed form, :func:`_griffith_path`, on arrays.
+  :func:`cohesivefrac.evolution.evolve` runs both.
 
 * :func:`brute_force_minimize` quantizes jump vectors over the active
   sites and enumerates them exhaustively.  It knows nothing about the
@@ -46,7 +54,7 @@ from cohesivefrac.bar1d import (
     Domain1D,
     make_displacement,
 )
-from cohesivefrac.laws import RescaledLaws
+from cohesivefrac.laws import LawKind, RescaledLaws
 
 __all__ = [
     "BudgetError",
@@ -56,6 +64,12 @@ __all__ = [
 TIE_TOL = 1e-12
 # most sites the brute-force oracle enumerates at once
 MAX_ACTIVE_SITES = 3
+# most steps one array pass of the cohesive path prices
+_RUN_STEPS = 512
+# fewest steps a pass must keep to pay for its numpy calls; after the
+# second, third, ... such pass in a row the float loop takes 1, 3, 7, ...
+# steps before the next pass
+_RUN_MIN = 16
 
 
 class BudgetError(RuntimeError):
@@ -99,8 +113,102 @@ def _excess_rule(laws: RescaledLaws, L: float):
     return excess
 
 
+def _excess_run(laws: RescaledLaws, L: float):
+    """:func:`_excess_rule` over an array of ``c`` at one memory ``p``, or None.
+
+    Element by element it does the IEEE operations of the float rule, on
+    the laws' array forms (``phi._values`` and ``bulk.__call__``), with
+    its tie rules: the lexicographic ``min`` over ``(energy, excess)``
+    and the final ``refill <= low + TIE_TOL``.  The Dugdale stationary
+    point is affine in ``c`` and takes the array as it is; the
+    exponential one (``W_0`` on floats) does not vectorize, and that law
+    gets None.
+    """
+    phi, bulk, bw, sw = laws.phi, laws.bulk, laws.bulk_weight, laws.surface_weight
+    if phi.kind is not LawKind.DUGDALE:
+        return None
+    bw_L, kappa = bw * L, bw / L
+
+    def excess(c: np.ndarray, p: float) -> np.ndarray:
+        base = phi._value(p)
+        inner = phi._stationary(kappa, c, sw * phi._slope(p) / phi.a)
+        refill = bw_L * bulk(c / L)
+        whole = sw * (phi._values(p + c) - base)
+        # (whole, c) < (refill, 0.0) only if whole < refill: c > 0
+        lower = whole < refill
+        low, e = np.where(lower, whole, refill), np.where(lower, c, 0.0)
+        priced = bw_L * bulk((c - inner) / L) + sw * (phi._values(p + inner) - base)
+        lower = (0.0 < inner) & (inner < c) & np.where(priced == low, inner < e, priced < low)
+        low, e = np.where(lower, priced, low), np.where(lower, inner, e)
+        return np.where(refill <= low + TIE_TOL, 0.0, e)
+
+    return excess
+
+
+def _site_sum(values):
+    """``values`` added left to right from ``0.0``, floats and arrays alike.
+
+    The builtin ``sum`` compensates float rounding from Python 3.12 on;
+    the free capacity is the plain float sum in site order.
+    """
+    total = 0.0
+    for v in values:
+        total = total + v
+    return total
+
+
+def _path_run(laws: RescaledLaws, L: float, excess_run, D: np.ndarray, psi: list,
+              owner: int, psi_total: float) -> tuple:
+    """The steps of data ``D`` that one array pass prices exactly, from the memory ``psi``.
+
+    Returns their totals, jump rows and owner memories after each, up to
+    the first step whose memory after misses the pass's guess (see
+    :func:`_cohesive_path`).  ``psi_total`` is ``_site_sum(psi)`` and
+    ``excess_run`` is :func:`_excess_run`'s rule.
+    """
+    phi = laws.phi
+    x = psi[owner]
+    saturated = phi._value(x) == 1.0 and phi._slope(x) == 0.0
+    if saturated:
+        guess = np.maximum.accumulate(np.maximum(D - (psi_total - x), x))
+        before = np.concatenate(([x], guess[:-1]))
+    else:
+        guess = before = x
+        if excess_run is None:
+            # refills only: the run ends at the first datum past the memory
+            beyond = np.flatnonzero(D > psi_total)
+            if beyond.size:
+                D = D[:beyond[0]]
+                if not D.size:
+                    return D, np.empty((0, len(psi))), D
+    cols = [before if k == owner else p for k, p in enumerate(psi)]
+    S = _site_sum(cols)
+    total = left = np.minimum(S, D)
+    rows = np.zeros((D.size, len(psi)))
+    for k, p in enumerate(cols):
+        if k != owner and p == 0.0:
+            continue
+        take = np.minimum(p, left)
+        opened = take > 0.0
+        rows[:, k] = np.where(opened, take, 0.0)
+        left = np.where(opened, left - take, left)
+    over, c = D > S, D - S
+    if saturated:
+        e = np.where(laws.bulk_weight * L * laws.bulk(c / L) > TIE_TOL, c, 0.0)
+    elif excess_run is not None:
+        e = excess_run(c, x)
+    else:
+        e = 0.0
+    e = np.where(over, e, 0.0)
+    rows[:, owner] += e
+    after = np.maximum(rows[:, owner], before)
+    kept = after == guess
+    k = D.size if kept.all() else int(np.argmin(kept))
+    return (total + e)[:k], rows[:k], after[:k]
+
+
 def _cohesive_path(laws: RescaledLaws, L: float, deltas, psi: list) -> tuple:
-    """A whole cohesive program on floats: ``(slopes, oriented jumps, memory)``.
+    """A whole cohesive program: ``(slopes, oriented jumps, memory)``.
 
     ``deltas`` are the signed datum differences of the steps and ``psi``
     the opening memory per jump site before the first one, in site order;
@@ -111,43 +219,96 @@ def _cohesive_path(laws: RescaledLaws, L: float, deltas, psi: list) -> tuple:
     there is no memory), at the minimum of :func:`_excess_rule`.  The
     jumps carry the sign of the datum.  A refill opens no site past its
     memory, so only the owner's memory can rise: the owner is found once,
-    the jumps are collected in one flat list, and the memory is the
-    initial row on every step with the owner's column filled in.
+    and the memory is the initial row on every step with the owner's
+    column filled in.
+
+    The program goes in runs: blocks of steps that one array pass prices
+    exactly, each pass guessing the owner's memory after every step of
+    its block.  A fixed-memory run guesses no change: refills within the
+    memory and steps whose excess leaves the memory as it is, priced by
+    :func:`_excess_run` (for the exponential law, whose rule does not
+    vectorize, refills only).  A saturated-owner run starts once
+    ``phi._value(p) == 1`` and ``phi._slope(p) == 0`` on the owner's
+    memory ``p`` (judged on the float forms: with ``a = 49``,
+    ``a * (1/a)`` rounds below 1).  Then ``phi`` is flat past ``p``, the
+    stationary point is the whole excess ``c``, and the rule is ``c`` if
+    ``bw*L*f(c/L) > TIE_TOL``, else 0, whatever ``p`` is; the guess is
+    the running maximum of each datum less the other sites' memory.  A
+    pass prices step ``k`` with the guess after step ``k - 1`` as its
+    memory, so its steps are exact up to the first one whose memory
+    after misses the guess; the pass keeps those, and that step goes
+    through the float loop, as does every step between runs.  A pass
+    does the float loop's IEEE operations element by element, so the
+    results are bit for bit those of the float loop alone.  Passes that
+    keep few steps back off (see ``_RUN_MIN``): where the memory rises on
+    most steps, few passes are tried.
     """
     excess_at = _excess_rule(laws, L)
+    excess_run = _excess_run(laws, L)
     deltas = np.asarray(deltas, dtype=float)
-    n = len(psi)
-    memory = np.tile(np.asarray(psi, dtype=float), (deltas.size, 1))
+    data = np.abs(deltas)
+    m, n = deltas.size, len(psi)
+    initial = np.asarray(psi, dtype=float)
     psi = list(psi)
     owner = max(range(n), key=psi.__getitem__)
-    psi_total = sum(psi)
-    totals, flat, owned = [], [], []
-    for D in np.abs(deltas).tolist():
-        # reopening up to the memory costs no surface and lowers the bulk
-        total_jump = left = min(psi_total, D)
-        jumps = [0.0] * n
-        for k, p in enumerate(psi):
-            if left <= 0.0:
-                break
-            take = min(p, left)
-            if take > 0.0:
-                jumps[k] = take
-                left -= take
-        if D > psi_total:
-            excess = excess_at(D - psi_total, psi[owner])
-            jumps[owner] += excess
-            total_jump += excess
-            if jumps[owner] > psi[owner]:
-                psi[owner] = jumps[owner]
-                psi_total = sum(psi)
-        totals.append(total_jump)
-        flat += jumps
-        owned.append(psi[owner])
+    psi_total = _site_sum(psi)
+    totals, jumps, owned = np.empty(m), np.zeros((m, n)), np.empty(m)
+
+    i = wait = 0
+    # a masked-out branch of an array pass may overflow; no kept value does
+    with np.errstate(over="ignore", invalid="ignore"):
+        while i < m:
+            stop = min(m, i + _RUN_STEPS)
+            run_totals, run_jumps, run_owned = _path_run(laws, L, excess_run, data[i:stop],
+                                                         psi, owner, psi_total)
+            kept = run_owned.size
+            if kept and run_owned[-1] != psi[owner]:
+                psi[owner] = float(run_owned[-1])
+                psi_total = _site_sum(psi)
+            totals[i:i + kept] = run_totals
+            jumps[i:i + kept] = run_jumps
+            owned[i:i + kept] = run_owned
+            i += kept
+            if i == stop:
+                wait = 0
+                continue
+            if kept >= _RUN_MIN:
+                idle = wait = 0
+            else:
+                idle, wait = wait, min(2 * wait + 1, _RUN_STEPS)
+            # the step that ended the run, and ``idle`` more, on floats
+            end = min(m, i + 1 + idle)
+            step_totals, step_jumps, step_owned = [], [], []
+            for D in data[i:end].tolist():
+                # reopening up to the memory costs no surface and lowers the bulk
+                total_jump = left = min(psi_total, D)
+                row = [0.0] * n
+                for k, p in enumerate(psi):
+                    if left <= 0.0:
+                        break
+                    take = min(p, left)
+                    if take > 0.0:
+                        row[k] = take
+                        left -= take
+                if D > psi_total:
+                    excess = excess_at(D - psi_total, psi[owner])
+                    row[owner] += excess
+                    total_jump += excess
+                    if row[owner] > psi[owner]:
+                        psi[owner] = row[owner]
+                        psi_total = _site_sum(psi)
+                step_totals.append(total_jump)
+                step_jumps += row
+                step_owned.append(psi[owner])
+            totals[i:end] = step_totals
+            jumps[i:end] = np.reshape(step_jumps, (end - i, n))
+            owned[i:end] = step_owned
+            i = end
     sigma = np.where(deltas < 0.0, -1.0, 1.0)
     # psi_total + excess may round above D; the slope keeps the datum's sign
-    slopes = sigma * np.maximum(np.abs(deltas) - totals, 0.0) / L
-    jumps = np.array(flat).reshape(deltas.size, n)
-    jumps = np.where(jumps != 0.0, sigma[:, None] * jumps, 0.0)
+    slopes = sigma * np.maximum(data - totals, 0.0) / L
+    np.multiply(jumps, sigma[:, None], out=jumps, where=jumps != 0.0)
+    memory = np.tile(initial, (m, 1))
     memory[:, owner] = owned
     return slopes, jumps, memory
 

@@ -412,6 +412,15 @@ class TestMain:
     def test_missing_section_exit_code(self, config_path):
         assert main(["planar", "--config", config_path("[domain]\nelements = 4\n")]) == 2
 
+    def test_planar_energy_overflow_exit_code(self, config_path, tmp_path, capsys):
+        # a finite load whose energies overflow writes no CSV
+        cfg = config_path("[law]\nkind = dugdale\na = 2\n\n[planar]\nn = 16\nload = 1e200\n")
+        out = tmp_path / "sweep2d.csv"
+        assert main(["planar", "--config", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "solver error: energy of prefix length 0 is not finite at load 1e+200\n")
+        assert not out.exists()
+
     def test_solver_failure_exit_code(self, config_path, monkeypatch, capsys):
         def boom(path):
             raise PlanarNumericError("lip solve residual 1")
@@ -464,6 +473,16 @@ class TestBarRanges:
         assert main([command, "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: [{section}] {key} must be"), err
+
+    @pytest.mark.parametrize("command", ["evolve", "griffith", "sweep"])
+    def test_ramp_that_overflows_rejected(self, command, config_path, no_solve, capsys):
+        # each of rate and horizon is finite, their product is not
+        sections = {name: dict(keys) for name, keys in BAR_SECTIONS.items()}
+        sections["program"].update(horizon="2.0", rate="1e308")
+        assert main([command, "--config", config_path(_ini(sections))]) == 2
+        assert capsys.readouterr().err == (
+            "config error: [program] rate must be finite, with rate * horizon finite, "
+            "got 1e+308\n")
 
     @pytest.mark.parametrize("command, section, key, value", [
         ("evolve", "domain", "elements", "1.5"),

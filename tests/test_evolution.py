@@ -433,19 +433,63 @@ def _reference_path(laws, L, deltas, psi):
     return np.array(slopes), np.array(jump_rows), np.array(memory)
 
 
-@pytest.mark.parametrize("law", LAWS)
-@pytest.mark.parametrize("crack", [(), ((0.25, 0.3), (0.5, 0.2))])
-@pytest.mark.parametrize("name", PROGRAMS)
+def _random_walks(count: int, seed: int = 0) -> list:
+    """Seeded programs of 30-60 steps: random walks with a jump now and then."""
+    rng = np.random.default_rng(seed)
+    walks = []
+    for _ in range(count):
+        steps = int(rng.integers(30, 61))
+        data = np.cumsum(rng.normal(0.0, 0.15, steps) + rng.choice([0.0, 1.0], steps, p=[0.9, 0.1])
+                         * rng.normal(0.0, 1.0, steps))
+        walks.append(LoadProgram(np.arange(steps, dtype=float), np.zeros(steps), data))
+    return walks
+
+
+# every run boundary of the path: each entry is a list of programs
+PATH_PROGRAMS = {
+    **{name: [program] for name, program in PROGRAMS.items()},
+    # data up to 0.45 never crack a bar without memory
+    "never-cracks": [LoadProgram.linear_ramp(1.5, 0.05, 0.3)],
+    "first-step-cracks": [LoadProgram(np.arange(6.0), np.zeros(6),
+                                      np.array([1.5, 1.7, 0.2, -1.9, -2.1, 2.5]))],
+    # the saturated memory 0.9 meets 1.91 first, and 0.9 + (1.91 - 0.9)
+    # rounds to 1.9099999999999997; then a ramp within twice the memory
+    "past-twice-memory": [LoadProgram(np.arange(12.0), np.zeros(12), 1.91 + 0.01 * np.arange(12))],
+    # ties: the first datum passes the memory 1/49 by c, with
+    # 1e-12 < c*c <= 1e-12 + 1.1e-16, where with a = 49 the refill wins
+    # only because phi(1/49) rounds below 1; from no memory, the second
+    # meets the final tie refill == low + TIE_TOL exactly (Dugdale)
+    "ties": [LoadProgram(np.arange(3.0), np.zeros(3),
+                         np.array([1.0 / 49.0 + 1.00002e-6, 1.0000000000005, 0.5]))],
+    # 13 walks per crack and law: 208 in all
+    "random-walks": _random_walks(13),
+}
+PATH_CRACKS = [
+    (),
+    ((0.25, 0.3), (0.5, 0.2)),
+    # past the Dugdale saturation 1/a at t = 0 for a = 2 and a = 49
+    ((0.5, 0.9),),
+    # 49 * (1/49) rounds to 0.9999999999999999: phi is not yet 1
+    ((0.5, 1.0 / 49.0),),
+]
+PATH_LAWS = {**LAWS, "dugdale-49": plain_laws(CohesiveLaw(LawKind.DUGDALE, 49.0))}
+
+
+@pytest.mark.parametrize("law", PATH_LAWS)
+@pytest.mark.parametrize("crack", PATH_CRACKS)
+@pytest.mark.parametrize("name", PATH_PROGRAMS)
 def test_path_equals_the_step_by_step_reference(name, crack, law, monkeypatch):
     # every column, bit for bit; the precrack's refills span both sites
     import cohesivefrac.evolution as evo
 
     domain = Domain1D.uniform(1.0, 8, crack=crack)
-    args = (domain, domain.initial_crack_state(), PROGRAMS[name], LAWS[law], "cohesive")
-    trace = evolve(*args)
+    runs = [(domain, domain.initial_crack_state(), program, PATH_LAWS[law], "cohesive")
+            for program in PATH_PROGRAMS[name]]
+    traces = [evolve(*args) for args in runs]
     monkeypatch.setattr(evo, "_cohesive_path", _reference_path)
-    reference = evolve(*args)
-    for column in ("slope", "jumps", "psi", "bulk", "surface", "slack", "work"):
-        assert getattr(trace, column).tobytes() == getattr(reference, column).tobytes(), column
-    if crack:
-        assert np.count_nonzero(trace.jumps[:, [2, 4]], axis=1).max() == 2
+    for trace, args in zip(traces, runs):
+        reference = evolve(*args)
+        for column in ("slope", "jumps", "psi", "bulk", "surface", "slack", "work"):
+            assert getattr(trace, column).tobytes() == getattr(reference, column).tobytes(), column
+    if len(crack) == 2:
+        assert max(np.count_nonzero(t.jumps[:, [2, 4]], axis=1).max() for t in traces) == 2

@@ -388,6 +388,16 @@ class TestSweep:
                 assert res.best_index == best
                 assert res.bulk[-1] == 0.0
 
+    @pytest.mark.parametrize("mode", ["cohesive", "griffith"])
+    def test_energy_overflow_raises(self, mode):
+        # the bulk of the uncracked bar overflows to inf, the cracked
+        # prefixes to nan; no numpy warning escapes
+        with pytest.raises(PlanarNumericError, match="prefix length 0 is not finite"):
+            prefix_crack_sweep(Grid2D(16), 1e200, plain_laws(DUGDALE), mode=mode)
+        # a load whose energies stay finite passes
+        res = prefix_crack_sweep(Grid2D(16), 1e150, plain_laws(DUGDALE), mode=mode)
+        assert np.all(np.isfinite(res.total))
+
     def test_residual_check_is_live(self, monkeypatch):
         monkeypatch.setattr(planar2d, "RESIDUAL_TOL", 0.0)
         with pytest.raises(PlanarNumericError):

@@ -306,6 +306,35 @@ class TestPathSummation:
         assert memory.tobytes() == want_memory.tobytes()
 
 
+class TestRuns:
+    """The path prices runs of steps in array passes; the float rule takes the rest."""
+
+    def test_ladder_steps_go_in_runs(self, config_path, monkeypatch, capsys):
+        # the benchmark's brittle ladder: 2 230 steps, of which 4 crack a
+        # fresh site; every other step is elastic or has a saturated owner
+        import cohesivefrac.solver1d as solver1d
+        from cohesivefrac.cli import main
+
+        calls = []
+        rule = solver1d._excess_rule
+
+        def counted_rule(laws, L):
+            excess = rule(laws, L)
+
+            def counted(c, p):
+                calls.append((c, p))
+                return excess(c, p)
+
+            return counted
+
+        monkeypatch.setattr(solver1d, "_excess_rule", counted_rule)
+        cfg = config_path("[domain]\nelements = 4\n\n[law]\nkind = dugdale\na = 2.0\n\n"
+                          "[program]\nhorizon = 2.0\n\n[sweep]\n")
+        assert main(["sweep", "--config", cfg, "--alpha", "0.5", "--h", "1,10,100,1000"]) == 0
+        assert capsys.readouterr().out == "regime=brittle_limit\n"
+        assert len(calls) <= 4, len(calls)
+
+
 class TestBruteForce:
     def test_zero_load_keeps_sunk_cost(self):
         domain = bar(crack=((0.25, 0.1), (0.5, 0.3)))
