@@ -74,8 +74,11 @@ class LoadProgram:
             raise ValueError("time grid must be strictly increasing")
         if left.shape != times.shape or right.shape != times.shape:
             raise ValueError("boundary samples must match the time grid")
-        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(left)) and np.all(np.isfinite(right))):
-            raise ValueError("program values must be finite")
+        # a finite datum right - left has finite samples on both sides
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(times).all() and np.isfinite(right - left).all()
+        if not finite:
+            raise ValueError("program values and the datum right - left must be finite")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)

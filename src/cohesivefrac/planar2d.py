@@ -32,8 +32,9 @@ form with a prescribed set of open crack edges (a closed edge ties the
 lip values at both its endpoints).  ``prefix_crack_sweep`` scans the
 crack lengths ``l = k/n`` and returns the energy-optimal prefix, the
 global check for monotone patterns; a prefix crack opens a leading block
-of lip nodes, so one Cholesky factor of ``S`` per mesh size solves every
-prefix.  ``alternate_minimize`` minimizes the reduced lip energy
+of lip nodes, so one Cholesky factor of ``S`` per mesh size gives every
+prefix's jumps and, by one running sum, its bulk in closed form.
+``alternate_minimize`` minimizes the reduced lip energy
 ``2 bw q.S.q + w sum phi(opening v psi)`` over the nodal jumps alone by
 DC iterations: each edge term is the convex ``a max(s, psi)`` minus the
 convex ``a max(s, psi) - phi(max(s, psi))``, the second part is
@@ -260,31 +261,41 @@ def _solve_jumps(n: int, t: float, tied: np.ndarray) -> np.ndarray:
 
 def _check_residual(residual: float, scale: float) -> None:
     if not residual <= RESIDUAL_TOL * scale:
-        raise PlanarNumericError(
-            f"linear solve residual {residual:.3g} exceeds {RESIDUAL_TOL:g}"
-        )
+        raise PlanarNumericError(f"linear solve residual {residual:.3g} exceeds {RESIDUAL_TOL:g}")
 
 
 @lru_cache(maxsize=8)
-def _prefix_jumps(n: int) -> np.ndarray:
-    """``x``: the unit jumps of every prefix crack, from one Cholesky factor.
+def _prefix_jumps(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(x, E)``: unit jumps and unit bulks of every prefix crack, from one Cholesky factor.
 
-    A prefix crack opens the lip nodes ``0..m-1``, so its system is the
-    leading block ``S_oo`` of ``S``: with the tied nodes at ``q = t`` the
-    open jumps are ``2t x`` for ``S_oo x = c_o``, ``c = S 1``.  With
-    ``S = L L^T`` every leading block shares the factor, so for
-    ``y = L^-1 c`` the solution is ``x = L_oo^-T y_o``: row ``m - 1`` of
-    ``x`` holds it, and zeros past it.  The last row is the full tear,
-    solved exactly by ``x = 1``.  ``c`` is the operator's ``unit_load``.
+    Prefix ``k`` opens the leading ``m`` lip nodes (``m = k``, all ``n + 1``
+    at ``k = n``): with the tied nodes at ``q = t`` its open jumps are
+    ``2t x`` for ``S_oo x = c_o``, ``c = S 1`` the ``unit_load``.  Every
+    leading block shares the factor of ``S = L L^T``, so for ``y = L^-1 c``
+    row ``k`` of ``x`` is ``L_oo^-T y_o`` and zeros past it (``x = 1`` at the
+    full tear), and its bulk at load ``t`` is ``t^2 E_k``, ``E_k = 2
+    sum_{j >= m} y_j^2``: a running sum from the far end, exactly
+    nonincreasing and 0 at ``k = n``.  The residuals of every solve are
+    checked here, at unit load: ``max c < 1``, so they bound those at any
+    load by ``RESIDUAL_TOL max(1, |t|)``.
     """
     op = _lip_operator(n)
     c = op.unit_load
     linv = np.linalg.inv(np.linalg.cholesky(op.stiffness))
-    # x[m - 1, i] = sum_{j < m} linv[j, i] y_j, a running sum over the rows
-    x = np.cumsum(linv * (linv @ c)[:, None], axis=0)
+    y = linv @ c
+    x = np.zeros((n + 1, n + 1))
+    # x[k, i] = sum_{j < k} linv[j, i] y_j, a running sum over the rows
+    np.cumsum((linv * y[:, None])[:n - 1], axis=0, out=x[1:n])
     x[n] = 1.0
-    x.setflags(write=False)  # shared by every caller through the cache
-    return x
+    # row k of x @ S is S x_k, whose open rows i < m must give c_i
+    opened = np.tri(n + 1, k=-1, dtype=bool)
+    opened[n] = True
+    _check_residual(float(np.abs(c - x @ op.stiffness).max(initial=0.0, where=opened)), 1.0)
+    bulk = np.zeros(n + 1)
+    bulk[:n] = 2.0 * np.cumsum((y * y)[::-1])[::-1][:n]
+    for arr in (x, bulk):
+        arr.setflags(write=False)  # shared by every caller through the cache
+    return x, bulk
 
 
 def _tied(n: int, open_edges) -> np.ndarray:
@@ -298,14 +309,15 @@ def _tied(n: int, open_edges) -> np.ndarray:
 
 
 def _lip_bulk(n: int, t: float, jumps: np.ndarray) -> float:
-    """Unweighted bulk ``2 q.S.q``, ``q = t - jumps/2``, of the elastic optimum."""
+    """Unweighted bulk ``2 q.S.q``, ``q = t - jumps/2``; ``inf`` or ``nan``, unwarned, on overflow."""
     q = t - 0.5 * jumps
-    return 2.0 * float(q @ _lip_operator(n).stiffness @ q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 2.0 * float(q @ _lip_operator(n).stiffness @ q)
 
 
 def _edge_openings(jumps: np.ndarray) -> np.ndarray:
-    """Opening of each crack edge: the mean jump magnitude at its two nodes."""
-    return 0.5 * (np.abs(jumps[:-1]) + np.abs(jumps[1:]))
+    """Opening of each crack edge: the mean jump magnitude at its two nodes, per row of jumps."""
+    return 0.5 * (np.abs(jumps[..., :-1]) + np.abs(jumps[..., 1:]))
 
 
 def _lip_energy(grid: Grid2D, laws: RescaledLaws, t: float, jumps) -> float:
@@ -353,66 +365,44 @@ class SweepResult:
 def prefix_crack_sweep(grid: Grid2D, t: float, laws: RescaledLaws, mode: str = "cohesive") -> SweepResult:
     """Scan prefix cracks ``l = k/n`` and return the optimal one.
 
-    For each length the bulk is the tied elastic optimum, so it is
-    exactly nonincreasing in ``l`` (open sets nest).  Prefix ``k`` opens
-    the lip nodes ``0..k-1`` (all of them at ``k = n``), whose jumps come
-    from one Cholesky factor of the lip operator per mesh size (see
-    :func:`_prefix_jumps`); each solve's residual must come out below
-    ``RESIDUAL_TOL``, and the full tear has jumps ``2t`` and bulk 0
-    exactly.  Griffith surface counts fresh edge length only; the
-    cohesive one pays ``phi(opening v psi)`` per edge.  Ties resolve to
-    the smaller crack.  A load that is not finite raises ``ValueError``
-    before any solve; a finite one whose energy overflows at some prefix
-    length raises ``PlanarNumericError`` naming the first such length.
+    Prefix ``k`` opens the lip nodes ``0..k-1`` (all of them at ``k = n``)
+    and its bulk is the tied elastic optimum in closed form: jumps ``2t x_k``
+    and bulk ``bw t^2 E_k`` from the per-mesh factor of
+    :func:`_prefix_jumps`, which checked the residuals, so the bulk is
+    exactly nonincreasing in ``l`` and 0 at the full tear.  Griffith
+    surface counts fresh edge length only; the cohesive one pays
+    ``phi(opening v psi)`` per edge.  Every prefix is priced in array
+    passes; ties resolve to the smaller crack.  A load that is not finite
+    raises ``ValueError`` before any solve; a finite one whose energy
+    overflows at some prefix length raises ``PlanarNumericError`` naming
+    the first such length.
     """
     if mode not in ("cohesive", "griffith"):
         raise ValueError(f"unknown mode {mode!r}")
     _check_load(t)
     n = grid.n
-    delta = grid.spacing
-    lengths = np.arange(n + 1) * delta
-    bulk = np.empty(n + 1)
-    surface = np.empty(n + 1)
-    op = _lip_operator(n)
-    stiff, c, unit = op.stiffness, op.unit_load, _prefix_jumps(n)
-    jumps = np.zeros(n + 1)  # k = 0 ties every node
+    lengths = np.arange(n + 1) * grid.spacing
+    unit, energy = _prefix_jumps(n)
+    weight = laws.surface_weight * grid.spacing
     # a load whose energies overflow is reported below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n + 1):
-            if k:
-                m = k if k < n else n + 1
-                x = unit[m - 1]
-                # the residual of S_oo (t x) = t c_o
-                residual = abs(t) * float(np.abs(c[:m] - stiff[:m, :m] @ x[:m]).max())
-                _check_residual(residual, max(1.0, abs(t), abs(t) * float(np.abs(c[:m]).max())))
-                jumps = 2.0 * t * x
-            bulk[k] = laws.bulk_weight * _lip_bulk(n, t, jumps)
-            if mode == "griffith":
-                fresh = int(np.sum(grid.psi[:k] == 0.0))
-                surface[k] = laws.surface_weight * delta * fresh
-            else:
-                # nodes past the prefix are tied, so their edges open by 0
-                surface[k] = laws.surface_weight * delta * float(
-                    laws.phi(np.maximum(_edge_openings(jumps), grid.psi)).sum()
-                )
+        bulk = laws.bulk_weight * ((t * t) * energy)
+        if mode == "griffith":
+            surface = weight * np.append(0, np.cumsum(grid.psi == 0.0))
+        else:
+            # nodes past a prefix are tied, so their edges open by 0
+            openings = np.maximum(_edge_openings(2.0 * t * unit), grid.psi)
+            surface = weight * laws.phi(openings).sum(axis=1)
         total = bulk + surface
     unpriced = np.flatnonzero(~np.isfinite(total))
     if unpriced.size:
-        raise PlanarNumericError(
-            f"energy of prefix length {lengths[unpriced[0]]:.12g} is not finite at load {t:g}"
-        )
+        raise PlanarNumericError(f"energy of prefix length {lengths[unpriced[0]]:.12g} "
+                                 f"is not finite at load {t:g}")
     best = 0
     for k in range(1, n + 1):
         if total[k] < total[best] - 1e-12:
             best = k
-    return SweepResult(
-        best_length=float(lengths[best]),
-        best_index=best,
-        lengths=lengths,
-        bulk=bulk,
-        surface=surface,
-        total=total,
-    )
+    return SweepResult(float(lengths[best]), best, lengths, bulk, surface, total)
 
 
 @lru_cache(maxsize=8)
@@ -587,7 +577,8 @@ def alternate_minimize(
     sums, so for ``t >= 0`` ``|J|`` never prices above ``J``.  The end
     point is a critical point of the split, not a certified global
     minimum.  A load or start jump that is not finite raises
-    ``ValueError`` before any solve.
+    ``ValueError`` before any solve, and a start whose energy is not
+    finite raises ``PlanarNumericError`` naming the load.
     """
     n = grid.n
     jumps = np.zeros(n + 1) if start_jumps is None else np.abs(np.asarray(start_jumps, dtype=float))
@@ -599,6 +590,8 @@ def alternate_minimize(
 
     load, phi, memo = abs(t), laws.phi, _SOLVED.setdefault(grid, {})
     energies = [_lip_energy(grid, laws, load, jumps)]
+    if not math.isfinite(energies[0]):
+        raise PlanarNumericError(f"energy of a start is not finite at load {t:.12g}")
     zeta, iterations = np.full(n, np.nan), 0  # NaN: equal to no slope
     for _ in range(AM_MAX_ITERS):
         s = _edge_openings(jumps)
@@ -652,7 +645,8 @@ def evolve_tearing(grid: Grid2D, times, laws: RescaledLaws) -> list[TearingStep]
     (at the first time the zero start, the state before it, plays that
     part).  A start that stalls against ``AM_MAX_ITERS`` is dropped as
     long as another one converged, and then that bound may fail.  A time
-    that is not finite raises ``ValueError`` before any solve.
+    that is not finite raises ``ValueError`` before any solve; a start
+    energy that is not finite, ``PlanarNumericError`` naming its load.
     """
     times = [float(t) for t in times]
     for t in times:

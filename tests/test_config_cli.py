@@ -18,6 +18,7 @@ from cohesivefrac.cli import (
     SWEEP_HEADER,
     TEAR_HEADER,
     TRACE_HEADER,
+    _check_exit,
     emit_csv,
     main,
 )
@@ -629,6 +630,28 @@ class TestTear:
         want = (f"[{section}] {key} must be" if key
                 else f"missing required section(s): {section}")
         assert capsys.readouterr().err.startswith(f"config error: {want}")
+
+    def test_energy_overflow_exits_3(self, config_path, tmp_path, capsys):
+        # a finite ramp whose lip energies overflow writes no CSV
+        sections = _tear_sections()
+        sections["program"] = {"horizon": 1, "delta": 0.5, "rate": 1e200}
+        out = tmp_path / "tear.csv"
+        argv = ["tear", "--config", config_path(_ini(sections)), "--check", "--out", str(out)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "solver error: energy of a start is not finite at load 3.33333333333e+199\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("slack, violation, message", [
+        (np.inf, 0.0, "minimality slack not finite"),
+        (np.nan, 0.0, "minimality slack not finite"),
+        (0.0, -np.inf, "cumulative energy-balance violation -inf"),
+        (0.0, np.nan, "cumulative energy-balance violation nan"),
+    ])
+    def test_check_fails_on_a_nonfinite_slack_or_violation(self, slack, violation, message,
+                                                            capsys):
+        assert _check_exit([], np.array([0.0, slack]), violation) == 4
+        assert capsys.readouterr().err == f"check failed: {message}\n"
 
     def test_stalled_solve_exits_3(self, config_path, monkeypatch, capsys):
         monkeypatch.setattr("cohesivefrac.planar2d.AM_MAX_ITERS", 1)

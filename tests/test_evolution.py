@@ -56,6 +56,8 @@ class TestLoadProgram:
             LoadProgram(np.array([0.0, 0.5]), np.zeros(3), np.zeros(2))
         with pytest.raises(ValueError):
             LoadProgram(np.array([0.0, 0.5]), np.array([0.0, np.inf]), np.zeros(2))
+        with pytest.raises(ValueError, match="right - left must be finite"):
+            LoadProgram([0.0, 1.0], [0.0, -1e308], [0.0, 1e308])  # the datum overflows
         with pytest.raises(ValueError):
             LoadProgram.linear_ramp(2.0, 0.0)
 

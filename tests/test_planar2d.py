@@ -387,6 +387,7 @@ class TestSweep:
                 np.testing.assert_allclose(res.total, total, rtol=1e-12, atol=0.0)
                 assert res.best_index == best
                 assert res.bulk[-1] == 0.0
+                assert np.all(np.diff(res.bulk) <= 0.0)
 
     @pytest.mark.parametrize("mode", ["cohesive", "griffith"])
     def test_energy_overflow_raises(self, mode):
@@ -399,16 +400,18 @@ class TestSweep:
         assert np.all(np.isfinite(res.total))
 
     def test_residual_check_is_live(self, monkeypatch):
+        # the residuals are checked where the per-mesh cache is built
+        planar2d._prefix_jumps.cache_clear()
         monkeypatch.setattr(planar2d, "RESIDUAL_TOL", 0.0)
         with pytest.raises(PlanarNumericError):
             prefix_crack_sweep(Grid2D(16), 0.3, plain_laws(DUGDALE))
 
-    @pytest.mark.parametrize("n, tear_times", [
-        (64, (0.452893, 0.418943)),
-        (128, (0.453342, 0.419695)),
-        (256, (0.453566, 0.420071)),
+    @pytest.mark.parametrize("n, tear_times, g_quarter", [
+        (64, (0.452893, 0.418943), 2.639267),
+        (128, (0.453342, 0.419695), 2.631371),
+        (256, (0.453566, 0.420071), 2.627347),
     ])
-    def test_griffith_tear_time_in_closed_form(self, n, tear_times):
+    def test_griffith_tear_time_in_closed_form(self, n, tear_times, g_quarter):
         # E_k, the bulk of prefix k at unit load, is concave in k, so the
         # Griffith energy t^2 E_k + (k - k0)/n over k >= k0 is least at k0
         # or at n: a saturated precrack k0 = l0 n holds until
@@ -416,6 +419,9 @@ class TestSweep:
         laws = plain_laws(DUGDALE)
         unit = prefix_crack_sweep(Grid2D(n), 1.0, laws, mode="griffith").bulk
         assert np.all(np.diff(unit, 2) <= 0.0)
+        # the energy release rate G(1/4) = n (E_k - E_k+1) at k = n/4
+        k = n // 4
+        assert n * (unit[k] - unit[k + 1]) == pytest.approx(g_quarter, abs=1e-6)
         for l0, want in zip((0.25, 0.5), tear_times):
             k0 = round(l0 * n)
             t_star = math.sqrt((1.0 - l0) / unit[k0])
